@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import electrical, optimize
+from . import electrical
 from .errors import GraphValidationError, NotSeriesParallelError
 from .fileio import (
     load_config,
@@ -22,14 +22,15 @@ from .fileio import (
 )
 from .graph import ground_leaders, validate_consensus
 from .h2 import (
+    CompositionalProvider,
     compositional_h2,
     dense_h2,
+    dense_provider,
     dense_voltages,
-    h2_exact_aittsp,
     source_trees,
 )
-from .optimize import gradient_edge, optimize_weights, _CompositionalVoltages, _DenseVoltages
-from .sptree import recognize, to_json
+from .optimize import gradient_edge, optimize_weights
+from .sptree import Series, recognize, to_json
 
 
 def _emit(data, out_path):
@@ -108,63 +109,36 @@ def _rel_err(a, b):
 def _cmd_check(args):
     g = load_graph(args.graph)
     validate_consensus(g)
-    trees, gg, sink = source_trees(g)
-    errors = {}
+    trees, gg, _ = recognized = source_trees(g)
+    comp = CompositionalProvider(g, recognized)
+    solutions = comp.solutions(g)
+    comp_h2, comp_q = comp.read(solutions)
+    _, dense_q = dense_provider(gg)
+    errors = {"h2_total": _rel_err(sum(comp_h2.values()), dense_h2(g).total)}
 
-    report_comp = h2_exact_aittsp(trees)
-    report_dense = dense_h2(g)
-    errors["h2_total"] = _rel_err(report_comp.total, report_dense.total)
-
-    comp = _CompositionalVoltages(g)
-    dense = _DenseVoltages(g)
-    comp_diffs = comp.diffs(g)
-    dense_diffs = dense.diffs(g)
-
-    res_err = volt_err = grad_err = flow_err = 0.0
-    for s, tree in trees.items():
-        sol = electrical.solve_tree(tree, source=s)
-        y = dense_voltages(gg, s)
-        res_err = max(res_err, _rel_err(sol.resistance[0], y[s]))
+    res_err = volt_err = flow_err = 0.0
+    for s, sol in solutions.items():
+        cur = sol.current
+        res_err = max(res_err, _rel_err(sol.resistance[0], dense_voltages(gg, s)[s]))
         for e in gg.edges:
-            volt_err = max(volt_err, min(
-                _rel_err(sol.leaf_voltage(e.id), y[e.tail] - y[e.head]),
-                _rel_err(sol.leaf_voltage(e.id), y[e.head] - y[e.tail]),
-            ))
+            volt_err = max(volt_err, _rel_err(comp_q[s][e.id], dense_q[s][e.id]))
         # Flow conservation over the tree sweeps.
-        for i, (node, li, ri) in enumerate(electrical.index_tree(tree)):
+        for i, (node, li, ri) in enumerate(electrical.index_tree(trees[s])):
             if li < 0:
                 continue
-            flow_err = max(flow_err, _rel_err(sol.current[li] + sol.current[ri], sol.current[i])
-                           if not _is_series(node) else
-                           max(_rel_err(sol.current[li], sol.current[i]),
-                               _rel_err(sol.current[ri], sol.current[i])))
-    for e in gg.edges:
-        grad_err = max(
-            grad_err,
-            _rel_err(
-                gradient_edge(gg, e.id, comp_diffs),
-                gradient_edge(gg, e.id, dense_diffs),
-            ),
-        )
+            parts = (cur[li], cur[ri]) if isinstance(node, Series) else (cur[li] + cur[ri],)
+            flow_err = max(flow_err, *(_rel_err(p, cur[i]) for p in parts))
+    grad_err = max(
+        _rel_err(gradient_edge(gg, e.id, comp_q), gradient_edge(gg, e.id, dense_q)) for e in gg.edges
+    )
     errors.update(
-        {
-            "root_resistance": res_err,
-            "leaf_voltages": volt_err,
-            "flow_conservation": flow_err,
-            "gradients": grad_err,
-        }
+        root_resistance=res_err, leaf_voltages=volt_err, flow_conservation=flow_err, gradients=grad_err
     )
     max_err = max(errors.values())
     result = {"errors": errors, "max_relative_error": max_err, "tolerance": args.tol}
     result["ok"] = max_err <= args.tol
     _emit(result, args.out)
     return 0 if result["ok"] else 1
-
-
-def _is_series(node):
-    from .sptree import Series
-
-    return isinstance(node, Series)
 
 
 def build_parser():

@@ -9,6 +9,7 @@ is what both the dense oracle and the gradient are built on.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,10 @@ class MatrixGraph:
     @property
     def followers(self):
         return tuple(n for n in self.nodes if n not in self.leaders)
+
+    @cached_property
+    def edge_ids(self):
+        return frozenset(e.id for e in self.edges)
 
     def edge_map(self):
         return {e.id: e for e in self.edges}

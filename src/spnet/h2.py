@@ -5,6 +5,12 @@ decomposition tree per source (half the trace of the root effective
 resistance), a scalar compositional upper bound that folds scalar
 series/parallel rules over the tree, and a dense oracle that inverts the
 Dirichlet Laplacian directly and works on any connected graph, SP or not.
+
+A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
+electrical pass it returns the per-source squared norm ``h2[s]`` and every
+edge's voltage drop ``q[s][edge id] = Y_tail - Y_head`` in its stored
+orientation. ``CompositionalProvider`` solves each source tree once;
+``dense_provider`` solves the Dirichlet system once for all sources.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,7 @@ import numpy as np
 from . import electrical, matlin
 from .errors import GraphValidationError
 from .graph import dirichlet_laplacian, ground_leaders
-from .sptree import Leaf, Series, recognize
+from .sptree import Leaf, Parallel, Series, leaves, recognize
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,23 @@ def dense_h2(g):
     return H2Report(per_source=per_source, total=sum(per_source.values()), method="dense-oracle")
 
 
+def _dense_solve(g, sources):
+    """``dense_voltages`` for several sources from one multi-column solve."""
+    dl = dirichlet_laplacian(g)
+    k = g.k
+    rhs = np.zeros((dl.matrix.shape[0], k * len(sources)))
+    for c, s in enumerate(sources):
+        i = dl.follower_order.index(s)
+        rhs[k * i : k * i + k, k * c : k * c + k] = np.eye(k)
+    x = np.linalg.solve(dl.matrix, rhs)
+    out = {}
+    for c, s in enumerate(sources):
+        y = {node: x[k * j : k * j + k, k * c : k * c + k] for j, node in enumerate(dl.follower_order)}
+        y.update((leader, np.zeros((k, k))) for leader in g.leaders)
+        out[s] = y
+    return out
+
+
 def dense_voltages(g, source):
     """Voltage drop Y_i^s of every node to the grounded leader set.
 
@@ -121,17 +144,66 @@ def dense_voltages(g, source):
     """
     if source in g.leaders:
         raise GraphValidationError(f"source {source!r} is a leader node")
-    dl = dirichlet_laplacian(g)
-    k = g.k
-    n = len(dl.follower_order)
-    rhs = np.zeros((k * n, k))
-    i = dl.follower_order.index(source)
-    rhs[k * i : k * i + k, :] = np.eye(k)
-    x = np.linalg.solve(dl.matrix, rhs)
-    out = {node: x[k * j : k * j + k, :] for j, node in enumerate(dl.follower_order)}
-    for leader in g.leaders:
-        out[leader] = np.zeros((k, k))
-    return out
+    return _dense_solve(g, [source])[source]
+
+
+def dense_provider(g):
+    """Voltage provider backed by one Dirichlet solve for every source."""
+    if not g.sources:
+        raise GraphValidationError("graph has no source nodes")
+    ys = _dense_solve(g, g.sources)
+    h2 = {s: 0.5 * float(np.trace(y[s])) for s, y in ys.items()}
+    q = {s: {e.id: y[e.tail] - y[e.head] for e in g.edges} for s, y in ys.items()}
+    return h2, q
+
+
+def _retree(t, weights):
+    """Copy of a tree with leaf weights replaced from a mapping by edge id."""
+    if isinstance(t, Leaf):
+        w = weights.get(t.edge)
+        return t if w is None else Leaf(t.edge, w, t.tail, t.head)
+    cls = Series if isinstance(t, Series) else Parallel
+    return cls(_retree(t.left, weights), _retree(t.right, weights))
+
+
+class CompositionalProvider:
+    """Voltage provider backed by one electrical solve per source tree.
+
+    Trees are recognized once (or passed in as ``source_trees(g)``); each
+    call takes the leaf weights from a graph of the same structure.
+    """
+
+    def __init__(self, g, recognized=None):
+        self.trees, gg, _ = source_trees(g) if recognized is None else recognized
+        tails = {e.id: e.tail for e in gg.edges}
+        # Leaves recognized head -> tail relative to their stored edge.
+        self._reversed = {
+            s: {lf.edge for lf in leaves(t) if lf.tail != tails[lf.edge]}
+            for s, t in self.trees.items()
+        }
+
+    def solutions(self, g):
+        """Electrical solution of every source tree under ``g``'s weights."""
+        weights = {e.id: e.weight for e in g.edges}
+        return {
+            s: electrical.solve_tree(_retree(t, weights), source=s)
+            for s, t in self.trees.items()
+        }
+
+    def read(self, solutions):
+        """(h2, q) from the solutions; q turned to each edge's stored orientation."""
+        h2 = {s: 0.5 * float(np.trace(sol.resistance[0])) for s, sol in solutions.items()}
+        q = {
+            s: {
+                eid: -sol.leaf_voltage(eid) if eid in self._reversed[s] else sol.leaf_voltage(eid)
+                for eid in sol.leaf_index
+            }
+            for s, sol in solutions.items()
+        }
+        return h2, q
+
+    def __call__(self, g):
+        return self.read(self.solutions(g))
 
 
 def lyapunov_residual(g):

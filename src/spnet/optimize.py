@@ -3,8 +3,10 @@
 The gradient of the squared H2 norm with respect to one edge weight is
 -1/2 sum_s Q_s Q_s^T, where Q_s is the difference of the matrix-valued
 voltage drops at the edge's endpoints under identity current injected at
-source s. Voltages come from either the compositional tree sweeps or the
-dense oracle; both providers feed the same update
+source s. Each iterate makes one provider call (``spnet.h2``): one pass of
+either the compositional tree sweeps or the dense solve returns the
+per-source squared norms and every Q_s, and both providers feed the same
+update
 
     W' = Proj_[L,U]( W - eta_t (grad_H2 + h W) ),    eta_t = 1/(h sqrt(t)),
 
@@ -18,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import electrical, matlin
+from . import matlin
 from .errors import NotSeriesParallelError
 from .graph import attachment_edge_ids
-from .h2 import dense_h2, dense_voltages, h2_exact_aittsp, source_trees
-from .sptree import Leaf, Parallel, Series
+from .h2 import CompositionalProvider, dense_provider
 
 logger = logging.getLogger(__name__)
 
@@ -79,64 +80,13 @@ class OptTrajectory:
         return self.records[-1].objective
 
 
-def _retree(t, weights):
-    """Copy of a tree with leaf weights replaced from a mapping by edge id."""
-    if isinstance(t, Leaf):
-        w = weights.get(t.edge)
-        return t if w is None else Leaf(t.edge, w, t.tail, t.head)
-    cls = Series if isinstance(t, Series) else Parallel
-    return cls(_retree(t.left, weights), _retree(t.right, weights))
-
-
-class _DenseVoltages:
-    """Per-source endpoint voltage differences from the Dirichlet solve."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def diffs(self, g):
-        out = {}
-        for s in g.sources:
-            y = dense_voltages(g, s)
-            out[s] = {e.id: y[e.tail] - y[e.head] for e in g.edges}
-        return out
-
-    def h2_squared(self, g):
-        return dense_h2(g).total
-
-
-class _CompositionalVoltages:
-    """Per-source leaf voltage drops from the three tree sweeps.
-
-    The decomposition is recognized once; only leaf weights are refreshed
-    as the iterate moves.
-    """
-
-    def __init__(self, g):
-        self.trees, self.gg, self.sink = source_trees(g)
-
-    def _current_trees(self, g):
-        weights = {e.id: e.weight for e in g.edges}
-        return {s: _retree(t, weights) for s, t in self.trees.items()}
-
-    def diffs(self, g):
-        out = {}
-        for s, t in self._current_trees(g).items():
-            sol = electrical.solve_tree(t, source=s)
-            out[s] = {eid: sol.leaf_voltage(eid) for eid in sol.leaf_index}
-        return out
-
-    def h2_squared(self, g):
-        return h2_exact_aittsp(self._current_trees(g)).total
-
-
 def gradient_edge(g, edge_id, voltage_diffs):
     """Gradient of the squared H2 norm with respect to one edge weight.
 
     ``voltage_diffs`` maps source -> edge id -> Q_s; the result is
     -1/2 sum_s Q_s Q_s^T, symmetric negative semidefinite by construction.
     """
-    if edge_id not in {e.id for e in g.edges}:
+    if edge_id not in g.edge_ids:
         raise ValueError(f"unknown edge {edge_id!r}")
     k = g.k
     grad = np.zeros((k, k))
@@ -152,11 +102,9 @@ def penalty_term(g, h):
 
 def objective(g, h, voltage_mode="dense"):
     """Regularized objective: squared H2 norm plus (h/2) sum_e ||W_e||_F^2."""
-    if voltage_mode == "dense":
-        value = dense_h2(g).total
-    else:
-        value = _CompositionalVoltages(g).h2_squared(g)
-    return value + penalty_term(g, h)
+    provider = dense_provider if voltage_mode == "dense" else CompositionalProvider(g)
+    per_source, _ = provider(g)
+    return sum(per_source.values()) + penalty_term(g, h)
 
 
 def pgd_step(weights, grads, t, cfg):
@@ -186,14 +134,16 @@ def optimize_weights(g, cfg):
     """
     free = cfg.free_edges
     if free is None:
-        free = tuple(e.id for e in g.edges if e.id not in attachment_edge_ids(g))
+        fixed = attachment_edge_ids(g)
+        free = tuple(e.id for e in g.edges if e.id not in fixed)
     missing = [eid for eid in free if eid not in cfg.bounds]
     if missing:
         raise ValueError(f"no bounds configured for edges {missing}")
 
+    provider = dense_provider
     if cfg.voltage_mode == "compositional":
         try:
-            provider = _CompositionalVoltages(g)
+            provider = CompositionalProvider(g)
         except NotSeriesParallelError:
             if not cfg.fallback_to_dense:
                 raise
@@ -201,18 +151,16 @@ def optimize_weights(g, cfg):
                 "graph is not series-parallel from every source; "
                 "falling back to dense voltage solves"
             )
-            provider = _DenseVoltages(g)
-    else:
-        provider = _DenseVoltages(g)
 
-    weights = {eid: g.edge_map()[eid].weight for eid in free}
+    emap = g.edge_map()
+    weights = {eid: emap[eid].weight for eid in free}
     current = g
     traj = OptTrajectory()
 
     def record(iteration):
-        diffs = provider.diffs(current)
+        per_source, diffs = provider(current)
         grads = {eid: gradient_edge(current, eid, diffs) for eid in free}
-        h2_sq = provider.h2_squared(current)
+        h2_sq = sum(per_source.values())
         pen = penalty_term(current, cfg.penalty_h)
         gnorm = sum(
             float(np.linalg.norm(grads[eid] + cfg.penalty_h * weights[eid], "fro"))

@@ -25,6 +25,7 @@ from spnet.graph import attachment_edge_ids, dirichlet_laplacian, make_graph
 from spnet.h2 import (
     compositional_h2,
     dense_h2,
+    dense_provider,
     dense_voltages,
     h2_exact_single_source,
     h2_parallel_compose,
@@ -32,7 +33,7 @@ from spnet.h2 import (
     lyapunov_residual,
     source_trees,
 )
-from spnet.optimize import _DenseVoltages, gradient_edge, optimize_weights
+from spnet.optimize import gradient_edge, optimize_weights
 from spnet.sptree import (
     Series,
     check_height_bounds,
@@ -187,7 +188,7 @@ def test_criterion_6_gradient_correctness():
     for _ in range(50):
         k = int(rng.integers(1, 4))
         g = random_aittsp(rng, k, int(rng.integers(2, 4)), leaves_per_link=3)
-        diffs = _DenseVoltages(g).diffs(g)
+        diffs = dense_provider(g)[1]
         att = attachment_edge_ids(g)
         for e in g.edges:
             if e.id in att:

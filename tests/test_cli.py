@@ -7,6 +7,7 @@ import pytest
 import spnet
 from spnet.cli import run
 from spnet.fileio import graph_from_dict, graph_to_dict, load_graph, save_graph
+from spnet.h2 import CompositionalProvider
 
 DATA = Path(spnet.__file__).parent / "data"
 DEMO = str(DATA / "demo_graph.json")
@@ -110,6 +111,24 @@ class TestCheckCommand:
         code, data = run_json(capsys, ["check", "--graph", DEMO, "--tol", "1e-30"])
         assert code == 1
         assert not data["ok"]
+
+
+    def test_negated_leaf_voltage_fails(self, capsys, monkeypatch):
+        # Leaf voltages are compared in one orientation, so a single sign
+        # flip in the compositional provider must fail the check.
+        read = CompositionalProvider.read
+
+        def negate_one(self, solutions):
+            h2, q = read(self, solutions)
+            per_edge = next(iter(q.values()))
+            eid = next(iter(per_edge))
+            per_edge[eid] = -per_edge[eid]
+            return h2, q
+
+        monkeypatch.setattr(CompositionalProvider, "read", negate_one)
+        code, data = run_json(capsys, ["check", "--graph", DEMO])
+        assert code == 1
+        assert data["errors"]["leaf_voltages"] == pytest.approx(2.0)
 
 
 class TestFileErrors:

@@ -5,10 +5,12 @@ from helpers import random_aittsp, random_spd, random_sptree
 from spnet import matlin
 from spnet.electrical import effective_resistance
 from spnet.errors import GraphValidationError
-from spnet.graph import dirichlet_laplacian, make_graph
+from spnet.graph import dirichlet_laplacian, ground_leaders, make_graph
 from spnet.h2 import (
+    CompositionalProvider,
     compositional_h2,
     dense_h2,
+    dense_provider,
     dense_voltages,
     h2_exact_aittsp,
     h2_exact_single_source,
@@ -17,7 +19,7 @@ from spnet.h2 import (
     h2_series_compose,
     lyapunov_residual,
 )
-from spnet.sptree import leaf, parallel, series
+from spnet.sptree import leaf, leaves, parallel, series
 
 I1 = np.eye(1)
 
@@ -146,6 +148,38 @@ class TestDenseVoltages:
         g = make_graph(1, ["r", "s"], [("a", "r", "s", I1)], leaders=["r"])
         with pytest.raises(GraphValidationError):
             dense_voltages(g, "r")
+
+
+class TestVoltageProviders:
+    @staticmethod
+    def rel_err(a, b):
+        return float(np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1e-30))
+
+    def test_providers_match_oracle_and_each_other(self, rng):
+        reversed_leaves = 0
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
+            g = random_aittsp(rng, k, int(rng.integers(2, 5)))
+            oracle = dense_h2(g).per_source
+            comp = CompositionalProvider(g)
+            tails = {e.id: e.tail for e in ground_leaders(g)[0].edges}
+            reversed_leaves += sum(
+                lf.tail != tails[lf.edge] for t in comp.trees.values() for lf in leaves(t)
+            )
+            comp_h2, comp_q = comp(g)
+            dense_h2_sq, dense_q = dense_provider(g)
+            for h2 in (comp_h2, dense_h2_sq):
+                assert h2.keys() == oracle.keys()
+                for s, v in oracle.items():
+                    assert h2[s] == pytest.approx(v, rel=1e-9)
+            assert comp_q.keys() == dense_q.keys()
+            for s, per_edge in dense_q.items():
+                assert comp_q[s].keys() == per_edge.keys()
+                for eid, q in per_edge.items():
+                    # Same orientation on both sides: no sign is forgiven.
+                    assert self.rel_err(comp_q[s][eid], q) <= 1e-9
+        # The instances exercise leaves recognized against their stored edge.
+        assert reversed_leaves > 0
 
 
 class TestLyapunov:

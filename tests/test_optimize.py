@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import fd_gradient_direction, random_aittsp, random_symmetric
+from spnet import electrical, h2
 from spnet.errors import NotSeriesParallelError
 from spnet.graph import attachment_edge_ids, make_graph
+from spnet.h2 import dense_provider
 from spnet.optimize import (
     OptConfig,
-    _DenseVoltages,
     gradient_edge,
     objective,
     optimize_weights,
@@ -42,7 +43,7 @@ def wide_bounds(g, lo=1e-3, hi=1e3):
 class TestGradient:
     def test_single_free_edge_analytic(self):
         g = chain_graph(w=2.0)
-        diffs = _DenseVoltages(g).diffs(g)
+        diffs = dense_provider(g)[1]
         grad = gradient_edge(g, "e", diffs)
         assert grad[0, 0] == pytest.approx(-1 / 25)
 
@@ -55,14 +56,14 @@ class TestGradient:
             [("att", "r", "s", I1), ("e", "s", "b", 2 * I1)],
             leaders=["r"],
         )
-        grad = gradient_edge(g, "e", _DenseVoltages(g).diffs(g))
+        grad = gradient_edge(g, "e", dense_provider(g)[1])
         assert grad[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):
             k = int(rng.integers(1, 4))
             g = random_aittsp(rng, k, int(rng.integers(2, 4)))
-            diffs = _DenseVoltages(g).diffs(g)
+            diffs = dense_provider(g)[1]
             for e in g.edges:
                 if e.id in attachment_edge_ids(g):
                     continue
@@ -75,7 +76,7 @@ class TestGradient:
 
     def test_negative_semidefinite(self, rng):
         g = random_aittsp(rng, 3, 3)
-        diffs = _DenseVoltages(g).diffs(g)
+        diffs = dense_provider(g)[1]
         for e in g.edges:
             grad = gradient_edge(g, e.id, diffs)
             assert np.linalg.eigvalsh(grad).max() <= 1e-10
@@ -83,7 +84,7 @@ class TestGradient:
     def test_unknown_edge(self):
         g = chain_graph()
         with pytest.raises(ValueError):
-            gradient_edge(g, "nope", _DenseVoltages(g).diffs(g))
+            gradient_edge(g, "nope", dense_provider(g)[1])
 
 
 class TestObjective:
@@ -195,6 +196,28 @@ class TestOptimizeWeights:
             assert rc.objective == pytest.approx(rd.objective, rel=1e-8)
             for eid in rc.weights:
                 np.testing.assert_allclose(rc.weights[eid], rd.weights[eid], atol=1e-8)
+
+
+class TestSolvesPerIterate:
+    @pytest.mark.parametrize("mode", ["compositional", "dense"])
+    def test_one_provider_pass_per_iterate(self, rng, monkeypatch, mode):
+        calls = {"effective_resistance": 0, "dirichlet_laplacian": 0}
+        for module, name in ((electrical, "effective_resistance"), (h2, "dirichlet_laplacian")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        g = random_aittsp(rng, 2, 3)
+        cfg = OptConfig(penalty_h=0.2, bounds=wide_bounds(g), max_iters=4, voltage_mode=mode)
+        iterates = len(optimize_weights(g, cfg).records)
+        assert iterates == 5
+        if mode == "compositional":
+            expected = {"effective_resistance": len(g.sources) * iterates, "dirichlet_laplacian": 0}
+        else:
+            expected = {"effective_resistance": 0, "dirichlet_laplacian": iterates}
+        assert calls == expected
 
 
 class TestFallback:
