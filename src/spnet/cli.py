@@ -26,7 +26,7 @@ from .h2 import (
     compositional_h2,
     dense_h2,
     dense_provider,
-    dense_voltages,
+    dense_solve,
     source_trees,
 )
 from .optimize import gradient_edge, optimize_weights
@@ -109,21 +109,22 @@ def _rel_err(a, b):
 def _cmd_check(args):
     g = load_graph(args.graph)
     validate_consensus(g)
-    trees, gg, _ = recognized = source_trees(g)
+    _, gg, _ = recognized = source_trees(g)
     comp = CompositionalProvider(g, recognized)
     solutions = comp.solutions(g)
     comp_h2, comp_q = comp.read(solutions)
-    _, dense_q = dense_provider(gg)
+    ys = dense_solve(gg, gg.sources)
+    _, dense_q = dense_provider(gg, ys)
     errors = {"h2_total": _rel_err(sum(comp_h2.values()), dense_h2(g).total)}
 
     res_err = volt_err = flow_err = 0.0
     for s, sol in solutions.items():
         cur = sol.current
-        res_err = max(res_err, _rel_err(sol.resistance[0], dense_voltages(gg, s)[s]))
+        res_err = max(res_err, _rel_err(sol.resistance[0], ys[s][s]))
         for e in gg.edges:
             volt_err = max(volt_err, _rel_err(comp_q[s][e.id], dense_q[s][e.id]))
         # Flow conservation over the tree sweeps.
-        for i, (node, li, ri) in enumerate(electrical.index_tree(trees[s])):
+        for i, (node, li, ri) in enumerate(sol.entries):
             if li < 0:
                 continue
             parts = (cur[li], cur[ri]) if isinstance(node, Series) else (cur[li] + cur[ri],)

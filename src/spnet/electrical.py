@@ -3,7 +3,8 @@
 Three sweeps, each annotating every tree node keyed by its pre-order
 index: effective resistances (bottom-up), power-minimizing branch currents
 (top-down), and voltage drops (bottom-up). The three compose without
-re-walking the tree.
+re-walking the tree: each takes ``entries=index_tree(t)`` when the caller
+has already indexed it, as ``solve_tree`` does.
 """
 
 from dataclasses import dataclass
@@ -17,28 +18,30 @@ PARALLEL_VOLTAGE_ATOL = 1e-6
 
 
 def index_tree(t):
-    """Pre-order list of (node, left index, right index); leaves get (-1, -1)."""
-    entries = []
+    """Pre-order list of (node, left index, right index); leaves get (-1, -1).
 
-    def rec(n):
-        i = len(entries)
-        entries.append((n, -1, -1))
-        if not isinstance(n, Leaf):
-            li = rec(n.left)
-            ri = rec(n.right)
-            entries[i] = (n, li, ri)
-        return i
+    Walked with an explicit stack, so tree depth is not limited by recursion.
+    """
+    nodes = []
+    right = []  # right child index of each join, filled when that child is reached
+    stack = [(t, -1)]  # (node, index of the join it is the right child of, or -1)
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(nodes)
+        if not isinstance(node, Leaf):
+            stack += [(node.right, len(nodes)), (node.left, -1)]
+        nodes.append(node)
+        right.append(-1)
+    return [(n, -1, -1) if isinstance(n, Leaf) else (n, i + 1, right[i]) for i, n in enumerate(nodes)]
 
-    rec(t)
-    return entries
 
-
-def effective_resistance(t):
+def effective_resistance(t, *, entries=None):
     """Effective resistance of every subtree, keyed by pre-order index.
 
     Leaf: W_e^-1; series: R1 + R2; parallel: R1 : R2.
     """
-    entries = index_tree(t)
+    entries = index_tree(t) if entries is None else entries
     res = {}
     for i in range(len(entries) - 1, -1, -1):
         node, li, ri = entries[i]
@@ -69,14 +72,14 @@ def split_current(r1, r2, i_in):
     return i1, i2
 
 
-def branch_currents(t, resistances, intensity=None):
+def branch_currents(t, resistances, intensity=None, *, entries=None):
     """Current entering every subtree, keyed by pre-order index.
 
     The root receives the identity intensity unless one is supplied;
     series joins pass the current through, parallel joins divide it via
     ``split_current``.
     """
-    entries = index_tree(t)
+    entries = index_tree(t) if entries is None else entries
     if intensity is None:
         node = t
         while not isinstance(node, Leaf):
@@ -94,13 +97,13 @@ def branch_currents(t, resistances, intensity=None):
     return cur
 
 
-def voltage_drops(t, resistances, currents):
+def voltage_drops(t, resistances, currents, *, entries=None):
     """Voltage dropped across every subtree, keyed by pre-order index.
 
     Leaf: W_e^-1 I_e; series: V1 + V2; parallel: the two child voltages are
     theoretically equal and their average is propagated to damp roundoff.
     """
-    entries = index_tree(t)
+    entries = index_tree(t) if entries is None else entries
     vol = {}
     for i in range(len(entries) - 1, -1, -1):
         node, li, ri = entries[i]
@@ -138,6 +141,7 @@ class ElectricalSolution:
     current: dict
     voltage: dict
     leaf_index: dict  # edge id -> pre-order index
+    entries: list  # index_tree of the solved tree
 
     def leaf_voltage(self, edge_id):
         return self.voltage[self.leaf_index[edge_id]]
@@ -147,13 +151,12 @@ class ElectricalSolution:
 
 
 def solve_tree(t, intensity=None, source=None):
-    """Run all three sweeps on a tree and bundle the annotations."""
-    res = effective_resistance(t)
-    cur = branch_currents(t, res, intensity=intensity)
-    vol = voltage_drops(t, res, cur)
-    leaf_index = {
-        node.edge: i for i, (node, _, _) in enumerate(index_tree(t)) if isinstance(node, Leaf)
-    }
+    """Run all three sweeps on a tree, indexed once, and bundle the annotations."""
+    entries = index_tree(t)
+    res = effective_resistance(t, entries=entries)
+    cur = branch_currents(t, res, intensity=intensity, entries=entries)
+    vol = voltage_drops(t, res, cur, entries=entries)
+    leaf_index = {node.edge: i for i, (node, li, _) in enumerate(entries) if li < 0}
     return ElectricalSolution(
-        source=source, resistance=res, current=cur, voltage=vol, leaf_index=leaf_index
+        source=source, resistance=res, current=cur, voltage=vol, leaf_index=leaf_index, entries=entries
     )

@@ -119,8 +119,9 @@ def dense_h2(g):
     return H2Report(per_source=per_source, total=sum(per_source.values()), method="dense-oracle")
 
 
-def _dense_solve(g, sources):
-    """``dense_voltages`` for several sources from one multi-column solve."""
+def dense_solve(g, sources):
+    """``dense_voltages`` for several sources from one Dirichlet build and
+    one multi-column solve: {source: {node: Y_node^source}}."""
     dl = dirichlet_laplacian(g)
     k = g.k
     rhs = np.zeros((dl.matrix.shape[0], k * len(sources)))
@@ -144,14 +145,18 @@ def dense_voltages(g, source):
     """
     if source in g.leaders:
         raise GraphValidationError(f"source {source!r} is a leader node")
-    return _dense_solve(g, [source])[source]
+    return dense_solve(g, [source])[source]
 
 
-def dense_provider(g):
-    """Voltage provider backed by one Dirichlet solve for every source."""
+def dense_provider(g, voltages=None):
+    """Voltage provider backed by one Dirichlet solve for every source.
+
+    ``voltages`` is a ``dense_solve(g, g.sources)`` result to read instead
+    of solving again.
+    """
     if not g.sources:
         raise GraphValidationError("graph has no source nodes")
-    ys = _dense_solve(g, g.sources)
+    ys = dense_solve(g, g.sources) if voltages is None else voltages
     h2 = {s: 0.5 * float(np.trace(y[s])) for s, y in ys.items()}
     q = {s: {e.id: y[e.tail] - y[e.head] for e in g.edges} for s, y in ys.items()}
     return h2, q

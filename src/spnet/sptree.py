@@ -9,6 +9,7 @@ was decomposed.
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,13 @@ class Parallel:
 
 def leaves(t):
     """Yield the leaves of a tree left-to-right."""
-    if isinstance(t, Leaf):
-        yield t
-    else:
-        yield from leaves(t.left)
-        yield from leaves(t.right)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            stack += [node.right, node.left]
 
 
 def dim(t):
@@ -109,15 +112,6 @@ def check_height_bounds(t):
     return math.ceil(math.log2(l)) <= st.height <= l - 1
 
 
-def flip(t):
-    """Swap source and sink of the two-terminal network the tree encodes."""
-    if isinstance(t, Leaf):
-        return Leaf(t.edge, t.weight, t.head, t.tail)
-    if isinstance(t, Series):
-        return Series(flip(t.right), flip(t.left))
-    return Parallel(flip(t.left), flip(t.right))
-
-
 def realize(t):
     """Build the two-terminal multigraph a tree encodes.
 
@@ -159,95 +153,139 @@ def realize(t):
 def recognize(g, source, sink):
     """Decompose a connected two-terminal multigraph into an SpTree.
 
-    Repeatedly contracts non-terminal degree-2 nodes into Series nodes and
-    merges parallel edge pairs into Parallel nodes until a single edge
-    between source and sink remains. Candidates are processed in ascending
-    working-edge-id order, series contractions before parallel merges in
-    each pass, so the result is deterministic. Raises
-    NotSeriesParallelError if the reduction stalls.
+    Worklist reduction (Valdes, Tarjan & Lawler 1982): a FIFO holds
+    candidate nodes (non-terminal, degree 2) and candidate endpoint pairs
+    (more than one arc); a dict from unordered endpoint pair to its arcs
+    finds parallel merges in O(1). Contracting a node into a Series arc
+    only re-queues the pair it lands on, and merging a pair into Parallel
+    arcs only re-queues its two endpoints, so the reduction is O(m)
+    amortized. Each join records one orientation bit per child (set when
+    the child is used against its stored direction) instead of copying a
+    flipped subtree; one explicit-stack pass then builds the tree, in
+    which every leaf's tail -> head follows the flow from source to sink.
+
+    The result is deterministic: reading ``g.edges`` in order queues each
+    pair as it gains its second arc (as do new arcs later), then the
+    candidate nodes are queued in ``g.nodes`` order; a merge pushes its
+    endpoints in (tail, head) order of the merged arc; a contraction at a
+    node lets flow run p -> node -> q through its lower-id arc first;
+    bundles merge in ascending arc id. No set of node ids decides any
+    order. Raises NotSeriesParallelError if
+    the reduction stalls or ends on a non-terminal pair.
     """
     if source not in g.nodes or sink not in g.nodes:
         raise GraphValidationError("terminal is not a node of the graph")
     if source == sink:
         raise GraphValidationError("source and sink must differ")
 
-    # Working arcs: aid -> (u, v, tree oriented u -> v).
-    arcs = {}
-    adj = {n: set() for n in g.nodes}
-    for aid, e in enumerate(g.edges):
-        arcs[aid] = (e.tail, e.head, Leaf(e.id, e.weight, e.tail, e.head))
-        adj[e.tail].add(aid)
-        adj[e.head].add(aid)
-    next_id = len(arcs)
-    terminals = {source, sink}
+    index = {n: i for i, n in enumerate(g.nodes)}
+    terminals = (index[source], index[sink])
+    m = len(g.edges)
+    # Arc aid runs tail[aid] -> head[aid]; arcs below m are the edges, the
+    # rest are joins (cls, a, a flipped, b, b flipped) stored at aid - m.
+    tail = [index[e.tail] for e in g.edges]
+    head = [index[e.head] for e in g.edges]
+    joins = []
+    adj = [{} for _ in g.nodes]  # node -> its arcs, in ascending aid (dict as ordered set)
+    bundles = {}  # (lower, higher node) -> its arcs, in ascending aid
+    queue = deque()
 
-    def oriented(aid, u):
-        tail, head, tree = arcs[aid]
-        if tail == u:
-            return head, tree
-        return tail, flip(tree)
+    def pair(aid):
+        u, v = tail[aid], head[aid]
+        return (u, v) if u < v else (v, u)
+
+    def link(aid):
+        adj[tail[aid]][aid] = adj[head[aid]][aid] = None
+        bundle = bundles.setdefault(pair(aid), {})
+        bundle[aid] = None
+        if len(bundle) == 2:
+            queue.append(pair(aid))
+
+    def add(u, v, join):
+        tail.append(u)
+        head.append(v)
+        joins.append(join)
+        link(len(tail) - 1)
+        return len(tail) - 1
 
     def drop(aid):
-        u, v, _ = arcs.pop(aid)
-        adj[u].discard(aid)
-        adj[v].discard(aid)
+        del adj[tail[aid]][aid], adj[head[aid]][aid]
+        bundle = bundles[pair(aid)]
+        del bundle[aid]
+        if not bundle:
+            del bundles[pair(aid)]
 
-    def add(u, v, tree):
-        nonlocal next_id
-        aid = next_id
-        next_id += 1
-        arcs[aid] = (u, v, tree)
-        adj[u].add(aid)
-        adj[v].add(aid)
-        return aid
+    for aid in range(m):
+        link(aid)
+    queue.extend(i for i in range(len(g.nodes)) if len(adj[i]) == 2)
 
-    while len(arcs) > 1:
-        changed = False
-        # Series contractions.
-        for aid in sorted(arcs):
-            if aid not in arcs:
+    while queue:
+        item = queue.popleft()
+        if isinstance(item, tuple):  # parallel merge of a whole bundle
+            bundle = bundles.get(item, ())
+            if len(bundle) < 2:
                 continue
-            for node in arcs[aid][:2]:
-                if node in terminals or len(adj[node]) != 2:
-                    continue
-                a, b = sorted(adj[node])
-                p, tree_a = oriented(a, node)  # oriented node -> p
-                q, tree_b = oriented(b, node)  # oriented node -> q
-                if p == q:
-                    continue  # parallel pair through this node; merge handles it
-                # Flow runs p -> node -> q with the lower-id arc first.
-                drop(a)
+            first, *rest = bundle
+            u, v = tail[first], head[first]
+            merged = first
+            for b in rest:
+                drop(merged)
                 drop(b)
-                add(p, q, Series(flip(tree_a), tree_b))
-                changed = True
-                break
-        # Parallel merges.
-        groups = {}
-        for aid in sorted(arcs):
-            u, v, _ = arcs[aid]
-            groups.setdefault(frozenset((u, v)), []).append(aid)
-        for pair, aids in groups.items():
-            while len(aids) > 1:
-                a, b = aids[0], aids[1]
-                u, v, tree_a = arcs[a]
-                _, tree_b = oriented(b, u)
-                drop(a)
-                drop(b)
-                merged = add(u, v, Parallel(tree_a, tree_b))
-                aids = [merged] + aids[2:]
-                changed = True
-        if not changed:
-            raise NotSeriesParallelError(
-                f"reduction stalled with {len(arcs)} edges; graph is not "
-                f"series-parallel between {source!r} and {sink!r}"
-            )
+                merged = add(u, v, (Parallel, merged, False, b, tail[b] != u))
+            for node in (u, v):
+                if len(adj[node]) == 2:
+                    queue.append(node)
+        elif item not in terminals and len(adj[item]) == 2:  # series contraction
+            a, b = adj[item]
+            p = tail[a] if head[a] == item else head[a]
+            q = head[b] if tail[b] == item else tail[b]
+            if p == q:
+                continue  # a two-arc bundle; its merge is queued
+            drop(a)
+            drop(b)
+            add(p, q, (Series, a, tail[a] != p, b, tail[b] != item))
 
-    (u, v, tree) = next(iter(arcs.values()))
-    if {u, v} != terminals:
+    live = [aid for bundle in bundles.values() for aid in bundle]
+    if len(live) != 1:
         raise NotSeriesParallelError(
-            f"reduction ended on edge {u!r}-{v!r}, not on the terminal pair"
+            f"reduction stalled with {len(live)} edges; graph is not "
+            f"series-parallel between {source!r} and {sink!r}"
         )
-    return tree if u == source else flip(tree)
+    (root,) = live
+    if pair(root) != tuple(sorted(terminals)):
+        raise NotSeriesParallelError(
+            f"reduction ended on edge {g.nodes[tail[root]]!r}-{g.nodes[head[root]]!r}, "
+            "not on the terminal pair"
+        )
+    return _build(g.edges, joins, root, tail[root] != terminals[0])
+
+
+def _build(edges, joins, root, flipped):
+    """Tree of arc ``root`` (reversed if ``flipped``), built without recursion.
+
+    A reversed Series swaps and reverses its children, a reversed Parallel
+    reverses both, and a reversed Leaf swaps its tail and head.
+    """
+    m = len(edges)
+    order = []  # pre-order (aid, flipped, left child aid, right child aid)
+    stack = [(root, flipped)]
+    while stack:
+        aid, f = stack.pop()
+        if aid < m:
+            order.append((aid, f, None, None))
+            continue
+        cls, a, fa, b, fb = joins[aid - m]
+        left, right = ((b, not fb), (a, not fa)) if f and cls is Series else ((a, fa != f), (b, fb != f))
+        order.append((aid, f, left[0], right[0]))
+        stack += [right, left]
+    built = {}
+    for aid, f, left, right in reversed(order):
+        if aid < m:
+            e = edges[aid]
+            built[aid] = Leaf(e.id, e.weight, e.head, e.tail) if f else Leaf(e.id, e.weight, e.tail, e.head)
+        else:
+            built[aid] = joins[aid - m][0](built.pop(left), built.pop(right))
+    return built[root]
 
 
 def to_json(t):

@@ -113,6 +113,17 @@ class TestCheckCommand:
         assert not data["ok"]
 
 
+    def test_two_dirichlet_builds(self, capsys, monkeypatch):
+        # One build for both dense providers' solve, one for the dense_h2 oracle.
+        import spnet.h2
+
+        builds = []
+        build = spnet.h2.dirichlet_laplacian
+        monkeypatch.setattr(spnet.h2, "dirichlet_laplacian", lambda g: builds.append(g) or build(g))
+        code, _ = run_json(capsys, ["check", "--graph", DEMO])
+        assert code == 0
+        assert len(builds) == 2
+
     def test_negated_leaf_voltage_fails(self, capsys, monkeypatch):
         # Leaf voltages are compared in one orientation, so a single sign
         # flip in the compositional provider must fail the check.

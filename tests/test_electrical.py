@@ -25,6 +25,49 @@ def scalar_leaf(eid, w):
     return leaf(eid, [[float(w)]])
 
 
+class TestIndexTree:
+    def test_pre_order_matches_recursive_definition(self, rng):
+        def reference(t):
+            entries = []
+
+            def rec(n):
+                i = len(entries)
+                entries.append((n, -1, -1))
+                if not isinstance(n, Leaf):
+                    entries[i] = (n, rec(n.left), rec(n.right))
+                return i
+
+            rec(t)
+            return entries
+
+        for _ in range(20):
+            t = random_sptree(rng, 1, int(rng.integers(1, 15)))
+            got = index_tree(t)
+            want = reference(t)
+            assert [(li, ri) for _, li, ri in got] == [(li, ri) for _, li, ri in want]
+            assert all(a is b for (a, _, _), (b, _, _) in zip(got, want))
+
+    def test_deep_comb(self):
+        t = scalar_leaf("e0", 1.0)
+        for i in range(1, 5000):
+            t = Series(t, scalar_leaf(f"e{i}", 1.0))
+        entries = index_tree(t)
+        assert len(entries) == 9999
+        assert entries[0][1:] == (1, 9998)
+        assert sum(1 for _, li, _ in entries if li < 0) == 5000
+        assert solve_tree(t).resistance[0] == pytest.approx(5000.0)
+
+    def test_one_index_per_solve(self, monkeypatch, rng):
+        from spnet import electrical
+
+        calls = []
+        monkeypatch.setattr(electrical, "index_tree", lambda t: calls.append(t) or index_tree(t))
+        t = random_sptree(rng, 2, 9)
+        sol = solve_tree(t)
+        assert calls == [t]
+        assert sol.entries == index_tree(t)
+
+
 class TestEffectiveResistance:
     def test_leaf_inverse(self):
         res = effective_resistance(leaf("a", 2 * np.eye(2)))
