@@ -6,7 +6,7 @@ series-parallel.
 """
 
 import argparse
-import json
+import contextlib
 import sys
 
 import numpy as np
@@ -14,6 +14,7 @@ import numpy as np
 from . import electrical
 from .errors import GraphValidationError, NotSeriesParallelError
 from .fileio import (
+    json_chunks,
     load_config,
     load_graph,
     load_tree,
@@ -30,16 +31,13 @@ from .h2 import (
     source_trees,
 )
 from .optimize import gradient_edge, optimize_weights
-from .sptree import Series, recognize, to_json
+from .sptree import recognize, to_json
 
 
 def _emit(data, out_path):
-    text = json.dumps(data, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as f:
+        f.writelines(json_chunks(data))
+        f.write("\n")
 
 
 def _cmd_decompose(args):
@@ -75,7 +73,7 @@ def _cmd_resistance(args):
             "current": sol.current[i].tolist(),
             "voltage": sol.voltage[i].tolist(),
         }
-        for i in sorted(sol.resistance)
+        for i in range(len(sol.resistance))
     }
     _emit(out, args.out)
     return 0
@@ -100,10 +98,12 @@ def _cmd_optimize(args):
 
 
 def _rel_err(a, b):
+    """Largest relative error; a stack of k x k blocks is scaled block by block."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-30)
-    return float(np.abs(a - b).max() / scale)
+    axes = (-2, -1) if a.ndim >= 2 else None
+    scale = np.maximum(np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes)), 1e-30)
+    return float(np.max(np.abs(a - b).max(axis=axes) / scale, initial=0.0))
 
 
 def _cmd_check(args):
@@ -119,22 +119,18 @@ def _cmd_check(args):
 
     res_err = volt_err = flow_err = 0.0
     for s, sol in solutions.items():
-        cur = sol.current
         res_err = max(res_err, _rel_err(sol.resistance[0], ys[s][s]))
         for e in gg.edges:
             volt_err = max(volt_err, _rel_err(comp_q[s][e.id], dense_q[s][e.id]))
-        # Flow conservation over the tree sweeps.
-        for i, (node, li, ri) in enumerate(sol.entries):
-            if li < 0:
-                continue
-            parts = (cur[li], cur[ri]) if isinstance(node, Series) else (cur[li] + cur[ri],)
-            flow_err = max(flow_err, *(_rel_err(p, cur[i]) for p in parts))
-    grad_err = max(
-        _rel_err(gradient_edge(gg, e.id, comp_q), gradient_edge(gg, e.id, dense_q)) for e in gg.edges
-    )
-    errors.update(
-        root_resistance=res_err, leaf_voltages=volt_err, flow_conservation=flow_err, gradients=grad_err
-    )
+        # Flow conservation: series children carry the join's current, parallel children sum to it.
+        t, cur = sol.tree, sol.current
+        ser, par = (np.flatnonzero(t.kind == kind) for kind in (electrical.SERIES, electrical.PARALLEL))
+        flows = [(cur[t.left[ser]], cur[ser]), (cur[t.right[ser]], cur[ser])]
+        flows.append((cur[t.left[par]] + cur[t.right[par]], cur[par]))
+        flow_err = max(flow_err, *(_rel_err(a, b) for a, b in flows))
+    grads = ((gradient_edge(gg, e.id, comp_q), gradient_edge(gg, e.id, dense_q)) for e in gg.edges)
+    errors.update(root_resistance=res_err, leaf_voltages=volt_err, flow_conservation=flow_err)
+    errors["gradients"] = max(_rel_err(a, b) for a, b in grads)
     max_err = max(errors.values())
     result = {"errors": errors, "max_relative_error": max_err, "tolerance": args.tol}
     result["ok"] = max_err <= args.tol

@@ -20,7 +20,7 @@ import numpy as np
 from . import electrical, matlin
 from .errors import GraphValidationError
 from .graph import dirichlet_laplacian, ground_leaders
-from .sptree import Leaf, Parallel, Series, leaves, recognize
+from .sptree import Series, fold, index_tree, recognize
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,7 @@ class H2Report:
     method: str  # exact-compositional | scalar-bound | dense-oracle
 
     def to_dict(self):
-        return {
-            "total_h2_squared": self.total,
-            "per_source": dict(self.per_source),
-            "method": self.method,
-        }
+        return {"total_h2_squared": self.total, "per_source": dict(self.per_source), "method": self.method}
 
 
 def h2_exact_single_source(t):
@@ -73,11 +69,11 @@ def h2_scalar_bound(t):
     subtree resistances met at parallel joins are pairwise proportional,
     in particular for k = 1 and for series-only trees.
     """
-    if isinstance(t, Leaf):
-        return 0.5 * float(np.trace(matlin.pinv(t.weight)))
-    a = h2_scalar_bound(t.left)
-    b = h2_scalar_bound(t.right)
-    return h2_series_compose(a, b) if isinstance(t, Series) else h2_parallel_compose(a, b)
+    return fold(
+        index_tree(t),
+        lambda lf: 0.5 * float(np.trace(matlin.pinv(lf.weight))),
+        lambda node, a, b: h2_series_compose(a, b) if isinstance(node, Series) else h2_parallel_compose(a, b),
+    )
 
 
 def source_trees(g):
@@ -96,11 +92,12 @@ def source_trees(g):
 
 def compositional_h2(g, method="exact"):
     """Compositional squared norm of a consensus network (exact or bound)."""
-    trees, _, _ = source_trees(g)
+    recognized = source_trees(g)
     if method == "exact":
-        return h2_exact_aittsp(trees)
+        per_source = CompositionalProvider(g, recognized).h2(g)
+        return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
     if method == "bound":
-        per_source = {s: h2_scalar_bound(t) for s, t in trees.items()}
+        per_source = {s: h2_scalar_bound(t) for s, t in recognized[0].items()}
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
     raise ValueError(f"unknown compositional method {method!r}")
 
@@ -162,50 +159,40 @@ def dense_provider(g, voltages=None):
     return h2, q
 
 
-def _retree(t, weights):
-    """Copy of a tree with leaf weights replaced from a mapping by edge id."""
-    if isinstance(t, Leaf):
-        w = weights.get(t.edge)
-        return t if w is None else Leaf(t.edge, w, t.tail, t.head)
-    cls = Series if isinstance(t, Series) else Parallel
-    return cls(_retree(t.left, weights), _retree(t.right, weights))
-
-
 class CompositionalProvider:
     """Voltage provider backed by one electrical solve per source tree.
 
-    Trees are recognized once (or passed in as ``source_trees(g)``); each
-    call takes the leaf weights from a graph of the same structure.
+    Trees are recognized once (or passed in as ``source_trees(g)``) and
+    compiled once, each leaf pointing at its edge's position in ``g.edges``;
+    each call takes the weights from a graph with the same edges in the
+    same order and inverts them all in one batch.
     """
 
     def __init__(self, g, recognized=None):
         self.trees, gg, _ = source_trees(g) if recognized is None else recognized
+        rows = {e.id: i for i, e in enumerate(g.edges)}
         tails = {e.id: e.tail for e in gg.edges}
-        # Leaves recognized head -> tail relative to their stored edge.
-        self._reversed = {
-            s: {lf.edge for lf in leaves(t) if lf.tail != tails[lf.edge]}
-            for s, t in self.trees.items()
+        self.compiled = {
+            s: electrical.compile_tree(electrical.index_tree(t), rows, tails) for s, t in self.trees.items()
+        }
+
+    def h2(self, g):
+        """Per-source squared norm from a resistance sweep alone."""
+        leaf_r = electrical.leaf_resistances([e.weight for e in g.edges])
+        return {
+            s: 0.5 * float(np.trace(electrical.resistance_sweep(tree, leaf_r)[0][0]))
+            for s, tree in self.compiled.items()
         }
 
     def solutions(self, g):
         """Electrical solution of every source tree under ``g``'s weights."""
-        weights = {e.id: e.weight for e in g.edges}
-        return {
-            s: electrical.solve_tree(_retree(t, weights), source=s)
-            for s, t in self.trees.items()
-        }
+        leaf_r = electrical.leaf_resistances([e.weight for e in g.edges])
+        return {s: electrical.solve_compiled(tree, leaf_r, source=s) for s, tree in self.compiled.items()}
 
     def read(self, solutions):
-        """(h2, q) from the solutions; q turned to each edge's stored orientation."""
+        """(h2, q) from the solutions; q in each edge's stored orientation."""
         h2 = {s: 0.5 * float(np.trace(sol.resistance[0])) for s, sol in solutions.items()}
-        q = {
-            s: {
-                eid: -sol.leaf_voltage(eid) if eid in self._reversed[s] else sol.leaf_voltage(eid)
-                for eid in sol.leaf_index
-            }
-            for s, sol in solutions.items()
-        }
-        return h2, q
+        return h2, {s: sol.stored_voltages() for s, sol in solutions.items()}
 
     def __call__(self, g):
         return self.read(self.solutions(g))

@@ -2,8 +2,7 @@
 
 Everything here is direct eigendecomposition on k x k arrays with k <= 16;
 there are no iterative solvers. All returned matrices are explicitly
-symmetrized so that roundoff asymmetry cannot accumulate across the tree
-recursions that call into this module.
+symmetrized so that roundoff asymmetry cannot accumulate in callers.
 """
 
 import numpy as np
@@ -16,8 +15,8 @@ SYM_RTOL = 1e-12
 
 
 def symmetrize(m):
-    """Return (M + M^T)/2."""
-    return 0.5 * (m + m.T)
+    """Return (M + M^T)/2; a stack of matrices is symmetrized matrix by matrix."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def as_symmetric(m, rtol=SYM_RTOL):

@@ -7,7 +7,6 @@ the tree can be matched back to node-level quantities of the graph that
 was decomposed.
 """
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -39,19 +38,45 @@ class Parallel:
     right: object
 
 
-def leaves(t):
-    """Yield the leaves of a tree left-to-right."""
-    stack = [t]
+def _preorder(root, children):
+    """Pre-order list of (node, left index, right index) of a binary tree;
+    nodes whose ``children(node)`` is None are leaves and get (-1, -1).
+    Walked with an explicit stack, so depth is not limited by recursion."""
+    entries = []
+    stack = [(root, -1)]  # (node, index of the join it is the right child of, or -1)
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
-        else:
-            stack += [node.right, node.left]
+        node, parent = stack.pop()
+        if parent >= 0:
+            entries[parent][2] = len(entries)
+        pair = children(node)
+        if pair is not None:
+            stack += [(pair[1], len(entries)), (pair[0], -1)]
+        entries.append([node, -1 if pair is None else len(entries) + 1, -1])
+    return [tuple(e) for e in entries]
+
+
+def index_tree(t):
+    """Pre-order list of (node, left index, right index); leaves get (-1, -1)."""
+    return _preorder(t, lambda node: None if isinstance(node, Leaf) else (node.left, node.right))
+
+
+def fold(entries, leaf_fn, join_fn):
+    """Bottom-up value of an indexed tree without recursion: ``leaf_fn(leaf)``
+    at a leaf, ``join_fn(join, left value, right value)`` at a join."""
+    vals = [None] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        node, li, ri = entries[i]
+        vals[i] = leaf_fn(node) if li < 0 else join_fn(node, vals[li], vals[ri])
+    return vals[0]
+
+
+def leaves(t):
+    """The leaves of a tree, left to right."""
+    return [node for node, li, _ in index_tree(t) if li < 0]
 
 
 def dim(t):
-    return next(leaves(t)).weight.shape[0]
+    return leaves(t)[0].weight.shape[0]
 
 
 def _validate_join(t1, t2):
@@ -94,15 +119,14 @@ class TreeStats:
 
 def stats(t):
     """Leaf/join counts, height, and realized node count N = 2l - s - 2p."""
-    if isinstance(t, Leaf):
-        return TreeStats(1, 0, 0, 0, 2)
-    a = stats(t.left)
-    b = stats(t.right)
-    l = a.leaves + b.leaves
-    s = a.series + b.series + (1 if isinstance(t, Series) else 0)
-    p = a.parallel + b.parallel + (1 if isinstance(t, Parallel) else 0)
-    h = 1 + max(a.height, b.height)
-    return TreeStats(l, s, p, h, 2 * l - s - 2 * p)
+
+    def join(node, a, b):
+        l = a.leaves + b.leaves
+        s = a.series + b.series + (1 if isinstance(node, Series) else 0)
+        p = a.parallel + b.parallel + (1 if isinstance(node, Parallel) else 0)
+        return TreeStats(l, s, p, 1 + max(a.height, b.height), 2 * l - s - 2 * p)
+
+    return fold(index_tree(t), lambda _: TreeStats(1, 0, 0, 0, 2), join)
 
 
 def check_height_bounds(t):
@@ -115,39 +139,31 @@ def check_height_bounds(t):
 def realize(t):
     """Build the two-terminal multigraph a tree encodes.
 
-    Returns (graph, source id, sink id). Node ids are generated fresh;
-    series joins identify the left sink with the right source, parallel
-    joins identify both terminal pairs.
+    Returns (graph, source id, sink id). The j-th leaf from the left gets
+    fresh terminals v{2j} -> v{2j+1}; a series join identifies the left sink
+    with the right source, a parallel join both terminal pairs, and each
+    identified node keeps its name from the left side.
     """
-    counter = itertools.count()
+    entries = index_tree(t)
+    ordered = [node for node, li, _ in entries if li < 0]
+    fresh = iter([(f"v{2 * j}", f"v{2 * j + 1}") for j in range(len(ordered))][::-1])  # met right to left
+    merged = {}  # node name -> the name it was identified with
 
-    def fresh():
-        return f"v{next(counter)}"
-
-    def rec(node):
-        if isinstance(node, Leaf):
-            s, e = fresh(), fresh()
-            return [(node.edge, s, e, node.weight)], s, e
-        e1, s1, t1 = rec(node.left)
-        e2, s2, t2 = rec(node.right)
+    def join(node, a, b):
         if isinstance(node, Series):
-            ren = {s2: t1}
-            out_s, out_t = s1, t2
-        else:
-            ren = {s2: s1, t2: t1}
-            out_s, out_t = s1, t1
-        e2 = [(eid, ren.get(a, a), ren.get(b, b), w) for eid, a, b, w in e2]
-        out_t = ren.get(out_t, out_t)
-        return e1 + e2, out_s, out_t
+            merged[b[0]] = a[1]
+            return a[0], b[1]
+        merged[b[0]], merged[b[1]] = a
+        return a
 
-    edges, src, snk = rec(t)
-    nodes = []
-    for _, a, b, _ in edges:
-        for n in (a, b):
-            if n not in nodes:
-                nodes.append(n)
-    g = make_graph(dim(t), nodes, edges)
-    return g, src, snk
+    def name(n):
+        while n in merged:
+            n = merged[n]
+        return n
+
+    src, snk = fold(entries, lambda _: next(fresh), join)
+    edges = [(lf.edge, name(f"v{2 * j}"), name(f"v{2 * j + 1}"), lf.weight) for j, lf in enumerate(ordered)]
+    return make_graph(dim(t), dict.fromkeys(n for _, a, b, _ in edges for n in (a, b)), edges), src, snk
 
 
 def recognize(g, source, sink):
@@ -170,8 +186,8 @@ def recognize(g, source, sink):
     endpoints in (tail, head) order of the merged arc; a contraction at a
     node lets flow run p -> node -> q through its lower-id arc first;
     bundles merge in ascending arc id. No set of node ids decides any
-    order. Raises NotSeriesParallelError if
-    the reduction stalls or ends on a non-terminal pair.
+    order. Raises NotSeriesParallelError if the reduction stalls or ends on
+    a non-terminal pair.
     """
     if source not in g.nodes or sink not in g.nodes:
         raise GraphValidationError("terminal is not a node of the graph")
@@ -290,31 +306,33 @@ def _build(edges, joins, root, flipped):
 
 def to_json(t):
     """Tree as plain JSON data: leaves reference edges by id only."""
-    if isinstance(t, Leaf):
-        return {"op": "leaf", "edge": t.edge}
-    op = "series" if isinstance(t, Series) else "parallel"
-    return {"op": op, "children": [to_json(t.left), to_json(t.right)]}
+    return fold(
+        index_tree(t),
+        lambda lf: {"op": "leaf", "edge": lf.edge},
+        lambda node, a, b: {"op": "series" if isinstance(node, Series) else "parallel", "children": [a, b]},
+    )
 
 
 def from_json(data, g):
     """Rebuild a tree from JSON data, resolving leaf weights against ``g``."""
     emap = g.edge_map()
 
-    def rec(d):
+    def children(d):  # checks each JSON node, in pre-order, before its children
         if not isinstance(d, dict) or "op" not in d:
             raise GraphValidationError("malformed tree JSON node")
         if d["op"] == "leaf":
-            eid = d.get("edge")
-            if eid not in emap:
-                raise GraphValidationError(f"tree references unknown edge {eid!r}")
-            e = emap[eid]
-            return Leaf(e.id, e.weight, e.tail, e.head)
+            if d.get("edge") not in emap:
+                raise GraphValidationError(f"tree references unknown edge {d.get('edge')!r}")
+            return None
         if d["op"] not in ("series", "parallel"):
             raise GraphValidationError(f"unknown tree op {d['op']!r}")
-        children = d.get("children", [])
-        if len(children) != 2:
+        if len(d.get("children", [])) != 2:
             raise GraphValidationError("tree join must have exactly two children")
-        l, r = rec(children[0]), rec(children[1])
-        return Series(l, r) if d["op"] == "series" else Parallel(l, r)
+        return d["children"]
 
-    return rec(data)
+    def build_leaf(d):
+        e = emap[d["edge"]]
+        return Leaf(e.id, e.weight, e.tail, e.head)
+
+    join = {"series": Series, "parallel": Parallel}
+    return fold(_preorder(data, children), build_leaf, lambda d, a, b: join[d["op"]](a, b))

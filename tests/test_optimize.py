@@ -201,8 +201,8 @@ class TestOptimizeWeights:
 class TestSolvesPerIterate:
     @pytest.mark.parametrize("mode", ["compositional", "dense"])
     def test_one_provider_pass_per_iterate(self, rng, monkeypatch, mode):
-        calls = {"effective_resistance": 0, "dirichlet_laplacian": 0}
-        for module, name in ((electrical, "effective_resistance"), (h2, "dirichlet_laplacian")):
+        calls = {"solve_compiled": 0, "dirichlet_laplacian": 0}
+        for module, name in ((electrical, "solve_compiled"), (h2, "dirichlet_laplacian")):
 
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -214,9 +214,9 @@ class TestSolvesPerIterate:
         iterates = len(optimize_weights(g, cfg).records)
         assert iterates == 5
         if mode == "compositional":
-            expected = {"effective_resistance": len(g.sources) * iterates, "dirichlet_laplacian": 0}
+            expected = {"solve_compiled": len(g.sources) * iterates, "dirichlet_laplacian": 0}
         else:
-            expected = {"effective_resistance": 0, "dirichlet_laplacian": iterates}
+            expected = {"solve_compiled": 0, "dirichlet_laplacian": iterates}
         assert calls == expected
 
 
