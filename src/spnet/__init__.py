@@ -8,10 +8,25 @@ from .optimize import OptConfig, OptTrajectory, optimize_weights
 from .sptree import Leaf, Parallel, Series, recognize, realize
 
 __all__ = [
-    "Edge", "GraphValidationError", "H2Report", "InfeasibleBoundsError", "Leaf", "MatrixGraph",
-    "NotSeriesParallelError", "OptConfig", "OptTrajectory", "Parallel", "Series",
-    "compositional_h2", "dense_h2", "dirichlet_laplacian", "ground_leaders", "make_graph",
-    "optimize_weights", "realize", "recognize",
+    "Edge",
+    "GraphValidationError",
+    "H2Report",
+    "InfeasibleBoundsError",
+    "Leaf",
+    "MatrixGraph",
+    "NotSeriesParallelError",
+    "OptConfig",
+    "OptTrajectory",
+    "Parallel",
+    "Series",
+    "compositional_h2",
+    "dense_h2",
+    "dirichlet_laplacian",
+    "ground_leaders",
+    "make_graph",
+    "optimize_weights",
+    "realize",
+    "recognize",
 ]
 
 __version__ = "0.1.0"

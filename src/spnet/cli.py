@@ -6,7 +6,6 @@ series-parallel.
 """
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
@@ -35,9 +34,12 @@ from .sptree import recognize, to_json
 
 
 def _emit(data, out_path):
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as f:
-        f.writelines(json_chunks(data))
-        f.write("\n")
+    text = "".join(json_chunks(data)) + "\n"
+    if out_path:
+        with open(out_path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_decompose(args):
@@ -128,9 +130,12 @@ def _cmd_check(args):
         flows = [(cur[t.left[ser]], cur[ser]), (cur[t.right[ser]], cur[ser])]
         flows.append((cur[t.left[par]] + cur[t.right[par]], cur[par]))
         flow_err = max(flow_err, *(_rel_err(a, b) for a, b in flows))
-    grads = ((gradient_edge(gg, e.id, comp_q), gradient_edge(gg, e.id, dense_q)) for e in gg.edges)
-    errors.update(root_resistance=res_err, leaf_voltages=volt_err, flow_conservation=flow_err)
-    errors["gradients"] = max(_rel_err(a, b) for a, b in grads)
+    grad_err = max(
+        _rel_err(gradient_edge(gg, e.id, comp_q), gradient_edge(gg, e.id, dense_q)) for e in gg.edges
+    )
+    errors.update(
+        root_resistance=res_err, leaf_voltages=volt_err, flow_conservation=flow_err, gradients=grad_err
+    )
     max_err = max(errors.values())
     result = {"errors": errors, "max_relative_error": max_err, "tolerance": args.tol}
     result["ok"] = max_err <= args.tol

@@ -9,6 +9,7 @@ from .errors import GraphValidationError
 from .graph import make_graph
 from .optimize import OptConfig
 from .sptree import from_json as tree_from_json
+from .sptree import to_json as tree_to_json
 
 
 def _load_json(path):
@@ -23,7 +24,7 @@ def _load_json(path):
 
 def json_chunks(data):
     """The text of ``json.dumps(data, indent=2)`` as a stream of chunks, made
-    without recursion, so deep trees encode and need not sit in memory."""
+    without recursion, so deep trees encode."""
     stack = [(data, 0, None)]  # (value, depth, None), or (text, indent, text) around a line break
     while stack:
         value, depth, after = stack.pop()
@@ -34,7 +35,8 @@ def json_chunks(data):
             yield "{" if isinstance(value, dict) else "["
             stack.append(("", depth, "}" if isinstance(value, dict) else "]"))
             for n in range(len(items) - 1, -1, -1):
-                key = "" if items[n][0] is None else json.dumps(items[n][0]) + ": "
+                # A key is encoded by json itself, so 1, None or True become "1", "null", "true".
+                key = "" if isinstance(value, list) else json.dumps({items[n][0]: 0})[1:-4] + ": "
                 stack += [(items[n][1], depth + 1, None), ("," if n else "", depth + 1, key)]
         else:
             yield json.dumps(value)
@@ -63,7 +65,13 @@ def graph_from_dict(data, context="graph"):
             if key not in e:
                 raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}")
         edges.append((e["id"], e["tail"], e["head"], _matrix(e["weight"], k, f"{context}: edge {e['id']!r}")))
-    return make_graph(k, data["nodes"], edges, leaders=data.get("leaders", ()), sources=data.get("sources"))
+    return make_graph(
+        k,
+        data["nodes"],
+        edges,
+        leaders=data.get("leaders", ()),
+        sources=data.get("sources"),
+    )
 
 
 def load_graph(path):
@@ -74,7 +82,10 @@ def graph_to_dict(g):
     return {
         "k": g.k,
         "nodes": list(g.nodes),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "weight": e.weight.tolist()} for e in g.edges],
+        "edges": [
+            {"id": e.id, "tail": e.tail, "head": e.head, "weight": e.weight.tolist()}
+            for e in g.edges
+        ],
         "leaders": sorted(g.leaders),
         "sources": list(g.sources),
     }
@@ -82,12 +93,18 @@ def graph_to_dict(g):
 
 def save_graph(g, path):
     with open(path, "w") as f:
-        f.writelines(json_chunks(graph_to_dict(g)))
+        json.dump(graph_to_dict(g), f, indent=2)
         f.write("\n")
 
 
 def load_tree(path, g):
     return tree_from_json(_load_json(path), g)
+
+
+def save_tree(t, path):
+    text = "".join(json_chunks(tree_to_json(t))) + "\n"
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def config_from_dict(data, k, context="config"):
@@ -129,4 +146,6 @@ def write_trajectory_csv(traj, fileobj):
     writer = csv.writer(fileobj)
     writer.writerow(["iter", "objective", "h2_squared", "penalty", "grad_norm"])
     for r in traj.records:
-        writer.writerow([r.iteration] + list(map(repr, (r.objective, r.h2_squared, r.penalty, r.grad_norm))))
+        writer.writerow(
+            [r.iteration, repr(r.objective), repr(r.h2_squared), repr(r.penalty), repr(r.grad_norm)]
+        )

@@ -35,6 +35,10 @@ class MatrixGraph:
     leaders: frozenset = frozenset()
     sources: tuple = ()
 
+    @property
+    def followers(self):
+        return tuple(n for n in self.nodes if n not in self.leaders)
+
     @cached_property
     def edge_ids(self):
         return frozenset(e.id for e in self.edges)
@@ -183,10 +187,34 @@ def incidence(g):
     return e, np.kron(e, np.eye(g.k))
 
 
+def laplacian(g, order=None):
+    """Full matrix-weighted graph Laplacian, blocks ordered by ``order``."""
+    if order is None:
+        order = sorted(g.nodes)
+    idx = {n: i for i, n in enumerate(order)}
+    k = g.k
+    m = np.zeros((k * len(order), k * len(order)))
+    for e in g.edges:
+        i, j = idx[e.tail], idx[e.head]
+        w = e.weight
+        m[k * i : k * i + k, k * i : k * i + k] += w
+        m[k * j : k * j + k, k * j : k * j + k] += w
+        m[k * i : k * i + k, k * j : k * j + k] -= w
+        m[k * j : k * j + k, k * i : k * i + k] -= w
+    return matlin.symmetrize(m), list(order)
+
+
 @dataclass(frozen=True, eq=False)
 class DirichletLaplacian:
     follower_order: tuple
     matrix: np.ndarray
+
+    def block(self, node_i, node_j=None):
+        """k x k block of the matrix for a pair of follower nodes."""
+        k = self.matrix.shape[0] // len(self.follower_order)
+        i = self.follower_order.index(node_i)
+        j = i if node_j is None else self.follower_order.index(node_j)
+        return self.matrix[k * i : k * i + k, k * j : k * j + k]
 
 
 def grounded_laplacian(g, ground):
@@ -251,15 +279,23 @@ def identify_nodes(g, group, new_id=None):
     def relabel(n):
         return rep if n in group else n
 
-    nodes = tuple(dict.fromkeys(relabel(n) for n in g.nodes))
+    nodes = []
+    for n in g.nodes:
+        m = relabel(n)
+        if m not in nodes:
+            nodes.append(m)
     edges = tuple(
         replace(e, tail=relabel(e.tail), head=relabel(e.head))
         for e in g.edges
         if relabel(e.tail) != relabel(e.head)
     )
     leaders = frozenset(relabel(n) for n in g.leaders)
-    sources = tuple(dict.fromkeys(relabel(s) for s in g.sources))
-    return replace(g, nodes=nodes, edges=edges, leaders=leaders, sources=sources)
+    sources = []
+    for s in g.sources:
+        m = relabel(s)
+        if m not in sources:
+            sources.append(m)
+    return replace(g, nodes=tuple(nodes), edges=edges, leaders=leaders, sources=tuple(sources))
 
 
 def ground_leaders(g, sink_id="l"):

@@ -30,7 +30,11 @@ class H2Report:
     method: str  # exact-compositional | scalar-bound | dense-oracle
 
     def to_dict(self):
-        return {"total_h2_squared": self.total, "per_source": dict(self.per_source), "method": self.method}
+        return {
+            "total_h2_squared": self.total,
+            "per_source": dict(self.per_source),
+            "method": self.method,
+        }
 
 
 def h2_exact_single_source(t):
@@ -92,12 +96,11 @@ def source_trees(g):
 
 def compositional_h2(g, method="exact"):
     """Compositional squared norm of a consensus network (exact or bound)."""
-    recognized = source_trees(g)
+    trees, _, _ = source_trees(g)
     if method == "exact":
-        per_source = CompositionalProvider(g, recognized).h2(g)
-        return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
+        return h2_exact_aittsp(trees)
     if method == "bound":
-        per_source = {s: h2_scalar_bound(t) for s, t in recognized[0].items()}
+        per_source = {s: h2_scalar_bound(t) for s, t in trees.items()}
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
     raise ValueError(f"unknown compositional method {method!r}")
 
@@ -165,27 +168,22 @@ class CompositionalProvider:
     Trees are recognized once (or passed in as ``source_trees(g)``) and
     compiled once, each leaf pointing at its edge's position in ``g.edges``;
     each call takes the weights from a graph with the same edges in the
-    same order and inverts them all in one batch.
+    same order (a ValueError otherwise) and inverts them all in one batch.
     """
 
     def __init__(self, g, recognized=None):
         self.trees, gg, _ = source_trees(g) if recognized is None else recognized
-        rows = {e.id: i for i, e in enumerate(g.edges)}
+        self.edge_ids = tuple(e.id for e in g.edges)
+        rows = {eid: i for i, eid in enumerate(self.edge_ids)}
         tails = {e.id: e.tail for e in gg.edges}
         self.compiled = {
             s: electrical.compile_tree(electrical.index_tree(t), rows, tails) for s, t in self.trees.items()
         }
 
-    def h2(self, g):
-        """Per-source squared norm from a resistance sweep alone."""
-        leaf_r = electrical.leaf_resistances([e.weight for e in g.edges])
-        return {
-            s: 0.5 * float(np.trace(electrical.resistance_sweep(tree, leaf_r)[0][0]))
-            for s, tree in self.compiled.items()
-        }
-
     def solutions(self, g):
         """Electrical solution of every source tree under ``g``'s weights."""
+        if tuple(e.id for e in g.edges) != self.edge_ids:
+            raise ValueError("graph edges differ from the ones the trees were compiled for")
         leaf_r = electrical.leaf_resistances([e.weight for e in g.edges])
         return {s: electrical.solve_compiled(tree, leaf_r, source=s) for s, tree in self.compiled.items()}
 

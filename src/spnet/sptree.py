@@ -186,8 +186,8 @@ def recognize(g, source, sink):
     endpoints in (tail, head) order of the merged arc; a contraction at a
     node lets flow run p -> node -> q through its lower-id arc first;
     bundles merge in ascending arc id. No set of node ids decides any
-    order. Raises NotSeriesParallelError if the reduction stalls or ends on
-    a non-terminal pair.
+    order. Raises NotSeriesParallelError if
+    the reduction stalls or ends on a non-terminal pair.
     """
     if source not in g.nodes or sink not in g.nodes:
         raise GraphValidationError("terminal is not a node of the graph")

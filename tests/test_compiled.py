@@ -3,6 +3,7 @@ per compiled tree, the batched parallel-voltage guard, and trees deep enough
 to defeat recursion through the tree walkers and every command."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import spnet
 from helpers import random_aittsp, random_sptree
 from spnet import electrical
-from spnet.cli import run
+from spnet.cli import _emit, run
 from spnet.fileio import json_chunks
 from spnet.graph import ground_leaders
 from spnet.h2 import (
@@ -75,8 +76,16 @@ class TestCompiledProvider:
         provider = CompositionalProvider(g)
         assert calls == list(provider.trees.values())
         provider(g)
-        provider.h2(g)
         assert len(calls) == len(g.sources)
+        compositional_h2(g)
+        assert len(calls) == 2 * len(g.sources)
+
+    def test_edges_must_match_compiled_order(self, rng):
+        g = random_aittsp(rng, 2, 3)
+        provider = CompositionalProvider(g)
+        for edges in (g.edges[::-1], g.edges[1:]):
+            with pytest.raises(ValueError, match="edges differ"):
+                provider(replace(g, edges=edges))
 
     def test_leaf_signs_follow_stored_orientation(self, rng):
         g = random_aittsp(rng, 2, 4)
@@ -172,9 +181,30 @@ class TestDeepTrees:
             {},
             3.25,
             "s",
+            {1: [0.5], None: {"a": 1}, 2.5: "x"},
+            {True: {False: []}},
         ]
         for data in samples:
             assert "".join(json_chunks(data)) == json.dumps(data, indent=2)
+        with pytest.raises(TypeError):
+            "".join(json_chunks({(1, 2): 0}))
+
+    def test_integer_node_ids_emit_valid_json(self, tmp_path):
+        # Per-source results are keyed by node id, which need not be a string.
+        w = [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+        edges = [{"id": f"e{i}", "tail": i, "head": i + 1, "weight": w[i]} for i in range(3)]
+        graph = tmp_path / "int.json"
+        graph.write_text(json.dumps({"k": 2, "nodes": [0, 1, 2, 3], "edges": edges, "leaders": [0, 3]}))
+        out = tmp_path / "out.json"
+        for method in ("exact", "bound", "oracle"):
+            assert run(["h2", "--graph", str(graph), "--method", method, "--out", str(out)]) == 0
+            assert sorted(json.loads(out.read_text())["per_source"]) == ["1", "2"]
+
+    def test_unencodable_output_writes_no_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            _emit({(1, 2): 0}, str(out))
+        assert not out.exists()
 
 
 def path_files(tmp_path, m=2000):
