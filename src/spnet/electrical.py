@@ -130,11 +130,6 @@ class ElectricalSolution:
     def leaf_voltage(self, edge_id):
         return self.voltage[self.tree.leaf_index[edge_id]]
 
-    def stored_voltages(self):
-        """Edge id -> leaf voltage drop, in the edge's stored orientation."""
-        at = list(self.tree.leaf_index.values())
-        return dict(zip(self.tree.leaf_index, self.tree.leaf_sign[at, None, None] * self.voltage[at]))
-
 
 def solve_compiled(tree, leaf_r, intensity=None, source=None, entries=None):
     """Resistance, current and voltage sweeps of a compiled tree."""

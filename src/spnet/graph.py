@@ -9,7 +9,6 @@ is what both the dense oracle and the gradient are built on.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +37,6 @@ class MatrixGraph:
     @property
     def followers(self):
         return tuple(n for n in self.nodes if n not in self.leaders)
-
-    @cached_property
-    def edge_ids(self):
-        return frozenset(e.id for e in self.edges)
 
     def edge_map(self):
         return {e.id: e for e in self.edges}
@@ -254,9 +249,10 @@ def dirichlet_laplacian(g):
     if not is_connected(g):
         raise GraphValidationError("graph is not connected")
     dl = grounded_laplacian(g, g.leaders)
-    lam_min = float(np.linalg.eigvalsh(dl.matrix).min())
-    if lam_min <= 0:
-        raise GraphValidationError("Dirichlet Laplacian is not positive definite")
+    try:
+        np.linalg.cholesky(dl.matrix)
+    except np.linalg.LinAlgError:
+        raise GraphValidationError("Dirichlet Laplacian is not positive definite") from None
     return dl
 
 

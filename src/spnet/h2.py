@@ -3,13 +3,14 @@
 Three routes to the squared norm: the exact compositional value read off a
 decomposition tree per source (half the trace of the root effective
 resistance), a scalar compositional upper bound that folds scalar
-series/parallel rules over the tree, and a dense oracle that inverts the
-Dirichlet Laplacian directly and works on any connected graph, SP or not.
+series/parallel rules over the tree, and a dense oracle that solves the
+Dirichlet system directly and works on any connected graph, SP or not.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
-electrical pass it returns the per-source squared norm ``h2[s]`` and every
-edge's voltage drop ``q[s][edge id] = Y_tail - Y_head`` in its stored
-orientation. ``CompositionalProvider`` solves each source tree once;
+electrical pass it returns the per-source squared norm ``h2[s]`` and one
+(S, m, k, k) stack ``q`` of voltage drops, ``q[c, j] = Y_tail - Y_head`` of
+edge ``g.edges[j]`` in its stored orientation under the c-th source of
+``h2``'s keys. ``CompositionalProvider`` solves each source tree once;
 ``dense_provider`` solves the Dirichlet system once for all sources.
 """
 
@@ -106,60 +107,50 @@ def compositional_h2(g, method="exact"):
 
 
 def dense_h2(g):
-    """Dense oracle: half the trace of the source blocks of A(W)^-1."""
-    if not g.sources:
-        raise GraphValidationError("graph has no source nodes")
-    dl = dirichlet_laplacian(g)
-    a_inv = np.linalg.inv(dl.matrix)
-    k = g.k
-    per_source = {}
-    for s in g.sources:
-        i = dl.follower_order.index(s)
-        per_source[s] = 0.5 * float(np.trace(a_inv[k * i : k * i + k, k * i : k * i + k]))
+    """Dense oracle: half the trace of each source's own block Y_s^s."""
+    per_source, _ = dense_provider(g)
     return H2Report(per_source=per_source, total=sum(per_source.values()), method="dense-oracle")
 
 
 def dense_solve(g, sources):
-    """``dense_voltages`` for several sources from one Dirichlet build and
-    one multi-column solve: {source: {node: Y_node^source}}."""
+    """Y_i^s of every node for several sources from one Dirichlet build and
+    one multi-column solve: an (S, len(g.nodes), k, k) stack over ``g.nodes``,
+    zero at the leaders (their drop vanishes by construction)."""
     dl = dirichlet_laplacian(g)
-    k = g.k
-    rhs = np.zeros((dl.matrix.shape[0], k * len(sources)))
-    for c, s in enumerate(sources):
-        i = dl.follower_order.index(s)
-        rhs[k * i : k * i + k, k * c : k * c + k] = np.eye(k)
-    x = np.linalg.solve(dl.matrix, rhs)
-    out = {}
-    for c, s in enumerate(sources):
-        y = {node: x[k * j : k * j + k, k * c : k * c + k] for j, node in enumerate(dl.follower_order)}
-        y.update((leader, np.zeros((k, k))) for leader in g.leaders)
-        out[s] = y
-    return out
+    k, f, n = g.k, len(dl.follower_order), len(sources)
+    rhs = np.zeros((f, k, n, k))
+    rhs[[dl.follower_order.index(s) for s in sources], :, range(n)] = np.eye(k)
+    x = np.linalg.solve(dl.matrix, rhs.reshape(f * k, n * k)).reshape(f, k, n, k)
+    pos = {node: i for i, node in enumerate(g.nodes)}
+    ys = np.zeros((n, len(g.nodes), k, k))
+    ys[:, [pos[node] for node in dl.follower_order]] = x.transpose(2, 0, 1, 3)
+    return ys
 
 
 def dense_voltages(g, source):
-    """Voltage drop Y_i^s of every node to the grounded leader set.
+    """Voltage drop Y_i^s of every node to the grounded leader set, {node: Y}.
 
     Solves A(W) x = e_s (x) I_k and extracts the k x k blocks; leader
-    nodes get a zero block (their drop vanishes by construction).
+    nodes get a zero block.
     """
     if source in g.leaders:
         raise GraphValidationError(f"source {source!r} is a leader node")
-    return dense_solve(g, [source])[source]
+    return dict(zip(g.nodes, dense_solve(g, [source])[0]))
 
 
 def dense_provider(g, voltages=None):
     """Voltage provider backed by one Dirichlet solve for every source.
 
-    ``voltages`` is a ``dense_solve(g, g.sources)`` result to read instead
+    ``voltages`` is a ``dense_solve(g, g.sources)`` stack to read instead
     of solving again.
     """
     if not g.sources:
         raise GraphValidationError("graph has no source nodes")
     ys = dense_solve(g, g.sources) if voltages is None else voltages
-    h2 = {s: 0.5 * float(np.trace(y[s])) for s, y in ys.items()}
-    q = {s: {e.id: y[e.tail] - y[e.head] for e in g.edges} for s, y in ys.items()}
-    return h2, q
+    pos = {node: i for i, node in enumerate(g.nodes)}
+    h2 = {s: 0.5 * float(np.trace(y[pos[s]])) for s, y in zip(g.sources, ys)}
+    tails, heads = zip(*((pos[e.tail], pos[e.head]) for e in g.edges))
+    return h2, ys[:, list(tails)] - ys[:, list(heads)]
 
 
 class CompositionalProvider:
@@ -173,7 +164,7 @@ class CompositionalProvider:
 
     def __init__(self, g, recognized=None):
         self.trees, gg, _ = source_trees(g) if recognized is None else recognized
-        self.edge_ids = tuple(e.id for e in g.edges)
+        self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
         rows = {eid: i for i, eid in enumerate(self.edge_ids)}
         tails = {e.id: e.tail for e in gg.edges}
         self.compiled = {
@@ -188,9 +179,13 @@ class CompositionalProvider:
         return {s: electrical.solve_compiled(tree, leaf_r, source=s) for s, tree in self.compiled.items()}
 
     def read(self, solutions):
-        """(h2, q) from the solutions; q in each edge's stored orientation."""
+        """(h2, q) from the solutions; one gather of leaf voltages per tree."""
         h2 = {s: 0.5 * float(np.trace(sol.resistance[0])) for s, sol in solutions.items()}
-        return h2, {s: sol.stored_voltages() for s, sol in solutions.items()}
+        q = np.zeros((len(solutions), len(self.edge_ids), self.k, self.k))
+        for c, sol in enumerate(solutions.values()):
+            t, leaves = sol.tree, sol.tree.leaf_edge >= 0
+            q[c, t.leaf_edge[leaves]] = t.leaf_sign[leaves, None, None] * sol.voltage[leaves]
+        return h2, q
 
     def __call__(self, g):
         return self.read(self.solutions(g))

@@ -5,8 +5,10 @@ The gradient of the squared H2 norm with respect to one edge weight is
 voltage drops at the edge's endpoints under identity current injected at
 source s. Each iterate makes one provider call (``spnet.h2``): one pass of
 either the compositional tree sweeps or the dense solve returns the
-per-source squared norms and every Q_s, and both providers feed the same
-update
+per-source squared norms and every Q_s as one (S, m, k, k) stack, rows in
+source order and columns in ``g.edges`` order. ``edge_gradients`` turns that
+stack into every edge's gradient with one einsum, and both providers feed
+the same update
 
     W' = Proj_[L,U]( W - eta_t (grad_H2 + h W) ),    eta_t = 1/(h sqrt(t)),
 
@@ -80,20 +82,14 @@ class OptTrajectory:
         return self.records[-1].objective
 
 
-def gradient_edge(g, edge_id, voltage_diffs):
-    """Gradient of the squared H2 norm with respect to one edge weight.
+def edge_gradients(q):
+    """Gradient of the squared H2 norm with respect to every edge weight.
 
-    ``voltage_diffs`` maps source -> edge id -> Q_s; the result is
-    -1/2 sum_s Q_s Q_s^T, symmetric negative semidefinite by construction.
+    ``q`` is a provider's (S, m, k, k) voltage-drop stack; the result is the
+    (m, k, k) stack -1/2 sum_s Q_s Q_s^T, one symmetric negative
+    semidefinite block per edge in ``g.edges`` order.
     """
-    if edge_id not in g.edge_ids:
-        raise ValueError(f"unknown edge {edge_id!r}")
-    k = g.k
-    grad = np.zeros((k, k))
-    for s, per_edge in voltage_diffs.items():
-        q = per_edge[edge_id]
-        grad -= 0.5 * (q @ q.T)
-    return matlin.symmetrize(grad)
+    return matlin.symmetrize(-0.5 * np.einsum("seij,sekj->eik", q, q))
 
 
 def penalty_term(g, h):
@@ -154,12 +150,14 @@ def optimize_weights(g, cfg):
 
     emap = g.edge_map()
     weights = {eid: emap[eid].weight for eid in free}
+    rows = {e.id: j for j, e in enumerate(g.edges)}
     current = g
     traj = OptTrajectory()
 
     def record(iteration):
-        per_source, diffs = provider(current)
-        grads = {eid: gradient_edge(current, eid, diffs) for eid in free}
+        per_source, q = provider(current)
+        grad = edge_gradients(q)
+        grads = {eid: grad[rows[eid]] for eid in free}
         h2_sq = sum(per_source.values())
         pen = penalty_term(current, cfg.penalty_h)
         gnorm = sum(

@@ -20,9 +20,11 @@ from spnet.h2 import (
     compositional_h2,
     dense_h2,
     dense_provider,
+    dense_voltages,
     h2_exact_single_source,
     h2_scalar_bound,
 )
+from spnet.optimize import edge_gradients
 from spnet.sptree import Leaf, Series, check_height_bounds, from_json, leaf, parallel, realize, stats, to_json
 from test_recognize import ladder
 
@@ -45,14 +47,46 @@ def assert_matches_dense(g, per_edge=True):
     for s, v in oracle.items():
         assert comp_h2[s] == pytest.approx(v, rel=1e-9)
         assert exact[s] == pytest.approx(v, rel=1e-9)
-    assert comp_q.keys() == dense_q.keys()
-    for s, per_source in dense_q.items():
-        assert comp_q[s].keys() == per_source.keys()
-        pairs = [(comp_q[s][eid], q) for eid, q in per_source.items()]
-        if not per_edge:
-            pairs = [tuple(np.array(side) for side in zip(*pairs))]
-        for got, want in pairs:
-            assert rel_err(got, want) <= 1e-9
+    assert comp_q.shape == dense_q.shape == (len(oracle), len(g.edges), g.k, g.k)
+    for got, want in zip(comp_q, dense_q):
+        for a, b in zip(got, want) if per_edge else [(got, want)]:
+            assert rel_err(a, b) <= 1e-9
+
+
+class TestQStack:
+    """Both providers return one (S, m, k, k) stack: rows in ``h2`` key
+    order, columns in ``g.edges`` order, each block in stored orientation."""
+
+    def test_rows_columns_and_signs(self, rng):
+        signs = set()
+        for k in (1, 2, 3) * 2:
+            g = random_aittsp(rng, k, 3)
+            provider = CompositionalProvider(g)
+            solutions = provider.solutions(g)
+            for h2, q in (provider.read(solutions), dense_provider(g)):
+                assert list(h2) == list(g.sources)
+                assert q.shape == (len(g.sources), len(g.edges), k, k)
+            _, comp_q = provider.read(solutions)
+            _, dense_q = dense_provider(g)
+            for c, (s, sol) in enumerate(solutions.items()):
+                y = dense_voltages(g, s)
+                for j, e in enumerate(g.edges):
+                    leaf = sol.tree.leaf_index[e.id]
+                    signs.add(sol.tree.leaf_sign[leaf])
+                    np.testing.assert_array_equal(comp_q[c, j], sol.tree.leaf_sign[leaf] * sol.voltage[leaf])
+                    np.testing.assert_allclose(dense_q[c, j], y[e.tail] - y[e.head], rtol=1e-12, atol=1e-15)
+                    # No sign freedom between the providers.
+                    assert rel_err(comp_q[c, j], dense_q[c, j]) <= 1e-9
+        assert signs == {1.0, -1.0}
+
+    def test_edge_gradients_match_per_source_loop(self, rng):
+        g = random_aittsp(rng, 3, 4)
+        for _, q in (CompositionalProvider(g)(g), dense_provider(g)):
+            want = np.zeros((len(g.edges), g.k, g.k))
+            for s in range(q.shape[0]):
+                for e in range(q.shape[1]):
+                    want[e] -= 0.5 * q[s, e] @ q[s, e].T
+            np.testing.assert_allclose(edge_gradients(q), want, rtol=1e-12, atol=1e-15)
 
 
 class TestCompiledProvider:

@@ -172,12 +172,10 @@ class TestVoltageProviders:
                 assert h2.keys() == oracle.keys()
                 for s, v in oracle.items():
                     assert h2[s] == pytest.approx(v, rel=1e-9)
-            assert comp_q.keys() == dense_q.keys()
-            for s, per_edge in dense_q.items():
-                assert comp_q[s].keys() == per_edge.keys()
-                for eid, q in per_edge.items():
-                    # Same orientation on both sides: no sign is forgiven.
-                    assert self.rel_err(comp_q[s][eid], q) <= 1e-9
+            assert comp_q.shape == dense_q.shape == (len(oracle), len(g.edges), k, k)
+            for got, q in zip(comp_q.reshape(-1, k, k), dense_q.reshape(-1, k, k)):
+                # Same orientation on both sides: no sign is forgiven.
+                assert self.rel_err(got, q) <= 1e-9
         # The instances exercise leaves recognized against their stored edge.
         assert reversed_leaves > 0
 

@@ -8,7 +8,7 @@ from spnet.graph import attachment_edge_ids, make_graph
 from spnet.h2 import dense_provider
 from spnet.optimize import (
     OptConfig,
-    gradient_edge,
+    edge_gradients,
     objective,
     optimize_weights,
     pgd_step,
@@ -40,11 +40,15 @@ def wide_bounds(g, lo=1e-3, hi=1e3):
     return {e.id: (lo * np.eye(k), hi * np.eye(k)) for e in g.edges}
 
 
+def dense_gradients(g):
+    """Edge id -> gradient block, from the dense provider's Q stack."""
+    return dict(zip((e.id for e in g.edges), edge_gradients(dense_provider(g)[1])))
+
+
 class TestGradient:
     def test_single_free_edge_analytic(self):
         g = chain_graph(w=2.0)
-        diffs = dense_provider(g)[1]
-        grad = gradient_edge(g, "e", diffs)
+        grad = dense_gradients(g)["e"]
         assert grad[0, 0] == pytest.approx(-1 / 25)
 
     def test_dead_end_edge_has_zero_gradient(self):
@@ -56,18 +60,18 @@ class TestGradient:
             [("att", "r", "s", I1), ("e", "s", "b", 2 * I1)],
             leaders=["r"],
         )
-        grad = gradient_edge(g, "e", dense_provider(g)[1])
+        grad = dense_gradients(g)["e"]
         assert grad[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):
             k = int(rng.integers(1, 4))
             g = random_aittsp(rng, k, int(rng.integers(2, 4)))
-            diffs = dense_provider(g)[1]
+            grads = dense_gradients(g)
             for e in g.edges:
                 if e.id in attachment_edge_ids(g):
                     continue
-                grad = gradient_edge(g, e.id, diffs)
+                grad = grads[e.id]
                 for _ in range(3):
                     d = random_symmetric(rng, k)
                     analytic = float(np.sum(grad * d))
@@ -76,15 +80,8 @@ class TestGradient:
 
     def test_negative_semidefinite(self, rng):
         g = random_aittsp(rng, 3, 3)
-        diffs = dense_provider(g)[1]
-        for e in g.edges:
-            grad = gradient_edge(g, e.id, diffs)
+        for grad in dense_gradients(g).values():
             assert np.linalg.eigvalsh(grad).max() <= 1e-10
-
-    def test_unknown_edge(self):
-        g = chain_graph()
-        with pytest.raises(ValueError):
-            gradient_edge(g, "nope", dense_provider(g)[1])
 
 
 class TestObjective:

@@ -106,9 +106,9 @@ class TestRandomSeriesParallel:
             # dense node-voltage drops exactly, sign included.
             _, comp_q = CompositionalProvider(g, ({src: t2}, g, snk))(g)
             _, dense_q = dense_provider(g)
-            assert comp_q[src].keys() == dense_q[src].keys()
-            for eid, q in dense_q[src].items():
-                assert rel_err(comp_q[src][eid], q) <= 1e-9
+            assert comp_q.shape == dense_q.shape == (1, len(g.edges), k, k)
+            for got, q in zip(comp_q[0], dense_q[0]):
+                assert rel_err(got, q) <= 1e-9
         assert reversed_leaves > 0
 
 
