@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -119,17 +120,10 @@ def config_from_dict(data, k, context="config"):
             _matrix(pair["L"], k, f"{context}: L bound of edge {eid!r}"),
             _matrix(pair["U"], k, f"{context}: U bound of edge {eid!r}"),
         )
+    # Keys the file leaves out keep OptConfig's defaults; unknown keys are ignored.
+    settings = {f.name: data[f.name] for f in fields(OptConfig) if f.name != "bounds" and f.name in data}
     try:
-        return OptConfig(
-            penalty_h=data["penalty_h"],
-            bounds=bounds,
-            max_iters=data.get("max_iters", 200),
-            grad_tol=data.get("grad_tol", 1e-8),
-            proj_tol=data.get("proj_tol", 1e-10),
-            proj_max_iter=data.get("proj_max_iter", 500),
-            voltage_mode=data.get("voltage_mode", "compositional"),
-            fallback_to_dense=data.get("fallback_to_dense", True),
-        )
+        return OptConfig(bounds=bounds, **settings)
     except ValueError as exc:
         raise GraphValidationError(f"{context}: {exc}") from exc
 

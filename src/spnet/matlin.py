@@ -1,7 +1,8 @@
 """Dense algebra on small symmetric positive-(semi)definite matrices.
 
 Everything here is direct eigendecomposition on k x k arrays with k <= 16;
-there are no iterative solvers. All returned matrices are explicitly
+``as_symmetric``, ``loewner_leq``, ``psd_part`` and ``project_box`` also take
+(n, k, k) stacks, matrix by matrix. All returned matrices are explicitly
 symmetrized so that roundoff asymmetry cannot accumulate in callers.
 """
 
@@ -12,6 +13,7 @@ from .errors import InfeasibleBoundsError
 MAX_DIM = 16
 
 SYM_RTOL = 1e-12
+BOX_TOL = 1e-12  # a box [L, U] is non-empty iff min eig(U - L) >= -BOX_TOL
 
 
 def symmetrize(m):
@@ -22,22 +24,28 @@ def symmetrize(m):
 def as_symmetric(m, rtol=SYM_RTOL):
     """Validate that ``m`` is square, small and symmetric; return it symmetrized.
 
-    Asymmetry is measured relative to the largest entry magnitude.
+    ``m`` is one matrix or an (n, k, k) stack; asymmetry is measured
+    relative to the largest entry magnitude of each matrix.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > rtol * scale:
+    if m.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
+    mt = m.swapaxes(-1, -2)
+    asym, scale = np.abs(m - mt), np.abs(m)
+    if m.ndim == 2:  # whole-array reductions: the cheapest check for one matrix
+        bad = asym.max() > rtol * scale.max()
+    else:
+        bad = (asym.max(axis=(1, 2)) > rtol * scale.max(axis=(1, 2))).any()
+    if bad:
         raise ValueError("matrix is not symmetric within tolerance")
-    return symmetrize(m)
+    return 0.5 * (m + mt)
 
 
-def _check_same_dim(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def _check_same_dim(*ms):
+    if len({m.shape for m in ms}) > 1:
+        raise ValueError("dimension mismatch: " + " vs ".join(str(m.shape) for m in ms))
 
 
 def is_spd(m, tol=0.0):
@@ -80,7 +88,7 @@ def parallel_add(a, b):
     return symmetrize(a @ pinv(a + b) @ b)
 
 
-def loewner_leq(a, b, tol=1e-9):
+def loewner_leq(a, b, tol=BOX_TOL):
     """True iff A <= B in the Loewner order, i.e. min eig(B - A) >= -tol."""
     a = as_symmetric(a)
     b = as_symmetric(b)
@@ -91,7 +99,7 @@ def loewner_leq(a, b, tol=1e-9):
 def psd_part(m):
     """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues."""
     w, v = np.linalg.eigh(symmetrize(m))
-    return symmetrize((v * np.clip(w, 0.0, None)) @ v.T)
+    return symmetrize((v * np.clip(w, 0.0, None)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def project_box(x, lower, upper, tol=1e-10, max_iter=500):
@@ -101,26 +109,28 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     {Y >= L} and {Y <= U}, each realized by eigenvalue clipping, until the
     Frobenius change between successive iterates drops below ``tol``.
 
-    Returns ``(Y, converged)``; on non-convergence the best iterate is
-    returned with ``converged = False``.
+    An (n, k, k) stack is projected row by row in one batched loop; each row
+    stops at the iteration its one-matrix call would. Returns ``(Y,
+    converged)``: ``converged`` is one bool, false if any row missed the stop
+    rule (that row's last iterate is kept). Empty boxes raise ``InfeasibleBoundsError``.
     """
-    x = as_symmetric(x)
-    lower = as_symmetric(lower)
-    upper = as_symmetric(upper)
-    _check_same_dim(x, lower)
-    _check_same_dim(x, upper)
-    if not loewner_leq(lower, upper, tol=1e-12):
+    x, lower, upper = (as_symmetric(m) for m in (x, lower, upper))
+    _check_same_dim(x, lower, upper)
+    if float(np.linalg.eigvalsh(upper - lower).min()) < -BOX_TOL:
         raise InfeasibleBoundsError("empty Loewner box: L is not below U")
 
-    y = x.copy()
+    shape = x.shape
+    y, lower, upper = (m.reshape(-1, *shape[-2:]) for m in (x.copy(), lower, upper))
     p = np.zeros_like(y)
     q = np.zeros_like(y)
+    rows = np.arange(len(y))  # the rows still iterating
     for _ in range(max_iter):
-        y_prev = y
-        z = lower + psd_part(y + p - lower)
-        p = y + p - z
-        y = upper - psd_part(upper - (z + q))
-        q = z + q - y
-        if np.linalg.norm(y - y_prev, "fro") < tol:
-            return y, True
-    return y, False
+        lo, up, y_prev, p_r, q_r = lower[rows], upper[rows], y[rows], p[rows], q[rows]
+        z = lo + psd_part(y_prev + p_r - lo)
+        p[rows] = y_prev + p_r - z
+        y[rows] = y_r = up - psd_part(up - (z + q_r))
+        q[rows] = z + q_r - y_r
+        rows = rows[~(np.linalg.norm(y_r - y_prev, axis=(-2, -1)) < tol)]
+        if not len(rows):
+            return y.reshape(shape), True
+    return y.reshape(shape), False

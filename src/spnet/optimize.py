@@ -7,8 +7,8 @@ source s. Each iterate makes one provider call (``spnet.h2``): one pass of
 either the compositional tree sweeps or the dense solve returns the
 per-source squared norms and every Q_s as one (S, m, k, k) stack, rows in
 source order and columns in ``g.edges`` order. ``edge_gradients`` turns that
-stack into every edge's gradient with one einsum, and both providers feed
-the same update
+stack into every edge's gradient with one batched matrix product, and both
+providers feed the same update
 
     W' = Proj_[L,U]( W - eta_t (grad_H2 + h W) ),    eta_t = 1/(h sqrt(t)),
 
@@ -33,14 +33,11 @@ logger = logging.getLogger(__name__)
 @dataclass
 class OptConfig:
     penalty_h: float
-    bounds: dict  # edge id -> (L, U), both strictly SPD with L < U
+    bounds: dict  # edge id -> (L, U), L strictly SPD and L <= U (matlin.BOX_TOL)
     max_iters: int = 200
     grad_tol: float = 1e-8
-    proj_tol: float = 1e-10
-    proj_max_iter: int = 500
     voltage_mode: str = "compositional"  # compositional | dense
     fallback_to_dense: bool = True
-    free_edges: tuple = None  # default: every non-leader-attachment edge
 
     def __post_init__(self):
         if self.penalty_h <= 0:
@@ -89,7 +86,9 @@ def edge_gradients(q):
     (m, k, k) stack -1/2 sum_s Q_s Q_s^T, one symmetric negative
     semidefinite block per edge in ``g.edges`` order.
     """
-    return matlin.symmetrize(-0.5 * np.einsum("seij,sekj->eik", q, q))
+    s, m, k, _ = q.shape
+    qq = q.transpose(1, 2, 0, 3).reshape(m, k, s * k)  # each edge's S blocks side by side
+    return matlin.symmetrize(-0.5 * (qq @ qq.swapaxes(1, 2)))
 
 
 def penalty_term(g, h):
@@ -104,34 +103,31 @@ def objective(g, h, voltage_mode="dense"):
 
 
 def pgd_step(weights, grads, t, cfg):
-    """One projected descent step at iteration t >= 1 for every free edge."""
+    """One projected descent step at iteration t >= 1: all free edges in one ``project_box`` call."""
     if t < 1:
         raise ValueError("iteration counter starts at 1")
+    if not weights:
+        return {}
     eta = 1.0 / (cfg.penalty_h * math.sqrt(t))
-    out = {}
-    for eid, w in weights.items():
-        step = w - eta * (grads[eid] + cfg.penalty_h * w)
-        lo, up = cfg.bounds[eid]
-        projected, ok = matlin.project_box(
-            step, lo, up, tol=cfg.proj_tol, max_iter=cfg.proj_max_iter
-        )
-        if not ok:
-            raise RuntimeError(f"box projection did not converge for edge {eid!r}")
-        out[eid] = projected
-    return out
+    w = np.array(list(weights.values()), dtype=float)
+    step = w - eta * (np.array([grads[eid] for eid in weights]) + cfg.penalty_h * w)
+    lo, up = (np.array([cfg.bounds[eid][j] for eid in weights], dtype=float) for j in (0, 1))
+    projected, ok = matlin.project_box(step, lo, up)
+    if not ok:
+        raise RuntimeError("box projection did not converge")
+    return dict(zip(weights, projected))
 
 
 def optimize_weights(g, cfg):
-    """Run projected gradient descent on the free edge weights of ``g``.
+    """Run projected gradient descent on the free (non-attachment) edge weights of ``g``.
 
     Iterates until the summed Frobenius norm of the regularized gradient
     drops below ``cfg.grad_tol`` or ``cfg.max_iters`` steps have been
     taken; the full trajectory is recorded, one snapshot per iterate.
     """
-    free = cfg.free_edges
-    if free is None:
-        fixed = attachment_edge_ids(g)
-        free = tuple(e.id for e in g.edges if e.id not in fixed)
+    fixed = attachment_edge_ids(g)
+    rows = [j for j, e in enumerate(g.edges) if e.id not in fixed]  # the free edges
+    free = tuple(g.edges[j].id for j in rows)
     missing = [eid for eid in free if eid not in cfg.bounds]
     if missing:
         raise ValueError(f"no bounds configured for edges {missing}")
@@ -148,16 +144,14 @@ def optimize_weights(g, cfg):
                 "falling back to dense voltage solves"
             )
 
-    emap = g.edge_map()
-    weights = {eid: emap[eid].weight for eid in free}
-    rows = {e.id: j for j, e in enumerate(g.edges)}
+    weights = {g.edges[j].id: g.edges[j].weight for j in rows}
     current = g
     traj = OptTrajectory()
 
     def record(iteration):
         per_source, q = provider(current)
         grad = edge_gradients(q)
-        grads = {eid: grad[rows[eid]] for eid in free}
+        grads = dict(zip(free, grad[rows]))
         h2_sq = sum(per_source.values())
         pen = penalty_term(current, cfg.penalty_h)
         gnorm = sum(

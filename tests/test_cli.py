@@ -9,6 +9,7 @@ import spnet
 from spnet.cli import run
 from spnet.fileio import graph_from_dict, graph_to_dict, load_graph, save_graph
 from spnet.h2 import CompositionalProvider
+from test_recognize import ladder_dict
 
 DATA = Path(spnet.__file__).parent / "data"
 DEMO = str(DATA / "demo_graph.json")
@@ -129,6 +130,17 @@ class TestCheckCommand:
         assert code == 0
         assert data["ok"]
         assert data["max_relative_error"] <= 1e-9
+
+    def test_long_ladder_passes(self, capsys, tmp_path):
+        # The far rungs' Q blocks are ~1e-18, below the dense solve's
+        # roundoff: Q and gradients are scaled per stack, not per block.
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(ladder_dict(np.random.default_rng(3), 2, 100)))
+        code, data = run_json(capsys, ["check", "--graph", str(path), "--tol", "1e-9"])
+        assert code == 0
+        assert data["ok"]
+        assert data["errors"]["leaf_voltages"] <= 1e-12
+        assert data["errors"]["gradients"] <= 1e-12
 
     def test_impossible_tolerance_fails(self, capsys):
         code, data = run_json(capsys, ["check", "--graph", DEMO, "--tol", "1e-30"])

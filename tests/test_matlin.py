@@ -156,3 +156,109 @@ class TestProjectBox:
             c = random_psd(rng, k, hi=1.0)
             z = lo + gap_sqrt @ c @ gap_sqrt.T
             assert dist <= np.linalg.norm(z - x, "fro") + 1e-9
+
+
+def box_stack(rng, n, k):
+    """(X, L, U) stacks mixing tight boxes, with X far outside, and wide ones
+    holding X inside, so rows need different numbers of Dykstra iterations."""
+    xs, los, ups = [], [], []
+    for i in range(n):
+        lo = random_spd(rng, k, 0.5, 2.0)
+        if i % 3:
+            up = lo + random_spd(rng, k, 0.01, 0.2)
+            d = rng.standard_normal((k, k))
+            x = 0.5 * (lo + up) + 0.1 * (d + d.T) / np.sqrt(k)
+        else:
+            up = lo + random_spd(rng, k, 5.0, 6.0)
+            x = lo + random_spd(rng, k, 0.5, 1.0)
+        xs.append(x)
+        los.append(lo)
+        ups.append(up)
+    return np.array(xs), np.array(los), np.array(ups)
+
+
+class TestProjectBoxStack:
+    @staticmethod
+    def iterations(monkeypatch, x, lo, up):
+        """Dykstra iterations of one call: each iteration clips twice."""
+        calls = []
+        clip = matlin.psd_part
+        monkeypatch.setattr(matlin, "psd_part", lambda m: calls.append(1) or clip(m))
+        matlin.project_box(x, lo, up)
+        monkeypatch.setattr(matlin, "psd_part", clip)
+        return len(calls) // 2
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 16])
+    def test_rows_match_one_matrix_calls(self, rng, monkeypatch, k):
+        x, lo, up = box_stack(rng, 9, k)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok is True
+        assert y.shape == x.shape
+        for row, args in zip(y, zip(x, lo, up)):
+            single, single_ok = matlin.project_box(*args)
+            assert single_ok
+            assert np.abs(row - single).max() <= 1e-13 * np.abs(single).max()
+        if k > 1:
+            counts = {self.iterations(monkeypatch, *args) for args in zip(x, lo, up)}
+            assert len(counts) > 1
+            assert self.iterations(monkeypatch, x, lo, up) == max(counts)
+
+    def test_converged_is_one_bool_over_rows(self, rng):
+        x, lo, up = box_stack(rng, 6, 4)
+        for max_iter in (1, 2, 3, 500):
+            flags = [matlin.project_box(*args, max_iter=max_iter)[1] for args in zip(x, lo, up)]
+            y, ok = matlin.project_box(x, lo, up, max_iter=max_iter)
+            assert type(ok) is bool
+            assert ok == all(flags)
+            for row, args in zip(y, zip(x, lo, up)):
+                np.testing.assert_allclose(row, matlin.project_box(*args, max_iter=max_iter)[0], rtol=1e-13, atol=0)
+        assert not matlin.project_box(x, lo, up, max_iter=1)[1]
+
+    def test_one_empty_box_raises(self, rng):
+        x, lo, up = box_stack(rng, 5, 3)
+        up[3] = lo[3] - 1e-3 * np.eye(3)
+        with pytest.raises(InfeasibleBoundsError):
+            matlin.project_box(x, lo, up)
+
+    def test_one_asymmetric_matrix_raises(self, rng):
+        x, lo, up = box_stack(rng, 5, 3)
+        x[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            matlin.project_box(x, lo, up)
+
+    def test_point_boxes_pin_every_row(self, rng):
+        x, lo, _ = box_stack(rng, 4, 2)
+        y, ok = matlin.project_box(x, lo, lo)
+        assert ok
+        np.testing.assert_allclose(y, lo, atol=1e-9)
+
+    @pytest.mark.parametrize("gap", [0.0, -0.5e-12, -2e-12, -1e-10])
+    def test_box_rule_matches_loewner_leq(self, rng, gap):
+        lo = random_spd(rng, 3)
+        up = lo + gap * np.eye(3)
+        feasible = matlin.loewner_leq(lo, up)
+        assert feasible == (gap >= -matlin.BOX_TOL)
+        if feasible:
+            matlin.project_box(lo, lo, up)
+        else:
+            with pytest.raises(InfeasibleBoundsError):
+                matlin.project_box(lo, lo, up)
+
+
+class TestSymmetricStack:
+    def test_stack_matches_one_matrix_calls(self, rng):
+        m = np.array([random_spd(rng, 3) for _ in range(4)])
+        np.testing.assert_array_equal(matlin.as_symmetric(m), [matlin.as_symmetric(a) for a in m])
+
+    def test_each_matrix_on_its_own_scale(self, rng):
+        # An asymmetry far below the largest entry of the stack is still
+        # caught in the small matrix that carries it.
+        m = np.array([1e6 * np.eye(2), 1e-3 * np.eye(2)])
+        m[1, 0, 1] = 1e-9
+        with pytest.raises(ValueError):
+            matlin.as_symmetric(m)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2, 2), (2, 3, 2)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ValueError):
+            matlin.as_symmetric(np.zeros(shape))

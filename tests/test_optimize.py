@@ -1,9 +1,13 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from helpers import fd_gradient_direction, random_aittsp, random_symmetric
-from spnet import electrical, h2
-from spnet.errors import NotSeriesParallelError
+from helpers import fd_gradient_direction, random_aittsp, random_spd, random_symmetric
+from spnet import electrical, h2, matlin, optimize
+from spnet.errors import GraphValidationError, InfeasibleBoundsError, NotSeriesParallelError
+from spnet.fileio import config_from_dict, load_config
 from spnet.graph import attachment_edge_ids, make_graph
 from spnet.h2 import dense_provider
 from spnet.optimize import (
@@ -109,6 +113,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptConfig(penalty_h=1.0, bounds={"e": (2 * np.eye(2), np.eye(2))})
 
+    def test_box_rule_shared_with_projection(self):
+        # U a hair below L is an empty box for project_box, so the config
+        # rejects it up front instead of failing at the first step.
+        lo = 2 * np.eye(2)
+        with pytest.raises(ValueError, match="infeasible"):
+            OptConfig(penalty_h=1.0, bounds={"e": (lo, lo - 1e-10 * np.eye(2))})
+        with pytest.raises(InfeasibleBoundsError):
+            matlin.project_box(lo, lo, lo - 1e-10 * np.eye(2))
+        # Point boxes and gaps inside the tolerance are accepted by both.
+        for up in (lo, lo - 0.5 * matlin.BOX_TOL * np.eye(2)):
+            cfg = OptConfig(penalty_h=1.0, bounds={"e": (lo, up)})
+            pgd_step({"e": np.eye(2)}, {"e": np.zeros((2, 2))}, 1, cfg)
+
+    def test_load_config_reports_empty_box(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"penalty_h": 1.0, "bounds": {"e": {"L": [[2.0]], "U": [[2.0 - 1e-10]]}}}))
+        with pytest.raises(GraphValidationError, match="infeasible"):
+            load_config(path, 1)
+
+    def test_removed_projection_keys_are_ignored(self):
+        data = {"penalty_h": 0.5, "max_iters": 7, "proj_tol": 1e-3, "proj_max_iter": 2, "free_edges": ["e"]}
+        cfg = config_from_dict(data, 1)
+        assert (cfg.penalty_h, cfg.max_iters, cfg.grad_tol) == (0.5, 7, 1e-8)
+        assert [f.name for f in fields(OptConfig)] == [
+            "penalty_h",
+            "bounds",
+            "max_iters",
+            "grad_tol",
+            "voltage_mode",
+            "fallback_to_dense",
+        ]
+
     def test_missing_bounds_for_free_edge(self):
         g = chain_graph()
         cfg = OptConfig(penalty_h=1.0, bounds={})
@@ -128,6 +164,39 @@ class TestPgdStep:
         cfg = OptConfig(penalty_h=0.5, bounds={"e": (w0, w0)})
         out = pgd_step({"e": np.array([[1.0]])}, {"e": np.array([[-5.0]])}, 1, cfg)
         np.testing.assert_allclose(out["e"], w0, atol=1e-9)
+
+    def test_stack_matches_edge_by_edge_projection(self, rng):
+        k = 3
+        bounds = {f"e{i}": (random_spd(rng, k, 0.5, 1.0), random_spd(rng, k, 2.0, 3.0)) for i in range(5)}
+        cfg = OptConfig(penalty_h=0.7, bounds=bounds)
+        weights = {eid: random_spd(rng, k, 0.1, 4.0) for eid in reversed(list(bounds))}
+        grads = {eid: -random_spd(rng, k, 0.0, 5.0) for eid in weights}
+        out = pgd_step(weights, grads, 3, cfg)
+        assert list(out) == list(weights)
+        eta = 1.0 / (0.7 * np.sqrt(3))
+        for eid, w in weights.items():
+            want, ok = matlin.project_box(w - eta * (grads[eid] + 0.7 * w), *bounds[eid])
+            assert ok
+            np.testing.assert_array_equal(out[eid], want)
+
+    def test_no_free_edges(self):
+        assert pgd_step({}, {}, 1, OptConfig(penalty_h=1.0, bounds={})) == {}
+
+    @pytest.mark.parametrize("mode", ["compositional", "dense"])
+    def test_one_projection_per_step(self, rng, monkeypatch, mode):
+        calls = {"pgd_step": 0, "project_box": 0}
+        for module, name in ((optimize, "pgd_step"), (matlin, "project_box")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        g = random_aittsp(rng, 2, 3)
+        assert len(g.edges) - len(attachment_edge_ids(g)) > 1
+        cfg = OptConfig(penalty_h=0.2, bounds=wide_bounds(g), max_iters=4, grad_tol=0.0, voltage_mode=mode)
+        optimize_weights(g, cfg)
+        assert calls == {"pgd_step": 4, "project_box": 4}
 
     def test_iteration_counter(self):
         cfg = OptConfig(penalty_h=1.0, bounds={"e": ([[0.1]], [[10.0]])})
@@ -174,8 +243,6 @@ class TestOptimizeWeights:
         bounds = {e.id: (lo, up) for e in g.edges}
         cfg = OptConfig(penalty_h=1.0, bounds=bounds, max_iters=30)
         traj = optimize_weights(g, cfg)
-        from spnet import matlin
-
         # records[0] is the raw starting point; every later iterate has
         # passed through the box projection.
         for rec in traj.records[1:]:
