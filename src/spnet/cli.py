@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: decompose | h2 | resistance | optimize | check. Exit codes:
-0 on success, 1 on validation failure, 2 when a graph turns out not to be
-series-parallel.
+0 on success, 1 on validation failure or when a descent step's box projection
+does not converge, 2 when a graph turns out not to be series-parallel.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import electrical
-from .errors import GraphValidationError, NotSeriesParallelError
+from .errors import GraphValidationError, NotSeriesParallelError, ProjectionError
 from .fileio import (
     json_chunks,
     load_config,
@@ -192,7 +192,7 @@ def run(argv=None):
     except NotSeriesParallelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphValidationError, ValueError) as exc:
+    except (GraphValidationError, ProjectionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,3 +11,7 @@ class NotSeriesParallelError(Exception):
 
 class InfeasibleBoundsError(ValueError):
     """Raised when a Loewner box [L, U] is empty (L is not below U)."""
+
+
+class ProjectionError(RuntimeError):
+    """Raised when the box projection of a descent step misses its stop rule."""

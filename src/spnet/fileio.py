@@ -10,7 +10,6 @@ from .errors import GraphValidationError
 from .graph import make_graph
 from .optimize import OptConfig
 from .sptree import from_json as tree_from_json
-from .sptree import to_json as tree_to_json
 
 
 def _load_json(path):
@@ -100,12 +99,6 @@ def save_graph(g, path):
 
 def load_tree(path, g):
     return tree_from_json(_load_json(path), g)
-
-
-def save_tree(t, path):
-    text = "".join(json_chunks(tree_to_json(t))) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
 
 
 def config_from_dict(data, k, context="config"):

@@ -42,14 +42,12 @@ class MatrixGraph:
         return {e.id: e for e in self.edges}
 
     def with_weights(self, new_weights):
-        """Copy of the graph with some edge weights replaced (by edge id)."""
-        edges = tuple(
-            replace(e, weight=matlin.as_symmetric(new_weights[e.id]))
-            if e.id in new_weights
-            else e
-            for e in self.edges
-        )
-        return replace(self, edges=edges)
+        """Copy of the graph with some edge weights replaced (by edge id), checked as one stack."""
+        ids = [e.id for e in self.edges if e.id in new_weights]
+        if not ids:
+            return self
+        new = dict(zip(ids, matlin.as_symmetric([new_weights[eid] for eid in ids])))
+        return replace(self, edges=tuple(replace(e, weight=new[e.id]) if e.id in new else e for e in self.edges))
 
 
 def make_graph(k, nodes, edges, leaders=(), sources=None):
@@ -58,13 +56,14 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
     ``edges`` is an iterable of (id, tail, head, weight) tuples. When
     ``sources`` is None it is inferred as the follower endpoints of the
     identity-weight leader edges; an explicit list overrides inference.
+    Ids, endpoints and shapes are checked edge by edge, then all weights at
+    once: one symmetry check and one batched definiteness test.
     """
     nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
         raise GraphValidationError("duplicate node ids")
     node_set = set(nodes)
-    built = []
-    seen_ids = set()
+    seen_ids, ends, weights = set(), [], []
     for eid, tail, head, w in edges:
         if eid in seen_ids:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
@@ -73,12 +72,17 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
             raise GraphValidationError(f"edge {eid!r} references unknown node")
         if tail == head:
             raise GraphValidationError(f"edge {eid!r} is a self-loop")
-        w = matlin.as_symmetric(w)
-        if w.shape[0] != k:
-            raise GraphValidationError(f"edge {eid!r} weight has dim {w.shape[0]}, expected {k}")
-        if not matlin.is_spd(w):
-            raise GraphValidationError(f"edge {eid!r} weight is not strictly SPD")
-        built.append(Edge(str(eid), tail, head, w))
+        d = np.shape(w)
+        if d != (k, k):  # what as_symmetric would reject stays a plain ValueError
+            error = GraphValidationError if len(d) == 2 and d[0] == d[1] <= matlin.MAX_DIM else ValueError
+            raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
+        ends.append((eid, tail, head))
+        weights.append(w)
+    weights = matlin.as_symmetric(np.array(weights, dtype=float).reshape(len(weights), k, k))
+    spd = matlin.is_spd(weights)
+    if not spd.all():
+        raise GraphValidationError(f"edge {ends[int(np.argmin(spd))][0]!r} weight is not strictly SPD")
+    built = [Edge(str(eid), tail, head, w) for (eid, tail, head), w in zip(ends, weights)]
 
     leaders = frozenset(leaders)
     if not leaders <= node_set:
@@ -153,12 +157,6 @@ def validate_consensus(g):
         raise GraphValidationError(f"leaders with no attachment edge: {sorted(missing)}")
     if len(set(attached.values())) != len(attached):
         raise GraphValidationError("two leaders share a source node")
-    if set(g.sources) - set(attached.values()):
-        # Explicitly declared sources may legitimately differ (they override
-        # inference), but they must at least be follower nodes.
-        bad = set(g.sources) & g.leaders
-        if bad:
-            raise GraphValidationError(f"declared sources are leaders: {sorted(bad)}")
     return g
 
 
@@ -204,13 +202,6 @@ class DirichletLaplacian:
     follower_order: tuple
     matrix: np.ndarray
 
-    def block(self, node_i, node_j=None):
-        """k x k block of the matrix for a pair of follower nodes."""
-        k = self.matrix.shape[0] // len(self.follower_order)
-        i = self.follower_order.index(node_i)
-        j = i if node_j is None else self.follower_order.index(node_j)
-        return self.matrix[k * i : k * i + k, k * j : k * j + k]
-
 
 def grounded_laplacian(g, ground):
     """Laplacian of ``g`` with the ``ground`` node set removed.
@@ -243,11 +234,8 @@ def grounded_laplacian(g, ground):
 
 
 def dirichlet_laplacian(g):
-    """Follower-block Dirichlet Laplacian A(W) with respect to the leaders."""
-    if not g.leaders:
-        raise GraphValidationError("leader set is empty")
-    if not is_connected(g):
-        raise GraphValidationError("graph is not connected")
+    """Follower-block Dirichlet Laplacian A(W) with respect to the leaders. It is positive
+    definite iff every follower reaches a leader; a GraphValidationError otherwise."""
     dl = grounded_laplacian(g, g.leaders)
     try:
         np.linalg.cholesky(dl.matrix)

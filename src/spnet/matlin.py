@@ -1,9 +1,10 @@
 """Dense algebra on small symmetric positive-(semi)definite matrices.
 
 Everything here is direct eigendecomposition on k x k arrays with k <= 16;
-``as_symmetric``, ``loewner_leq``, ``psd_part`` and ``project_box`` also take
-(n, k, k) stacks, matrix by matrix. All returned matrices are explicitly
-symmetrized so that roundoff asymmetry cannot accumulate in callers.
+``is_symmetric``, ``as_symmetric``, ``is_spd``, ``loewner_leq``, ``psd_part``
+and ``project_box`` also take (n, k, k) stacks, matrix by matrix. All
+returned matrices are explicitly symmetrized so that roundoff asymmetry
+cannot accumulate in callers.
 """
 
 import numpy as np
@@ -21,26 +22,24 @@ def symmetrize(m):
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def as_symmetric(m, rtol=SYM_RTOL):
-    """Validate that ``m`` is square, small and symmetric; return it symmetrized.
+def is_symmetric(m, rtol=SYM_RTOL):
+    """True where M is symmetric within ``rtol`` times its own largest entry
+    magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack."""
+    m = np.asarray(m, dtype=float)
+    return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > rtol * np.abs(m).max(axis=(-2, -1)))
 
-    ``m`` is one matrix or an (n, k, k) stack; asymmetry is measured
-    relative to the largest entry magnitude of each matrix.
-    """
+
+def as_symmetric(m, rtol=SYM_RTOL):
+    """Validate that ``m`` is square, small and symmetric (``is_symmetric``);
+    return it symmetrized. ``m`` is one matrix or an (n, k, k) stack."""
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
-    mt = m.swapaxes(-1, -2)
-    asym, scale = np.abs(m - mt), np.abs(m)
-    if m.ndim == 2:  # whole-array reductions: the cheapest check for one matrix
-        bad = asym.max() > rtol * scale.max()
-    else:
-        bad = (asym.max(axis=(1, 2)) > rtol * scale.max(axis=(1, 2))).any()
-    if bad:
+    if not is_symmetric(m, rtol).all():
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + mt)
+    return symmetrize(m)
 
 
 def _check_same_dim(*ms):
@@ -49,13 +48,14 @@ def _check_same_dim(*ms):
 
 
 def is_spd(m, tol=0.0):
-    """True iff ``m`` is symmetric with smallest eigenvalue > tol."""
+    """True where M is symmetric (``is_symmetric``) with smallest eigenvalue > tol.
+
+    ``m`` is one square matrix or an (n, k, k) stack, which gets one bool per
+    matrix so that a caller can name the first bad one.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if np.abs(m - m.T).max() > SYM_RTOL * max(np.abs(m).max(), 1.0):
-        return False
-    return float(np.linalg.eigvalsh(symmetrize(m)).min()) > tol
+    ok = is_symmetric(m) & (np.linalg.eigvalsh(symmetrize(m)).min(axis=-1) > tol)
+    return bool(ok) if m.ndim == 2 else ok
 
 
 def pinv(m, tol=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .errors import NotSeriesParallelError
+from .errors import NotSeriesParallelError, ProjectionError
 from .graph import attachment_edge_ids
 from .h2 import CompositionalProvider, dense_provider
 
@@ -44,11 +44,26 @@ class OptConfig:
             raise ValueError("penalty h must be positive")
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
+        # Every box [L, U]: shapes edge by edge, then L strictly SPD, U symmetric
+        # and min eig(U - L) >= -matlin.BOX_TOL, each rule once over the whole stack.
+        boxes = []
         for eid, (lo, up) in self.bounds.items():
-            if not matlin.is_spd(np.asarray(lo, dtype=float)):
-                raise ValueError(f"lower bound for edge {eid!r} is not strictly SPD")
-            if not matlin.loewner_leq(lo, up):
-                raise ValueError(f"bounds for edge {eid!r} are infeasible")
+            lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
+            shape = boxes[0][1].shape if boxes else lo.shape[:1] * 2
+            if len(shape) != 2 or lo.shape != shape or up.shape != shape:
+                raise ValueError(f"bounds for edge {eid!r} have shapes {lo.shape} and {up.shape}, not {shape}")
+            boxes.append((eid, lo, up))
+        if not boxes:
+            return
+        ids, lo, up = zip(*boxes)
+        lo = np.array(lo)
+        bad = np.flatnonzero(~matlin.is_spd(lo))
+        if bad.size:
+            raise ValueError(f"lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
+        gap = np.linalg.eigvalsh(matlin.as_symmetric(up) - matlin.symmetrize(lo)).min(axis=-1)
+        bad = np.flatnonzero(~(gap >= -matlin.BOX_TOL))
+        if bad.size:
+            raise ValueError(f"bounds for edge {ids[bad[0]]!r} are infeasible")
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,7 @@ def pgd_step(weights, grads, t, cfg):
     lo, up = (np.array([cfg.bounds[eid][j] for eid in weights], dtype=float) for j in (0, 1))
     projected, ok = matlin.project_box(step, lo, up)
     if not ok:
-        raise RuntimeError("box projection did not converge")
+        raise ProjectionError(f"box projection did not converge at step {t}")
     return dict(zip(weights, projected))
 
 

@@ -123,6 +123,17 @@ class TestOptimizeCommand:
             [float(row["grad_norm"]) for row in want], rel=0, abs=1e-12
         )
 
+    def test_unconverged_projection_exits_1(self, capsys, monkeypatch, tmp_path):
+        # Tight boxes can keep Dykstra from meeting its stop rule; that is a
+        # reported error, not a traceback.
+        monkeypatch.setattr(spnet.matlin, "project_box", lambda x, lower, upper: (x, False))
+        argv = ["optimize", "--graph", DEMO, "--config", str(DATA / "demo_config.json")]
+        code = run(argv + ["--out", str(tmp_path / "t.csv"), "--weights-out", str(tmp_path / "w.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: box projection did not converge at step 1")
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_demo_passes(self, capsys):
