@@ -27,10 +27,9 @@ from .h2 import (
     dense_h2,
     dense_provider,
     dense_solve,
-    source_trees,
 )
 from .optimize import edge_gradients, optimize_weights
-from .sptree import recognize, to_json
+from .sptree import Parallel, recognize, to_json
 
 
 def _emit(data, out_path):
@@ -108,32 +107,40 @@ def _rel_err(a, b, block_ndim=2):
     return float(np.max(np.abs(a - b).max(axis=axes) / scale, initial=0.0))
 
 
+def _flow_errors(joins, cur, base):
+    """Flow conservation at every join (``joins[i]`` is arc base + i), each
+    child's current taken in the join's direction: series children carry the
+    join's current, parallel children sum to it."""
+    errors = []
+    for i, (kind, a, fa, b, fb) in enumerate(joins):
+        ca, cb = -cur[a] if fa else cur[a], -cur[b] if fb else cur[b]
+        flows = [(ca + cb, cur[base + i])] if kind is Parallel else [(ca, cur[base + i]), (cb, cur[base + i])]
+        errors += [_rel_err(x, y) for x, y in flows]
+    return errors
+
+
 def _cmd_check(args):
     g = load_graph(args.graph)
     validate_consensus(g)
-    _, gg, _ = recognized = source_trees(g)
-    comp = CompositionalProvider(g, recognized)
-    solutions = comp.solutions(g)
-    comp_h2, comp_q = comp.read(solutions)
+    comp = CompositionalProvider(g)
+    sweeps = comp.solutions(g)
+    comp_h2, comp_q = comp.read(sweeps)
+    gg, _ = ground_leaders(g)
     ys = dense_solve(gg, gg.sources)
     _, dense_q = dense_provider(gg, ys)
-    roots = [sol.resistance[0] for sol in solutions.values()]
     at = [gg.nodes.index(s) for s in gg.sources]
     errors = {
         "h2_total": _rel_err(sum(comp_h2.values()), dense_h2(g).total),
-        "root_resistance": _rel_err(roots, ys[range(len(at)), at]),
+        "root_resistance": _rel_err(sweeps.roots, ys[range(len(at)), at]),
         # Scaled per source: a long ladder's far Q blocks sit below the dense solve's roundoff.
         "leaf_voltages": _rel_err(comp_q, dense_q, block_ndim=3),
     }
-    flow_err = 0.0
-    for sol in solutions.values():
-        # Flow conservation: series children carry the join's current, parallel children sum to it.
-        t, cur = sol.tree, sol.current
-        ser, par = (np.flatnonzero(t.kind == kind) for kind in (electrical.SERIES, electrical.PARALLEL))
-        flows = [(cur[t.left[ser]], cur[ser]), (cur[t.right[ser]], cur[ser])]
-        flows.append((cur[t.left[par]] + cur[t.right[par]], cur[par]))
-        flow_err = max(flow_err, *(_rel_err(a, b) for a, b in flows))
-    errors["flow_conservation"] = flow_err
+    # Every join the call swept: the shared ones for all sources at once, then each source's own.
+    program = comp.program
+    flows = _flow_errors(program.joins, sweeps.current, len(program.edges))
+    for c, (joins, _, _) in enumerate(program.own.values()):
+        flows += _flow_errors(joins, sweeps.current[:, c], len(program.edges) + len(program.joins))
+    errors["flow_conservation"] = max(flows, default=0.0)
     errors["gradients"] = _rel_err(edge_gradients(comp_q), edge_gradients(dense_q), block_ndim=3)
     max_err = max(errors.values())
     result = {"errors": errors, "max_relative_error": max_err, "tolerance": args.tol}

@@ -1,24 +1,19 @@
-"""Matrix-valued electrical solve over a decomposition tree.
+"""Matrix-valued electrical solve over series-parallel join records.
 
-``compile_tree`` turns a tree, once, into pre-order arrays: ``kind``,
-``left``/``right`` child indices, and per leaf ``leaf_edge`` (its edge's row
-in the weight stack) and ``leaf_sign`` (-1 where it runs against the edge's
-stored orientation). Reversed pre-order is bottom-up, so one indexing serves
-every sweep. Weights stay outside the tree: ``leaf_resistances`` inverts the
-whole (m, k, k) weight stack in one batch; weights are validated where the
-graph is built, not per node. The sweeps:
+Every sweep runs on join records ``(kind, a, a flipped, b, b flipped)`` over
+an arc list, leaves first and then one arc per join, bottom-up: an
+``sptree.ArcProgram`` (``solve_sources``, all sources at once), or a
+Leaf/Series/Parallel tree flattened into that form (``effective_resistance``,
+``branch_currents``, ``voltage_drops``, ``solve_tree``, keyed by pre-order
+index). Leaf resistances come from one batched inverse. The sweeps:
 
 - resistance, bottom-up: series R1 + R2; parallel one solve for
   X = (R1 + R2)^-1 [R2 | R1] = (X1, X2), then R = sym(R1 X1), X kept;
-- current, top-down from the intensity (identity by default): series passes
-  I on; parallel I1 = X1 I and I2 = X2 I, so I1 + I2 = I stays a check;
-- voltage, bottom-up: leaf R I, one batched product; series V1 + V2;
-  parallel (V1 + V2) / 2, after a ValueError if the two differ by more than
+- current, top-down: series passes I on; parallel I1 = X1 I and
+  I2 = X2 I, so I1 + I2 = I stays a check; a flipped child gets -I;
+- voltage: leaf R I; on a tree also bottom-up, series V1 + V2, parallel
+  (V1 + V2) / 2, after a ValueError if the two differ by more than
   PARALLEL_VOLTAGE_ATOL times their scale.
-
-Each returns an (n, k, k) stack in pre-order. ``effective_resistance``,
-``branch_currents`` and ``voltage_drops`` run them on a Leaf/Series/Parallel
-tree with its own leaf weights, keyed by pre-order index.
 """
 
 from dataclasses import dataclass
@@ -26,42 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .sptree import Series, index_tree
+from .sptree import Parallel, index_tree
 
 PARALLEL_VOLTAGE_ATOL = 1e-6
-
-LEAF, SERIES, PARALLEL = 0, 1, 2
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledTree:
-    """Structure of a decomposition tree as pre-order arrays; no weights."""
-
-    kind: np.ndarray  # LEAF | SERIES | PARALLEL
-    left: np.ndarray  # child indices, -1 at leaves
-    right: np.ndarray
-    leaf_edge: np.ndarray  # row of the leaf's weight in the stack, -1 at joins
-    leaf_sign: np.ndarray  # -1.0 where the leaf runs head -> tail of its edge, else 1.0
-    leaf_index: dict  # edge id -> pre-order index of its leaf, in pre-order
-    joins: list  # (node, left, right, is parallel) of every join, in pre-order
-
-
-def compile_tree(entries, position=None, tails=None):
-    """Compile ``index_tree`` entries. ``position`` maps an edge id to its row
-    in the weight stack (default: leaves left to right, as in the tree's own
-    weights); a leaf whose tail differs from ``tails[edge id]`` gets sign -1."""
-    leaves = [node for node, li, _ in entries if li < 0]
-    kind = np.array(
-        [LEAF if li < 0 else SERIES if isinstance(node, Series) else PARALLEL for node, li, _ in entries]
-    )
-    leaf_edge = np.full(len(entries), -1)
-    leaf_edge[kind == LEAF] = range(len(leaves)) if position is None else [position[lf.edge] for lf in leaves]
-    flipped = [li < 0 and tails is not None and node.tail != tails[node.edge] for node, li, _ in entries]
-    leaf_sign = np.where(flipped, -1.0, 1.0)
-    left, right = np.array([(li, ri) for _, li, ri in entries]).T
-    leaf_index = {node.edge: i for i, (node, li, _) in enumerate(entries) if li < 0}
-    joins = [(i, li, ri, not isinstance(node, Series)) for i, (node, li, ri) in enumerate(entries) if li >= 0]
-    return CompiledTree(kind, left, right, leaf_edge, leaf_sign, leaf_index, joins)
 
 
 def leaf_resistances(weights):
@@ -75,73 +37,129 @@ def _split(r1, r2):
     return np.linalg.solve(r1 + r2, np.concatenate((r2, r1), axis=1)).reshape(k, 2, k).swapaxes(0, 1)
 
 
-def resistance_sweep(tree, leaf_r):
-    """(R stack, {parallel join: X}), bottom-up."""
-    res = list(leaf_r[tree.leaf_edge])  # the rows gathered for joins (-1) are overwritten
-    splits = {}
-    for i, li, ri, par in reversed(tree.joins):
-        if par:
-            x = splits[i] = _split(res[li], res[ri])
-            res[i] = matlin.symmetrize(res[li] @ x[0])
-        else:
-            res[i] = res[li] + res[ri]
-    return np.array(res), splits
+def resistance_sweep(joins, res):
+    """Bottom-up: append the R of each join to ``res`` (arc id -> R, holding
+    every child already); returns each join's split X, None at series joins."""
+    splits = []
+    for kind, a, _, b, _ in joins:
+        x = _split(res[a], res[b]) if kind is Parallel else None
+        res.append(res[a] + res[b] if x is None else matlin.symmetrize(res[a] @ x[0]))
+        splits.append(x)
+    return splits
 
 
-def current_sweep(tree, splits, intensity, k):
-    """Current entering every node, top-down from ``intensity`` (default I_k)."""
-    cur = [np.eye(k) if intensity is None else np.asarray(intensity, dtype=float)] * len(tree.kind)
-    for i, li, ri, par in tree.joins:
-        cur[li], cur[ri] = splits[i] @ cur[i] if par else (cur[i], cur[i])
-    return np.array(cur)
+def current_sweep(joins, splits, cur, base):
+    """Top-down: from the current of each join (``joins[i]`` is arc base + i)
+    to its children, each in its stored direction. ``cur`` is an
+    (arcs, S, k, k) array holding the roots' currents; S columns at once."""
+    for i in range(len(joins) - 1, -1, -1):
+        _, a, fa, b, fb = joins[i]
+        c, x = cur[base + i], splits[i]
+        ca, cb = (c, c) if x is None else x[:, None] @ c
+        cur[a] = -ca if fa else ca
+        cur[b] = -cb if fb else cb
 
 
-def voltage_sweep(tree, resistances, currents):
-    """Voltage dropped across every node, bottom-up."""
-    vol = list(resistances @ currents)  # the rows computed for joins are overwritten
-    for i, li, ri, par in reversed(tree.joins):
-        vol[i] = 0.5 * (vol[li] + vol[ri]) if par else vol[li] + vol[ri]
-    vol = np.array(vol)
-    # One check over all parallel joins; the last offender in pre-order is
-    # the one a bottom-up, join-by-join check would have stopped at.
-    p = np.flatnonzero(tree.kind == PARALLEL)
-    v1, v2 = vol[tree.left[p]], vol[tree.right[p]]
+def _check_parallel(v1, v2, where):
+    """ValueError at the first pair of (n, k, k) child voltages that differ by
+    more than PARALLEL_VOLTAGE_ATOL times their scale; ``where(i)`` names it."""
     scale = np.maximum(np.maximum(np.abs(v1).max(axis=(1, 2)), np.abs(v2).max(axis=(1, 2))), 1.0)
-    bad = p[np.abs(v1 - v2).max(axis=(1, 2)) > PARALLEL_VOLTAGE_ATOL * scale]
+    bad = np.flatnonzero(np.abs(v1 - v2).max(axis=(1, 2)) > PARALLEL_VOLTAGE_ATOL * scale)
     if bad.size:
         raise ValueError(
-            f"parallel children voltages disagree at tree node {bad[-1]}; "
-            "upstream annotations are inconsistent"
+            f"parallel children voltages disagree at {where(bad[0])}; upstream annotations are inconsistent"
         )
-    return vol
+
+
+def root_resistances(program, leaf_r):
+    """Effective resistance from each source of an ``ArcProgram`` to its sink,
+    (S, k, k): the shared joins swept once, then each source's own."""
+    res = list(leaf_r)
+    resistance_sweep(program.joins, res)
+    base, roots = len(res), []
+    for joins, root, _ in program.own.values():
+        resistance_sweep(joins, res)
+        roots.append(res[root])
+        del res[base:]
+    return np.array(roots)
+
+
+def _parallel_meets(joins, splits, res, first):
+    """(arc id, R_a, R_b, X) of every parallel join; ``joins[i]`` is arc first + i."""
+    return [(first + i, res[j[1]], res[j[3]], x) for i, (j, x) in enumerate(zip(joins, splits)) if x is not None]
 
 
 @dataclass(frozen=True, eq=False)
-class ElectricalSolution:
-    """Annotations of one compiled tree under one intensity: (n, k, k) stacks."""
+class SourceSweeps:
+    """Unit-current solve of every source of an ``ArcProgram``; S in source order."""
 
-    source: str
-    tree: CompiledTree
-    resistance: np.ndarray
-    current: np.ndarray
-    voltage: np.ndarray
-    entries: list = None  # index_tree of the solved tree, when solved from one
-
-    def leaf_voltage(self, edge_id):
-        return self.voltage[self.tree.leaf_index[edge_id]]
+    roots: np.ndarray  # (S, k, k) effective resistance source -> sink
+    current: np.ndarray  # (arcs, S, k, k) in stored direction; a source's own arcs in its column only
+    voltage: np.ndarray  # (m, S, k, k) drop tail -> head of every leaf arc
 
 
-def solve_compiled(tree, leaf_r, intensity=None, source=None, entries=None):
-    """Resistance, current and voltage sweeps of a compiled tree."""
-    res, splits = resistance_sweep(tree, leaf_r)
-    cur = current_sweep(tree, splits, intensity, leaf_r.shape[-1])
-    return ElectricalSolution(source, tree, res, cur, voltage_sweep(tree, res, cur), entries)
+def solve_sources(program, leaf_r):
+    """Resistance, current and leaf-voltage sweeps of every source together:
+    each source's own joins first, from +I at its root (-I where the root runs
+    sink -> source), then the shared joins once for all S columns. The guard
+    compares R_a X_a with R_b X_b once per parallel join: neither depends on
+    the source."""
+    m, k = len(program.edges), leaf_r.shape[-1]
+    res = list(leaf_r)
+    splits = resistance_sweep(program.joins, res)
+    base, own = len(res), list(program.own.values())
+    meets = _parallel_meets(program.joins, splits, res, m)
+    cur = np.zeros((base + max(len(joins) for joins, _, _ in own), len(own), k, k))
+    roots = []
+    for c, (joins, root, reversed_) in enumerate(own):
+        own_splits = resistance_sweep(joins, res)
+        meets += _parallel_meets(joins, own_splits, res, base)
+        roots.append(res[root])
+        del res[base:]
+        cur[root, c] = -np.eye(k) if reversed_ else np.eye(k)
+        current_sweep(joins, own_splits, cur[:, c : c + 1], base)
+    current_sweep(program.joins, splits, cur, m)
+    if meets:
+        arcs, ra, rb, x = zip(*meets)
+        x = np.array(x)
+        _check_parallel(np.array(ra) @ x[:, 0], np.array(rb) @ x[:, 1], lambda i: f"join arc {arcs[i]}")
+    return SourceSweeps(np.array(roots), cur, leaf_r[:, None] @ cur[:m])
 
 
-def _own(t, entries):  # (entries, compiled tree, leaf resistances) of a tree with its own weights
+def _flatten(t, entries):
+    """(join records, pre-order index of each arc, leaf weights) of a tree:
+    its leaves are arcs 0..l-1 in pre-order, then its joins in reversed
+    pre-order, which is bottom-up."""
     entries = index_tree(t) if entries is None else entries
-    leaf_r = leaf_resistances([node.weight for node, li, _ in entries if li < 0])
-    return entries, compile_tree(entries), leaf_r
+    leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
+    order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
+    arc = dict(zip(order, range(len(order))))
+    joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
+    return joins, order, [entries[i][0].weight for i in leaves]
+
+
+def _by_preorder(values, order):
+    return dict(enumerate(np.asarray(values)[np.argsort(order)]))
+
+
+def _tree_currents(joins, res, splits, intensity):
+    cur = np.zeros((len(res), 1, *res[0].shape))
+    cur[-1] = np.eye(len(res[0])) if intensity is None else intensity
+    current_sweep(joins, splits, cur, len(res) - len(joins))
+    return cur[:, 0]
+
+
+def _tree_voltages(joins, res, cur, order):
+    """Voltage over every arc, bottom-up; the parallel check names the first
+    offender bottom-up by its pre-order index."""
+    vol = list(np.asarray(res) @ cur)  # the rows computed for joins are overwritten
+    base = len(vol) - len(joins)
+    for i, (kind, a, _, b, _) in enumerate(joins):
+        vol[base + i] = 0.5 * (vol[a] + vol[b]) if kind is Parallel else vol[a] + vol[b]
+    par, v = [i for i, join in enumerate(joins) if join[0] is Parallel], np.array(vol)
+    a, b = ([joins[i][side] for i in par] for side in (1, 3))
+    _check_parallel(v[a], v[b], lambda n: f"tree node {order[base + par[n]]}")
+    return vol
 
 
 def effective_resistance(t, *, entries=None):
@@ -149,8 +167,10 @@ def effective_resistance(t, *, entries=None):
 
     Leaf: W_e^-1; series: R1 + R2; parallel: R1 : R2.
     """
-    _, tree, leaf_r = _own(t, entries)
-    return dict(enumerate(resistance_sweep(tree, leaf_r)[0]))
+    joins, order, weights = _flatten(t, entries)
+    res = list(leaf_resistances(weights))
+    resistance_sweep(joins, res)
+    return _by_preorder(res, order)
 
 
 def split_current(r1, r2, i_in):
@@ -174,10 +194,10 @@ def branch_currents(t, resistances, intensity=None, *, entries=None):
     series joins pass the current through, parallel joins divide it as
     ``split_current`` does.
     """
-    entries = index_tree(t) if entries is None else entries
-    tree, res = compile_tree(entries), np.array([resistances[i] for i in range(len(entries))], dtype=float)
-    splits = {i: _split(res[li], res[ri]) for i, li, ri, par in tree.joins if par}
-    return dict(enumerate(current_sweep(tree, splits, intensity, res.shape[-1])))
+    joins, order, _ = _flatten(t, entries)
+    res = [np.asarray(resistances[i], dtype=float) for i in order]
+    splits = [_split(res[a], res[b]) if kind is Parallel else None for kind, a, _, b, _ in joins]
+    return _by_preorder(_tree_currents(joins, res, splits, intensity), order)
 
 
 def voltage_drops(t, resistances, currents, *, entries=None):
@@ -186,9 +206,9 @@ def voltage_drops(t, resistances, currents, *, entries=None):
     Leaf: R_e I_e; series: V1 + V2; parallel: the two child voltages are
     theoretically equal and their average is propagated to damp roundoff.
     """
-    entries = index_tree(t) if entries is None else entries
-    res, cur = (np.array([d[i] for i in range(len(entries))], dtype=float) for d in (resistances, currents))
-    return dict(enumerate(voltage_sweep(compile_tree(entries), res, cur)))
+    joins, order, _ = _flatten(t, entries)
+    res, cur = (np.array([d[i] for i in order], dtype=float) for d in (resistances, currents))
+    return _by_preorder(_tree_voltages(joins, res, cur, order), order)
 
 
 def power(current, resistance):
@@ -200,7 +220,27 @@ def power(current, resistance):
     return float(np.trace(current.T @ resistance @ current))
 
 
+@dataclass(frozen=True, eq=False)
+class ElectricalSolution:
+    """Annotations of one tree under one intensity: (n, k, k) stacks in pre-order."""
+
+    source: str
+    entries: list  # index_tree of the solved tree
+    resistance: np.ndarray
+    current: np.ndarray
+    voltage: np.ndarray
+    leaf_index: dict  # edge id -> pre-order index of its leaf
+
+    def leaf_voltage(self, edge_id):
+        return self.voltage[self.leaf_index[edge_id]]
+
+
 def solve_tree(t, intensity=None, source=None):
     """Run all three sweeps on a tree, indexed once, with its own leaf weights."""
-    entries, tree, leaf_r = _own(t, None)
-    return solve_compiled(tree, leaf_r, intensity, source, entries)
+    entries = index_tree(t)
+    joins, order, weights = _flatten(t, entries)
+    res = list(leaf_resistances(weights))
+    cur = _tree_currents(joins, res, resistance_sweep(joins, res), intensity)
+    vol = _tree_voltages(joins, res, cur, order)
+    stacks = (np.asarray(v)[np.argsort(order)] for v in (res, cur, vol))
+    return ElectricalSolution(source, entries, *stacks, {entries[i][0].edge: i for i in order[: len(weights)]})

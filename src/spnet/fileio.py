@@ -65,13 +65,10 @@ def graph_from_dict(data, context="graph"):
             if key not in e:
                 raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}")
         edges.append((e["id"], e["tail"], e["head"], _matrix(e["weight"], k, f"{context}: edge {e['id']!r}")))
-    return make_graph(
-        k,
-        data["nodes"],
-        edges,
-        leaders=data.get("leaders", ()),
-        sources=data.get("sources"),
-    )
+    try:
+        return make_graph(k, data["nodes"], edges, leaders=data.get("leaders", ()), sources=data.get("sources"))
+    except ValueError as exc:
+        raise GraphValidationError(f"{context}: {exc}") from exc
 
 
 def load_graph(path):

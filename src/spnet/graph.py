@@ -78,7 +78,8 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
             raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
         ends.append((eid, tail, head))
         weights.append(w)
-    weights = matlin.as_symmetric(np.array(weights, dtype=float).reshape(len(weights), k, k))
+    weights = np.array(weights, dtype=float).reshape(len(weights), k, k)
+    weights = matlin.as_symmetric(weights, describe=lambda i: f"edge {ends[i][0]!r} weight")
     spd = matlin.is_spd(weights)
     if not spd.all():
         raise GraphValidationError(f"edge {ends[int(np.argmin(spd))][0]!r} weight is not strictly SPD")
@@ -180,23 +181,6 @@ def incidence(g):
     return e, np.kron(e, np.eye(g.k))
 
 
-def laplacian(g, order=None):
-    """Full matrix-weighted graph Laplacian, blocks ordered by ``order``."""
-    if order is None:
-        order = sorted(g.nodes)
-    idx = {n: i for i, n in enumerate(order)}
-    k = g.k
-    m = np.zeros((k * len(order), k * len(order)))
-    for e in g.edges:
-        i, j = idx[e.tail], idx[e.head]
-        w = e.weight
-        m[k * i : k * i + k, k * i : k * i + k] += w
-        m[k * j : k * j + k, k * j : k * j + k] += w
-        m[k * i : k * i + k, k * j : k * j + k] -= w
-        m[k * j : k * j + k, k * i : k * i + k] -= w
-    return matlin.symmetrize(m), list(order)
-
-
 @dataclass(frozen=True, eq=False)
 class DirichletLaplacian:
     follower_order: tuple
@@ -253,33 +237,25 @@ def identify_nodes(g, group, new_id=None):
     group = set(group)
     if not group:
         raise GraphValidationError("empty identification group")
-    unknown = group - set(g.nodes)
+    nodes = set(g.nodes)
+    unknown = group - nodes
     if unknown:
         raise GraphValidationError(f"unknown nodes {sorted(unknown)}")
     rep = new_id if new_id is not None else min(group)
-    if new_id is not None and new_id in set(g.nodes) - group:
+    if new_id is not None and new_id in nodes - group:
         raise GraphValidationError(f"new node id {new_id!r} collides with an existing node")
 
     def relabel(n):
         return rep if n in group else n
 
-    nodes = []
-    for n in g.nodes:
-        m = relabel(n)
-        if m not in nodes:
-            nodes.append(m)
+    # Intra-group edges are dropped; an edge touching no grouped node is kept, not copied.
     edges = tuple(
-        replace(e, tail=relabel(e.tail), head=relabel(e.head))
+        e if e.tail not in group and e.head not in group else Edge(e.id, relabel(e.tail), relabel(e.head), e.weight)
         for e in g.edges
-        if relabel(e.tail) != relabel(e.head)
+        if e.tail not in group or e.head not in group
     )
-    leaders = frozenset(relabel(n) for n in g.leaders)
-    sources = []
-    for s in g.sources:
-        m = relabel(s)
-        if m not in sources:
-            sources.append(m)
-    return replace(g, nodes=tuple(nodes), edges=edges, leaders=leaders, sources=tuple(sources))
+    nodes, sources = (tuple(dict.fromkeys(map(relabel, ns))) for ns in (g.nodes, g.sources))
+    return replace(g, nodes=nodes, edges=edges, leaders=frozenset(map(relabel, g.leaders)), sources=sources)
 
 
 def ground_leaders(g, sink_id="l"):

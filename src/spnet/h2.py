@@ -1,17 +1,18 @@
 """H2 performance of leader-follower consensus networks.
 
-Three routes to the squared norm: the exact compositional value read off a
-decomposition tree per source (half the trace of the root effective
-resistance), a scalar compositional upper bound that folds scalar
-series/parallel rules over the tree, and a dense oracle that solves the
-Dirichlet system directly and works on any connected graph, SP or not.
+Three routes to the squared norm: the exact compositional value from one
+reduction shared by all sources (half the trace of each source's root
+effective resistance), a scalar compositional upper bound that folds
+scalar series/parallel rules over each source's tree, and a dense oracle
+solving the Dirichlet system directly on any connected graph, SP or not.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
 (S, m, k, k) stack ``q`` of voltage drops, ``q[c, j] = Y_tail - Y_head`` of
 edge ``g.edges[j]`` in its stored orientation under the c-th source of
-``h2``'s keys. ``CompositionalProvider`` solves each source tree once;
-``dense_provider`` solves the Dirichlet system once for all sources.
+``h2``'s keys. ``CompositionalProvider`` sweeps one shared series-parallel
+reduction for all sources; ``dense_provider`` solves the Dirichlet system
+once for all sources.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from . import electrical, matlin
 from .errors import GraphValidationError
 from .graph import dirichlet_laplacian, ground_leaders
-from .sptree import Series, fold, index_tree, recognize
+from .sptree import Series, fold, index_tree, reduce_sources
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,35 @@ def h2_scalar_bound(t):
     )
 
 
-def source_trees(g):
-    """Ground the leaders and decompose the quotient from every source.
-
-    Returns (trees keyed by source id, grounded graph, sink id). Raises
-    NotSeriesParallelError if the grounded graph is not TTSP from some
-    source.
-    """
+def _reduced(g):
+    """(grounded graph, sink id, its ``ArcProgram`` from every source to the sink)."""
     gg, sink = ground_leaders(g)
     if not gg.sources:
         raise GraphValidationError("graph has no source nodes")
-    trees = {s: recognize(gg, s, sink) for s in gg.sources}
-    return trees, gg, sink
+    return gg, sink, reduce_sources(gg, gg.sources, sink)
+
+
+def source_trees(g):
+    """Ground the leaders and decompose the quotient from every source.
+
+    Returns (trees keyed by source id, grounded graph, sink id), all from one
+    shared reduction. Raises NotSeriesParallelError if the grounded graph is
+    not TTSP from some source.
+    """
+    gg, sink, program = _reduced(g)
+    return {s: program.tree(s) for s in gg.sources}, gg, sink
 
 
 def compositional_h2(g, method="exact"):
-    """Compositional squared norm of a consensus network (exact or bound)."""
-    trees, _, _ = source_trees(g)
+    """Compositional squared norm of a consensus network (exact or bound).
+    Exact is one shared reduction and one resistance sweep: H2^2(s) = tr R_root(s) / 2."""
     if method == "exact":
-        return h2_exact_aittsp(trees)
+        gg, _, program = _reduced(g)
+        roots = electrical.root_resistances(program, electrical.leaf_resistances([e.weight for e in gg.edges]))
+        per_source = {s: 0.5 * float(np.trace(r)) for s, r in zip(program.own, roots)}
+        return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
     if method == "bound":
+        trees, _, _ = source_trees(g)
         per_source = {s: h2_scalar_bound(t) for s, t in trees.items()}
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
     raise ValueError(f"unknown compositional method {method!r}")
@@ -154,37 +164,30 @@ def dense_provider(g, voltages=None):
 
 
 class CompositionalProvider:
-    """Voltage provider backed by one electrical solve per source tree.
-
-    Trees are recognized once (or passed in as ``source_trees(g)``) and
-    compiled once, each leaf pointing at its edge's position in ``g.edges``;
-    each call takes the weights from a graph with the same edges in the
-    same order (a ValueError otherwise) and inverts them all in one batch.
+    """Voltage provider backed by one shared series-parallel reduction, made
+    here; each call takes the weights from a graph with the same edges in the
+    same order (a ValueError otherwise) and runs ``electrical.solve_sources``.
+    Edges that grounding drops (leader-leader edges) get Q = 0.
     """
 
-    def __init__(self, g, recognized=None):
-        self.trees, gg, _ = source_trees(g) if recognized is None else recognized
+    def __init__(self, g):
+        gg, _, self.program = _reduced(g)
         self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
         rows = {eid: i for i, eid in enumerate(self.edge_ids)}
-        tails = {e.id: e.tail for e in gg.edges}
-        self.compiled = {
-            s: electrical.compile_tree(electrical.index_tree(t), rows, tails) for s, t in self.trees.items()
-        }
+        self.rows = [rows[e.id] for e in gg.edges]  # g.edges row of each grounded edge
 
     def solutions(self, g):
-        """Electrical solution of every source tree under ``g``'s weights."""
+        """``electrical.SourceSweeps`` of every source under ``g``'s weights."""
         if tuple(e.id for e in g.edges) != self.edge_ids:
-            raise ValueError("graph edges differ from the ones the trees were compiled for")
-        leaf_r = electrical.leaf_resistances([e.weight for e in g.edges])
-        return {s: electrical.solve_compiled(tree, leaf_r, source=s) for s, tree in self.compiled.items()}
+            raise ValueError("graph edges differ from the ones the reduction was made for")
+        leaf_r = electrical.leaf_resistances([g.edges[j].weight for j in self.rows])
+        return electrical.solve_sources(self.program, leaf_r)
 
     def read(self, solutions):
-        """(h2, q) from the solutions; one gather of leaf voltages per tree."""
-        h2 = {s: 0.5 * float(np.trace(sol.resistance[0])) for s, sol in solutions.items()}
-        q = np.zeros((len(solutions), len(self.edge_ids), self.k, self.k))
-        for c, sol in enumerate(solutions.values()):
-            t, leaves = sol.tree, sol.tree.leaf_edge >= 0
-            q[c, t.leaf_edge[leaves]] = t.leaf_sign[leaves, None, None] * sol.voltage[leaves]
+        """(h2, q) from the sweeps: leaf voltages scattered into ``g.edges`` order."""
+        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.own, solutions.roots)}
+        q = np.zeros((len(h2), len(self.edge_ids), self.k, self.k))
+        q.swapaxes(0, 1)[self.rows] = solutions.voltage
         return h2, q
 
     def __call__(self, g):

@@ -29,16 +29,19 @@ def is_symmetric(m, rtol=SYM_RTOL):
     return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > rtol * np.abs(m).max(axis=(-2, -1)))
 
 
-def as_symmetric(m, rtol=SYM_RTOL):
+def as_symmetric(m, rtol=SYM_RTOL, describe=None):
     """Validate that ``m`` is square, small and symmetric (``is_symmetric``);
-    return it symmetrized. ``m`` is one matrix or an (n, k, k) stack."""
+    return it symmetrized. ``m`` is one matrix or an (n, k, k) stack; the
+    error names the first asymmetric one as ``describe(its index)`` if given."""
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
-    if not is_symmetric(m, rtol).all():
-        raise ValueError("matrix is not symmetric within tolerance")
+    ok = is_symmetric(m, rtol)
+    if not ok.all():
+        what = "matrix" if describe is None else describe(int(np.argmin(ok)))
+        raise ValueError(f"{what} is not symmetric within tolerance")
     return symmetrize(m)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import matlin
 from .errors import NotSeriesParallelError, ProjectionError
 from .graph import attachment_edge_ids
-from .h2 import CompositionalProvider, dense_provider
+from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,8 @@ class OptConfig:
         bad = np.flatnonzero(~matlin.is_spd(lo))
         if bad.size:
             raise ValueError(f"lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
-        gap = np.linalg.eigvalsh(matlin.as_symmetric(up) - matlin.symmetrize(lo)).min(axis=-1)
+        up = matlin.as_symmetric(up, describe=lambda i: f"upper bound for edge {ids[i]!r}")
+        gap = np.linalg.eigvalsh(up - matlin.symmetrize(lo)).min(axis=-1)
         bad = np.flatnonzero(~(gap >= -matlin.BOX_TOL))
         if bad.size:
             raise ValueError(f"bounds for edge {ids[bad[0]]!r} are infeasible")
@@ -111,10 +112,10 @@ def penalty_term(g, h):
 
 
 def objective(g, h, voltage_mode="dense"):
-    """Regularized objective: squared H2 norm plus (h/2) sum_e ||W_e||_F^2."""
-    provider = dense_provider if voltage_mode == "dense" else CompositionalProvider(g)
-    per_source, _ = provider(g)
-    return sum(per_source.values()) + penalty_term(g, h)
+    """Regularized objective: squared H2 norm plus (h/2) sum_e ||W_e||_F^2.
+    It needs no voltage drops, so the compositional mode is one resistance sweep."""
+    report = dense_h2(g) if voltage_mode == "dense" else compositional_h2(g)
+    return report.total + penalty_term(g, h)
 
 
 def pgd_step(weights, grads, t, cfg):

@@ -8,7 +8,7 @@ was decomposed.
 """
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,42 +167,89 @@ def realize(t):
 
 
 def recognize(g, source, sink):
-    """Decompose a connected two-terminal multigraph into an SpTree.
+    """Decompose a connected two-terminal multigraph into an SpTree: the
+    reduction engine with ``source`` and ``sink`` as its only terminals, then
+    one explicit-stack pass that builds the tree, in which every leaf's tail
+    -> head follows the flow from source to sink."""
+    return reduce_sources(g, (source,), sink).tree(source)
 
-    Worklist reduction (Valdes, Tarjan & Lawler 1982): a FIFO holds
-    candidate nodes (non-terminal, degree 2) and candidate endpoint pairs
-    (more than one arc); a dict from unordered endpoint pair to its arcs
-    finds parallel merges in O(1). Contracting a node into a Series arc
-    only re-queues the pair it lands on, and merging a pair into Parallel
-    arcs only re-queues its two endpoints, so the reduction is O(m)
-    amortized. Each join records one orientation bit per child (set when
-    the child is used against its stored direction) instead of copying a
-    flipped subtree; one explicit-stack pass then builds the tree, in
-    which every leaf's tail -> head follows the flow from source to sink.
 
-    The result is deterministic: reading ``g.edges`` in order queues each
-    pair as it gains its second arc (as do new arcs later), then the
-    candidate nodes are queued in ``g.nodes`` order; a merge pushes its
-    endpoints in (tail, head) order of the merged arc; a contraction at a
-    node lets flow run p -> node -> q through its lower-id arc first;
-    bundles merge in ascending arc id. No set of node ids decides any
-    order. Raises NotSeriesParallelError if
-    the reduction stalls or ends on a non-terminal pair.
+@dataclass(frozen=True, eq=False)
+class ArcProgram:
+    """Series-parallel reductions of one graph from several sources to one
+    sink as flat join records (kind, a, a flipped, b, b flipped).
+
+    Arcs 0..m-1 are the ``edges``; shared join i is arc m + i, so creation
+    order is bottom-up. ``own[s]`` is (joins, root, reversed) of source s:
+    the joins that finish its reduction on top of the shared ones (join j is
+    arc m + len(joins) + j), its root arc, and whether that runs sink -> s.
     """
-    if source not in g.nodes or sink not in g.nodes:
-        raise GraphValidationError("terminal is not a node of the graph")
-    if source == sink:
-        raise GraphValidationError("source and sink must differ")
 
+    edges: tuple
+    joins: list
+    own: dict
+
+    def tree(self, source):
+        """The source's Leaf/Series/Parallel tree, built without recursion."""
+        joins, root, reversed_ = self.own[source]
+        return _build(self.edges, self.joins + joins, root, reversed_)
+
+
+def reduce_sources(g, sources, sink):
+    """Reduce a multigraph once for several sources into an ``ArcProgram``:
+    one run with every source and the sink as terminals, valid for each source
+    alone since series-parallel reduction is confluent (Duffin 1965), then per
+    source a run over the few live arcs left with only it and the sink as
+    terminals. Raises NotSeriesParallelError at the first source whose
+    reduction stalls or ends on a non-terminal pair."""
     index = {n: i for i, n in enumerate(g.nodes)}
-    terminals = (index[source], index[sink])
-    m = len(g.edges)
-    # Arc aid runs tail[aid] -> head[aid]; arcs below m are the edges, the
-    # rest are joins (cls, a, a flipped, b, b flipped) stored at aid - m.
+    if sink not in index or any(s not in index for s in sources):
+        raise GraphValidationError("terminal is not a node of the graph")
+    if sink in sources:
+        raise GraphValidationError("source and sink must differ")
     tail = [index[e.tail] for e in g.edges]
     head = [index[e.head] for e in g.edges]
     joins = []
-    adj = [{} for _ in g.nodes]  # node -> its arcs, in ascending aid (dict as ordered set)
+    protected = {index[s] for s in sources} | {index[sink]}
+    live = sorted(_reduce(tail, head, joins, range(len(g.edges)), range(len(g.nodes)), protected))
+    skeleton = sorted({tail[aid] for aid in live} | {head[aid] for aid in live})
+    own = {}
+    for s in sources:
+        terminals = (index[s], index[sink])
+        own_tail, own_head, own_joins = tail[:], head[:], []
+        rest = _reduce(own_tail, own_head, own_joins, live, skeleton, terminals)
+        if len(rest) != 1:
+            raise NotSeriesParallelError(
+                f"reduction stalled with {len(rest)} edges; graph is not series-parallel between {s!r} and {sink!r}"
+            )
+        u, v = own_tail[rest[0]], own_head[rest[0]]
+        if sorted((u, v)) != sorted(terminals):
+            ends = f"{g.nodes[u]!r}-{g.nodes[v]!r}"
+            raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
+        own[s] = (own_joins, rest[0], u != terminals[0])
+    return ArcProgram(g.edges, joins, own)
+
+
+def _reduce(tail, head, joins, arcs, nodes, terminals):
+    """Series-parallel worklist reduction (Valdes, Tarjan & Lawler 1982) of
+    ``arcs`` that never contracts a node of ``terminals``; returns the live arcs.
+
+    Arc aid runs tail[aid] -> head[aid] (node indices). A FIFO holds candidate
+    nodes (non-terminal, degree 2) and endpoint pairs (more than one arc); a
+    dict from unordered endpoint pair to its arcs finds parallel merges in
+    O(1). A contraction re-queues only the pair it lands on and a merge only
+    its two endpoints, so the reduction is O(m) amortized. Each join appends
+    its arc to ``tail``/``head`` and its record (kind, a, a flipped, b, b
+    flipped) to ``joins``: one orientation bit per child, set when the child
+    is used against its stored direction, instead of a flipped copy.
+
+    Deterministic: reading ``arcs`` in order queues each pair as it gains its
+    second arc (as do new arcs later), then the candidate nodes in ``nodes``
+    order; a merge pushes its endpoints in (tail, head) order of the merged
+    arc; a contraction lets flow run p -> node -> q through its lower-id arc
+    first; bundles merge in ascending arc id. No set of node ids decides any order.
+    """
+    adj = defaultdict(dict)  # node -> its arcs, in ascending aid (dict as ordered set)
     bundles = {}  # (lower, higher node) -> its arcs, in ascending aid
     queue = deque()
 
@@ -231,9 +278,9 @@ def recognize(g, source, sink):
         if not bundle:
             del bundles[pair(aid)]
 
-    for aid in range(m):
+    for aid in arcs:
         link(aid)
-    queue.extend(i for i in range(len(g.nodes)) if len(adj[i]) == 2)
+    queue.extend(n for n in nodes if len(adj[n]) == 2)
 
     while queue:
         item = queue.popleft()
@@ -261,19 +308,7 @@ def recognize(g, source, sink):
             drop(b)
             add(p, q, (Series, a, tail[a] != p, b, tail[b] != item))
 
-    live = [aid for bundle in bundles.values() for aid in bundle]
-    if len(live) != 1:
-        raise NotSeriesParallelError(
-            f"reduction stalled with {len(live)} edges; graph is not "
-            f"series-parallel between {source!r} and {sink!r}"
-        )
-    (root,) = live
-    if pair(root) != tuple(sorted(terminals)):
-        raise NotSeriesParallelError(
-            f"reduction ended on edge {g.nodes[tail[root]]!r}-{g.nodes[head[root]]!r}, "
-            "not on the terminal pair"
-        )
-    return _build(g.edges, joins, root, tail[root] != terminals[0])
+    return [aid for bundle in bundles.values() for aid in bundle]
 
 
 def _build(edges, joins, root, flipped):

@@ -195,6 +195,27 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err
 
+    def test_asymmetric_weight_names_file_and_edge(self, capsys, tmp_path):
+        data = json.loads(Path(DEMO).read_text())
+        edge = data["edges"][3]
+        edge["weight"][0][1] += 1e-3
+        bad = tmp_path / "asym.json"
+        bad.write_text(json.dumps(data))
+        assert run(["h2", "--graph", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: edge {edge['id']!r} weight is not symmetric within tolerance\n"
+
+    def test_asymmetric_upper_bound_names_file_and_edge(self, capsys, tmp_path):
+        config = json.loads((DATA / "demo_config.json").read_text())
+        eid = sorted(config["bounds"])[1]
+        config["bounds"][eid]["U"][0][1] += 1e-3
+        bad = tmp_path / "asym_config.json"
+        bad.write_text(json.dumps(config))
+        argv = ["optimize", "--graph", DEMO, "--config", str(bad), "--out", str(tmp_path / "t.csv")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: upper bound for edge {eid!r} is not symmetric within tolerance\n"
+
     def test_missing_file(self, capsys):
         assert run(["h2", "--graph", "/no/such/file.json"]) == 1
 

@@ -1,6 +1,6 @@
-"""Compiled decomposition trees: agreement with the dense oracle, one index
-per compiled tree, the batched parallel-voltage guard, and trees deep enough
-to defeat recursion through the tree walkers and every command."""
+"""The shared arc program: agreement with the dense oracle, one reduction
+per provider, the parallel-voltage guards, and trees deep enough to defeat
+recursion through the tree walkers and every command."""
 
 import json
 from dataclasses import replace
@@ -12,6 +12,7 @@ import pytest
 import spnet
 from helpers import random_aittsp, random_sptree
 from spnet import electrical
+from spnet import h2 as h2_module
 from spnet.cli import _emit, run
 from spnet.fileio import json_chunks
 from spnet.graph import ground_leaders
@@ -25,7 +26,18 @@ from spnet.h2 import (
     h2_scalar_bound,
 )
 from spnet.optimize import edge_gradients
-from spnet.sptree import Leaf, Series, check_height_bounds, from_json, leaf, parallel, realize, stats, to_json
+from spnet.sptree import (
+    Leaf,
+    Series,
+    check_height_bounds,
+    from_json,
+    leaf,
+    leaves,
+    parallel,
+    realize,
+    stats,
+    to_json,
+)
 from test_recognize import ladder
 
 DEMO = str(Path(spnet.__file__).parent / "data" / "demo_graph.json")
@@ -68,13 +80,18 @@ class TestQStack:
                 assert q.shape == (len(g.sources), len(g.edges), k, k)
             _, comp_q = provider.read(solutions)
             _, dense_q = dense_provider(g)
-            for c, (s, sol) in enumerate(solutions.items()):
-                y = dense_voltages(g, s)
-                for j, e in enumerate(g.edges):
-                    leaf = sol.tree.leaf_index[e.id]
-                    signs.add(sol.tree.leaf_sign[leaf])
-                    np.testing.assert_array_equal(comp_q[c, j], sol.tree.leaf_sign[leaf] * sol.voltage[leaf])
-                    np.testing.assert_allclose(dense_q[c, j], y[e.tail] - y[e.head], rtol=1e-12, atol=1e-15)
+            gg, _ = ground_leaders(g)
+            arc = {e.id: a for a, e in enumerate(gg.edges)}
+            column = {e.id: j for j, e in enumerate(g.edges)}
+            for c, s in enumerate(g.sources):
+                y = dense_voltages(gg, s)
+                for lf in leaves(provider.program.tree(s)):
+                    j = column[lf.edge]
+                    # Net sign of the arc in the source's tree: +1 where the flow runs tail -> head.
+                    sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
+                    signs.add(sign)
+                    np.testing.assert_array_equal(comp_q[c, j], solutions.voltage[arc[lf.edge], c])
+                    np.testing.assert_allclose(sign * dense_q[c, j], y[lf.tail] - y[lf.head], rtol=1e-12, atol=1e-15)
                     # No sign freedom between the providers.
                     assert rel_err(comp_q[c, j], dense_q[c, j]) <= 1e-9
         assert signs == {1.0, -1.0}
@@ -102,17 +119,20 @@ class TestCompiledProvider:
         assert len(g.edges) >= 1000
         assert_matches_dense(g, per_edge=False)
 
-    def test_each_tree_indexed_once(self, rng, monkeypatch):
-        calls = []
-        index = electrical.index_tree
-        monkeypatch.setattr(electrical, "index_tree", lambda t: calls.append(t) or index(t))
+    def test_one_reduction_per_construction(self, rng, monkeypatch):
+        calls, indexed = [], []
+        reduce_sources = h2_module.reduce_sources
+        monkeypatch.setattr(h2_module, "reduce_sources", lambda *a: calls.append(a) or reduce_sources(*a))
+        monkeypatch.setattr(electrical, "index_tree", lambda t: indexed.append(t))
         g = random_aittsp(rng, 2, 3)
         provider = CompositionalProvider(g)
-        assert calls == list(provider.trees.values())
+        assert len(calls) == 1
         provider(g)
-        assert len(calls) == len(g.sources)
+        provider(g)
+        assert len(calls) == 1
         compositional_h2(g)
-        assert len(calls) == 2 * len(g.sources)
+        assert len(calls) == 2
+        assert indexed == []
 
     def test_edges_must_match_compiled_order(self, rng):
         g = random_aittsp(rng, 2, 3)
@@ -122,19 +142,32 @@ class TestCompiledProvider:
                 provider(replace(g, edges=edges))
 
     def test_leaf_signs_follow_stored_orientation(self, rng):
+        # Each source's arc currents, in stored orientation, are its tree's
+        # leaf currents times the leaf's net sign.
         g = random_aittsp(rng, 2, 4)
         provider = CompositionalProvider(g)
-        tails = {e.id: e.tail for e in ground_leaders(g)[0].edges}
+        sweeps = provider.solutions(g)
+        gg, _ = ground_leaders(g)
+        assert [g.edges[j].id for j in provider.rows] == [e.id for e in gg.edges]
+        arc = {e.id: a for a, e in enumerate(gg.edges)}
         signs = set()
-        for s, t in provider.trees.items():
-            tree = provider.compiled[s]
-            leaves = [node for node, li, _ in electrical.index_tree(t) if li < 0]
-            assert list(tree.leaf_index) == [lf.edge for lf in leaves]
-            for lf, i in zip(leaves, tree.leaf_index.values()):
-                assert g.edges[tree.leaf_edge[i]].id == lf.edge
-                assert tree.leaf_sign[i] == (1.0 if lf.tail == tails[lf.edge] else -1.0)
-                signs.add(tree.leaf_sign[i])
+        for c, s in enumerate(provider.program.own):
+            tree = provider.program.tree(s)
+            sol = electrical.solve_tree(tree)
+            for lf, cur in zip(leaves(tree), sol.current[list(sol.leaf_index.values())]):
+                sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
+                np.testing.assert_allclose(sweeps.current[arc[lf.edge], c], sign * cur, rtol=1e-12, atol=1e-15)
+                signs.add(sign)
         assert signs == {1.0, -1.0}
+
+    def test_parallel_guard_stops_a_bad_split(self, rng, monkeypatch):
+        # A split that breaks R_a X_a = R_b X_b must stop the call.
+        g = random_aittsp(rng, 2, 3, leaves_per_link=6)
+        provider = CompositionalProvider(g)
+        split = electrical._split
+        monkeypatch.setattr(electrical, "_split", lambda r1, r2: split(r1, r2) * np.array([1.01, 1.0])[:, None, None])
+        with pytest.raises(ValueError, match="parallel children voltages disagree at join arc"):
+            provider(g)
 
 
 class TestVoltageGuard:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,47 @@ class TestIdentifyNodes:
     def test_unknown_node(self):
         with pytest.raises(GraphValidationError):
             identify_nodes(grounded_path3(), ["nope"])
+
+    @staticmethod
+    def reference(g, group, new_id=None):
+        """The quadratic version this one replaced: list dedupe, every edge copied."""
+        group = set(group)
+        rep = new_id if new_id is not None else min(group)
+
+        def relabel(n):
+            return rep if n in group else n
+
+        nodes, sources = [], []
+        for n in g.nodes:
+            if relabel(n) not in nodes:
+                nodes.append(relabel(n))
+        for n in g.sources:
+            if relabel(n) not in sources:
+                sources.append(relabel(n))
+        edges = tuple(
+            replace(e, tail=relabel(e.tail), head=relabel(e.head))
+            for e in g.edges
+            if relabel(e.tail) != relabel(e.head)
+        )
+        leaders = frozenset(relabel(n) for n in g.leaders)
+        return replace(g, nodes=tuple(nodes), edges=edges, leaders=leaders, sources=tuple(sources))
+
+    def test_matches_reference(self, rng):
+        for _ in range(30):
+            g = random_aittsp(rng, int(rng.integers(1, 3)), int(rng.integers(1, 6)))
+            nodes = list(g.nodes)
+            size = int(rng.integers(1, min(5, len(nodes)) + 1))
+            groups = [list(g.leaders), [nodes[i] for i in rng.choice(len(nodes), size, replace=False)]]
+            for group in groups:
+                for new_id in (None, "l"):
+                    if new_id in set(g.nodes) - set(group):
+                        continue
+                    got, want = identify_nodes(g, group, new_id), self.reference(g, group, new_id)
+                    assert (got.nodes, got.leaders, got.sources) == (want.nodes, want.leaders, want.sources)
+                    assert [(e.id, e.tail, e.head) for e in got.edges] == [(e.id, e.tail, e.head) for e in want.edges]
+                    assert all(a.weight is b.weight for a, b in zip(got.edges, want.edges))
+                    untouched = [e for e in g.edges if not {e.tail, e.head} & set(group)]
+                    assert all(e in got.edges for e in untouched)  # kept, not copied
 
 
 class TestGroundLeaders:

@@ -164,7 +164,7 @@ class TestVoltageProviders:
             comp = CompositionalProvider(g)
             tails = {e.id: e.tail for e in ground_leaders(g)[0].edges}
             reversed_leaves += sum(
-                lf.tail != tails[lf.edge] for t in comp.trees.values() for lf in leaves(t)
+                lf.tail != tails[lf.edge] for s in comp.program.own for lf in leaves(comp.program.tree(s))
             )
             comp_h2, comp_q = comp(g)
             dense_h2_sq, dense_q = dense_provider(g)

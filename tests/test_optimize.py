@@ -99,6 +99,20 @@ class TestObjective:
             objective(g, 0.1, "compositional"), rel=1e-9
         )
 
+    def test_one_reduction_and_no_current_sweep(self, rng, monkeypatch):
+        counts = {"reduce_sources": 0, "current_sweep": 0}
+        for module, name in ((h2, "reduce_sources"), (electrical, "current_sweep")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        g = random_aittsp(rng, 2, 3)
+        value = objective(g, 0.3, "compositional")
+        assert counts == {"reduce_sources": 1, "current_sweep": 0}
+        assert value == pytest.approx(objective(g, 0.3, "dense"), rel=1e-9)
+
 
 class TestConfig:
     def test_nonpositive_penalty(self):
@@ -265,8 +279,8 @@ class TestOptimizeWeights:
 class TestSolvesPerIterate:
     @pytest.mark.parametrize("mode", ["compositional", "dense"])
     def test_one_provider_pass_per_iterate(self, rng, monkeypatch, mode):
-        calls = {"solve_compiled": 0, "dirichlet_laplacian": 0}
-        for module, name in ((electrical, "solve_compiled"), (h2, "dirichlet_laplacian")):
+        calls = {"solve_sources": 0, "dirichlet_laplacian": 0}
+        for module, name in ((electrical, "solve_sources"), (h2, "dirichlet_laplacian")):
 
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -278,9 +292,9 @@ class TestSolvesPerIterate:
         iterates = len(optimize_weights(g, cfg).records)
         assert iterates == 5
         if mode == "compositional":
-            expected = {"solve_compiled": len(g.sources) * iterates, "dirichlet_laplacian": 0}
+            expected = {"solve_sources": iterates, "dirichlet_laplacian": 0}
         else:
-            expected = {"solve_compiled": 0, "dirichlet_laplacian": iterates}
+            expected = {"solve_sources": 0, "dirichlet_laplacian": iterates}
         assert calls == expected
 
 

@@ -104,7 +104,7 @@ class TestRandomSeriesParallel:
             assert terminals(t2) == (src, snk)
             # Stored-orientation Q from the recognized tree must equal the
             # dense node-voltage drops exactly, sign included.
-            _, comp_q = CompositionalProvider(g, ({src: t2}, g, snk))(g)
+            _, comp_q = CompositionalProvider(g)(g)
             _, dense_q = dense_provider(g)
             assert comp_q.shape == dense_q.shape == (1, len(g.edges), k, k)
             for got, q in zip(comp_q[0], dense_q[0]):
