@@ -15,6 +15,8 @@ MAX_DIM = 16
 
 SYM_RTOL = 1e-12
 BOX_TOL = 1e-12  # a box [L, U] is non-empty iff min eig(U - L) >= -BOX_TOL
+ANDERSON_DEPTH = 5  # differences of Dykstra-map outputs project_box keeps per row
+ANDERSON_RIDGE = 1e-12  # Tikhonov term of its least-squares problem, relative to the Gram trace
 
 
 def symmetrize(m):
@@ -112,6 +114,15 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     {Y >= L} and {Y <= U}, each realized by eigenvalue clipping, until the
     Frobenius change between successive iterates drops below ``tol``.
 
+    The Dykstra map T on each row's state s = (y, p, q) is Anderson-
+    accelerated (Walker & Ni 2011; see ``_Anderson``): from the third
+    iteration on, a row's next state is an affine combination of its last
+    outputs of T, not the newest one alone. Every output of T keeps
+    Dykstra's invariant y + p + q = X, so the combination does too, and any
+    fixed point is the Frobenius projection onto the box. Y is always the y
+    of an output of T, so Y <= U holds exactly, and a row that stops within
+    two iterations returns exactly what plain Dykstra returns.
+
     An (n, k, k) stack is projected row by row in one batched loop; each row
     stops at the iteration its one-matrix call would. Returns ``(Y,
     converged)``: ``converged`` is one bool, false if any row missed the stop
@@ -123,17 +134,85 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
         raise InfeasibleBoundsError("empty Loewner box: L is not below U")
 
     shape = x.shape
-    y, lower, upper = (m.reshape(-1, *shape[-2:]) for m in (x.copy(), lower, upper))
-    p = np.zeros_like(y)
-    q = np.zeros_like(y)
-    rows = np.arange(len(y))  # the rows still iterating
-    for _ in range(max_iter):
-        lo, up, y_prev, p_r, q_r = lower[rows], upper[rows], y[rows], p[rows], q[rows]
-        z = lo + psd_part(y_prev + p_r - lo)
-        p[rows] = y_prev + p_r - z
-        y[rows] = y_r = up - psd_part(up - (z + q_r))
-        q[rows] = z + q_r - y_r
-        rows = rows[~(np.linalg.norm(y_r - y_prev, axis=(-2, -1)) < tol)]
-        if not len(rows):
-            return y.reshape(shape), True
-    return y.reshape(shape), False
+    lo, up = (m.reshape(-1, *shape[-2:]) for m in (lower, upper))
+    x = x.reshape(lo.shape)
+    y_out = x.copy()
+    s = np.zeros((len(x), 3, *shape[-2:]))  # the live rows' states (y, p, q)
+    s[:, 0] = x
+    rows = np.arange(len(x))  # the rows still iterating
+    history = None  # made once some row outlives its second iteration
+    for it in range(max_iter):
+        y, p, q = s[:, 0], s[:, 1], s[:, 2]
+        t = np.empty_like(s)  # T(s)
+        z = lo + psd_part(y + p - lo)
+        t[:, 1] = y + p - z
+        t[:, 0] = y_t = up - psd_part(up - (z + q))
+        t[:, 2] = z + q - y_t
+        live = ~(np.linalg.norm(y_t - y_out[rows], axis=(-2, -1)) < tol)
+        y_out[rows] = y_t
+        if not live.all():
+            if not live.any():
+                return y_out.reshape(shape), True
+            rows, lo, up, s, t = rows[live], lo[live], up[live], s[live], t[live]
+            if history is not None:
+                history.keep(live)
+        if it == 0:
+            s = t
+            continue
+        n = len(t)
+        if history is None:  # T's first output is s; its residual is s - (X, 0, 0)
+            f = s.copy()
+            f[:, 0] -= x[rows]
+            history = _Anderson(s.reshape(n, -1), f.reshape(n, -1))
+        s = history.extrapolate(t.reshape(n, -1), (t - s).reshape(n, -1)).reshape(t.shape)
+    return y_out.reshape(shape), False
+
+
+class _Anderson:
+    """Anderson-acceleration history of the live rows of one ``project_box``
+    call (type II; Walker & Ni 2011, with the restart safeguard of Zhang,
+    O'Donoghue & Boyd 2020).
+
+    Each row keeps the differences between its successive outputs t of the
+    Dykstra map and between their residuals f = t - s, ``ANDERSON_DEPTH`` of
+    each in a ring shared by all rows, with their Gram matrix. A row uses
+    only its ``valid`` newest slots: when its residual norm grows, it drops
+    them all and takes the plain Dykstra step once.
+    """
+
+    def __init__(self, t, f):
+        n, size = f.shape
+        self.t, self.f, self.f_norm = t, f, np.linalg.norm(f, axis=1)
+        self.dt = np.zeros((n, ANDERSON_DEPTH, size))
+        self.df = np.zeros_like(self.dt)
+        self.gram = np.zeros((n, ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.valid = np.zeros(n, dtype=int)
+        self.taken = 0  # differences taken; the newest sits in slot (taken - 1) % depth
+
+    def keep(self, live):
+        """Drop the rows that stopped."""
+        for name in ("t", "f", "f_norm", "dt", "df", "gram", "valid"):
+            setattr(self, name, getattr(self, name)[live])
+
+    def extrapolate(self, t, f):
+        """Record outputs ``t`` of T with residuals ``f`` (one flat row each)
+        and return the next states: t minus the combination of T-output
+        differences whose residual differences best cancel f."""
+        j = self.taken % ANDERSON_DEPTH
+        self.taken += 1
+        f_norm = np.linalg.norm(f, axis=1)
+        self.dt[:, j] = t - self.t
+        self.df[:, j] = f - self.f
+        self.valid = np.where(f_norm > self.f_norm, 0, np.minimum(self.valid + 1, ANDERSON_DEPTH))
+        self.t, self.f, self.f_norm = t, f, f_norm
+        self.gram[:, j] = self.gram[:, :, j] = (self.df @ self.df[:, j, :, None])[..., 0]
+        rhs = (self.df @ f[..., None])[..., 0]
+
+        slots = np.arange(ANDERSON_DEPTH)
+        use = (j - slots) % ANDERSON_DEPTH < self.valid[:, None]
+        a = np.where(use[:, :, None] & use[:, None, :], self.gram, 0.0)
+        # tiny keeps the solve regular when every used difference is zero
+        ridge = ANDERSON_RIDGE * np.einsum("nii->n", a) + np.finfo(float).tiny
+        a[:, slots, slots] += np.where(use, ridge[:, None], 1.0)  # unused slots get weight 0
+        gamma = np.linalg.solve(a, np.where(use, rhs, 0.0)[..., None])
+        return t - (gamma.swapaxes(1, 2) @ self.dt)[:, 0]

@@ -108,7 +108,9 @@ def edge_gradients(q):
 
 
 def penalty_term(g, h):
-    return 0.5 * h * sum(float(np.trace(e.weight.T @ e.weight)) for e in g.edges)
+    """(h/2) sum_e ||W_e||_F^2, one sum of squares over the weight stack."""
+    w = np.array([e.weight for e in g.edges])
+    return 0.5 * h * float(np.vdot(w, w))
 
 
 def objective(g, h, voltage_mode="dense"):
@@ -166,14 +168,12 @@ def optimize_weights(g, cfg):
 
     def record(iteration):
         per_source, q = provider(current)
-        grad = edge_gradients(q)
-        grads = dict(zip(free, grad[rows]))
+        grad = edge_gradients(q)[rows]
+        grads = dict(zip(free, grad))
         h2_sq = sum(per_source.values())
         pen = penalty_term(current, cfg.penalty_h)
-        gnorm = sum(
-            float(np.linalg.norm(grads[eid] + cfg.penalty_h * weights[eid], "fro"))
-            for eid in free
-        )
+        reg = grad + cfg.penalty_h * np.reshape(list(weights.values()), grad.shape)
+        gnorm = float(np.linalg.norm(reg, axis=(1, 2)).sum())
         traj.records.append(
             IterationRecord(
                 iteration=iteration,

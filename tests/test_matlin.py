@@ -245,6 +245,72 @@ class TestProjectBoxStack:
                 matlin.project_box(lo, lo, up)
 
 
+def plain_dykstra(x, lo, up, tol=1e-10, max_iter=500):
+    """Plain Dykstra, the loop ``project_box`` accelerates, with the same
+    arithmetic and stop rule: (Y, iterations taken). Works on one matrix or
+    an (n, k, k) stack; a stack stops only when every row would."""
+    y, p, q = x, np.zeros_like(x), np.zeros_like(x)
+    for it in range(1, max_iter + 1):
+        z = lo + matlin.psd_part(y + p - lo)
+        p = y + p - z
+        y_prev, y = y, up - matlin.psd_part(up - (z + q))
+        q = z + q - y
+        if (np.linalg.norm(y - y_prev, axis=(-2, -1)) < tol).all():
+            break
+    return y, it
+
+
+def tight_boxes(rng, n, k):
+    """(X, L, U) stacks with eig(U - L) in [0.01, 0.2] and X the box midpoint
+    plus symmetric noise: the boxes on which plain Dykstra is slowest."""
+    lo = np.array([random_spd(rng, k, 0.5, 2.0) for _ in range(n)])
+    up = lo + np.array([random_spd(rng, k, 0.01, 0.2) for _ in range(n)])
+    d = rng.standard_normal((n, k, k))
+    return 0.5 * (lo + up) + 0.5 * (d + d.swapaxes(1, 2)), lo, up
+
+
+class TestAcceleratedProjection:
+    @pytest.mark.parametrize("k, n", [(4, 4), (16, 1)])
+    def test_matches_long_plain_dykstra(self, rng, k, n):
+        x, lo, up = tight_boxes(rng, n, k)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok
+        want, _ = plain_dykstra(x, lo, up, tol=0.0, max_iter=5000)
+        for row, ref, a, b in zip(y, want, lo, up):
+            assert np.abs(row - ref).max() <= 1e-8 * np.abs(ref).max()
+            assert matlin.loewner_leq(a, row, tol=1e-9)
+            assert matlin.loewner_leq(row, b, tol=1e-9)
+
+    def test_tight_boxes_all_converge(self, rng):
+        x, lo, up = tight_boxes(rng, 200, 4)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok is True
+        gaps = np.concatenate([np.linalg.eigvalsh(y - lo), np.linalg.eigvalsh(up - y)], axis=1)
+        assert gaps.min() >= -1e-9
+
+    def test_fewer_clips_than_plain_dykstra(self, rng, monkeypatch):
+        x, lo, up = tight_boxes(rng, 3, 16)
+        plain = sum(plain_dykstra(*args)[1] for args in zip(x, lo, up))
+        accelerated = sum(TestProjectBoxStack.iterations(monkeypatch, *args) for args in zip(x, lo, up))
+        assert accelerated < 0.5 * plain
+
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_rows_stopping_within_two_iterations_are_plain_dykstra(self, rng, k):
+        # Wide boxes holding X stop after one iteration; wide boxes with X
+        # just above U after two; tight boxes run on with extrapolation.
+        x, lo, up = box_stack(rng, 9, k)
+        x[3::3] = up[3::3] + random_spd(rng, k, 0.1, 0.2)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok
+        iters = []
+        for row, args in zip(y, zip(x, lo, up)):
+            want, it = plain_dykstra(*args)
+            iters.append(it)
+            if it <= 2:
+                np.testing.assert_array_equal(row, want)
+        assert {1, 2} <= set(iters) and max(iters) > 2
+
+
 class TestSymmetricStack:
     def test_stack_matches_one_matrix_calls(self, rng):
         m = np.array([random_spd(rng, 3) for _ in range(4)])
