@@ -21,15 +21,9 @@ from .fileio import (
     write_trajectory_csv,
 )
 from .graph import ground_leaders, validate_consensus
-from .h2 import (
-    CompositionalProvider,
-    compositional_h2,
-    dense_h2,
-    dense_provider,
-    dense_solve,
-)
+from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
 from .optimize import edge_gradients, optimize_weights
-from .sptree import Parallel, recognize, to_json
+from .sptree import recognize, to_json
 
 
 def _emit(data, out_path):
@@ -107,41 +101,40 @@ def _rel_err(a, b, block_ndim=2):
     return float(np.max(np.abs(a - b).max(axis=axes) / scale, initial=0.0))
 
 
-def _flow_errors(joins, cur, base):
-    """Flow conservation at every join (``joins[i]`` is arc base + i), each
-    child's current taken in the join's direction: series children carry the
-    join's current, parallel children sum to it."""
-    errors = []
-    for i, (kind, a, fa, b, fb) in enumerate(joins):
-        ca, cb = -cur[a] if fa else cur[a], -cur[b] if fb else cur[b]
-        flows = [(ca + cb, cur[base + i])] if kind is Parallel else [(ca, cur[base + i]), (cb, cur[base + i])]
-        errors += [_rel_err(x, y) for x, y in flows]
-    return errors
+def _kirchhoff(g, q):
+    """(Net current sum_e +-W_e Q_e leaving each follower along its edges,
+    what Kirchhoff's current law asks there: +I at the source, 0 elsewhere),
+    each (S, followers, k, k), from a provider's Q stack."""
+    pos = {node: i for i, node in enumerate(g.nodes)}
+    flows = np.array([e.weight for e in g.edges]) @ q
+    net, want = np.zeros((2, len(q), len(g.nodes), g.k, g.k))
+    np.add.at(net, (slice(None), [pos[e.tail] for e in g.edges]), flows)
+    np.subtract.at(net, (slice(None), [pos[e.head] for e in g.edges]), flows)
+    want[range(len(q)), [pos[s] for s in g.sources]] = np.eye(g.k)
+    followers = [pos[node] for node in g.nodes if node not in g.leaders]
+    return net[:, followers], want[:, followers]
+
+
+def _energies(g, q):
+    """Energy sum_e Q_e^T W_e Q_e of each source, (S, k, k); by Tellegen's
+    theorem it is the source's own block Y_s^s, its root resistance."""
+    return (q.swapaxes(-1, -2) @ np.array([e.weight for e in g.edges]) @ q).sum(axis=1)
 
 
 def _cmd_check(args):
+    """Judge the compositional (h2, q) by the graph's laws and the dense provider's."""
     g = load_graph(args.graph)
     validate_consensus(g)
-    comp = CompositionalProvider(g)
-    sweeps = comp.solutions(g)
-    comp_h2, comp_q = comp.read(sweeps)
-    gg, _ = ground_leaders(g)
-    ys = dense_solve(gg, gg.sources)
-    _, dense_q = dense_provider(gg, ys)
-    at = [gg.nodes.index(s) for s in gg.sources]
+    comp_h2, comp_q = CompositionalProvider(g)(g)
+    _, dense_q = dense_provider(g)
     errors = {
         "h2_total": _rel_err(sum(comp_h2.values()), dense_h2(g).total),
-        "root_resistance": _rel_err(sweeps.roots, ys[range(len(at)), at]),
+        "root_resistance": _rel_err(_energies(g, comp_q), _energies(g, dense_q)),
         # Scaled per source: a long ladder's far Q blocks sit below the dense solve's roundoff.
         "leaf_voltages": _rel_err(comp_q, dense_q, block_ndim=3),
+        "flow_conservation": _rel_err(*_kirchhoff(g, comp_q), block_ndim=3),
+        "gradients": _rel_err(edge_gradients(comp_q), edge_gradients(dense_q), block_ndim=3),
     }
-    # Every join the call swept: the shared ones for all sources at once, then each source's own.
-    program = comp.program
-    flows = _flow_errors(program.joins, sweeps.current, len(program.edges))
-    for c, (joins, _, _) in enumerate(program.own.values()):
-        flows += _flow_errors(joins, sweeps.current[:, c], len(program.edges) + len(program.joins))
-    errors["flow_conservation"] = max(flows, default=0.0)
-    errors["gradients"] = _rel_err(edge_gradients(comp_q), edge_gradients(dense_q), block_ndim=3)
     max_err = max(errors.values())
     result = {"errors": errors, "max_relative_error": max_err, "tolerance": args.tol}
     result["ok"] = max_err <= args.tol

@@ -2,8 +2,8 @@
 
 Every sweep runs on join records ``(kind, a, a flipped, b, b flipped)`` over
 an arc list, leaves first and then one arc per join, bottom-up: an
-``sptree.ArcProgram`` (``solve_sources``, all sources at once), or a
-Leaf/Series/Parallel tree flattened into that form (``effective_resistance``,
+``sptree.ArcProgram`` (``root_resistances`` by its ``fold``, ``solve_sources``
+for all sources at once), or ``sptree.flatten`` of a tree (``effective_resistance``,
 ``branch_currents``, ``voltage_drops``, ``solve_tree``, keyed by pre-order
 index). Leaf resistances come from one batched inverse. The sweeps:
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .sptree import Parallel, index_tree
+from .sptree import Parallel, flatten, index_tree
 
 PARALLEL_VOLTAGE_ATOL = 1e-6
 
@@ -73,15 +73,12 @@ def _check_parallel(v1, v2, where):
 
 def root_resistances(program, leaf_r):
     """Effective resistance from each source of an ``ArcProgram`` to its sink,
-    (S, k, k): the shared joins swept once, then each source's own."""
-    res = list(leaf_r)
-    resistance_sweep(program.joins, res)
-    base, roots = len(res), []
-    for joins, root, _ in program.own.values():
-        resistance_sweep(joins, res)
-        roots.append(res[root])
-        del res[base:]
-    return np.array(roots)
+    {source: R}: one fold, with the arithmetic of ``resistance_sweep``."""
+
+    def join(kind, r1, r2):
+        return matlin.symmetrize(r1 @ _split(r1, r2)[0]) if kind is Parallel else r1 + r2
+
+    return program.fold(leaf_r, join)
 
 
 def _parallel_meets(joins, splits, res, first):
@@ -126,18 +123,6 @@ def solve_sources(program, leaf_r):
     return SourceSweeps(np.array(roots), cur, leaf_r[:, None] @ cur[:m])
 
 
-def _flatten(t, entries):
-    """(join records, pre-order index of each arc, leaf weights) of a tree:
-    its leaves are arcs 0..l-1 in pre-order, then its joins in reversed
-    pre-order, which is bottom-up."""
-    entries = index_tree(t) if entries is None else entries
-    leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
-    order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
-    arc = dict(zip(order, range(len(order))))
-    joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
-    return joins, order, [entries[i][0].weight for i in leaves]
-
-
 def _by_preorder(values, order):
     return dict(enumerate(np.asarray(values)[np.argsort(order)]))
 
@@ -162,14 +147,14 @@ def _tree_voltages(joins, res, cur, order):
     return vol
 
 
-def effective_resistance(t, *, entries=None):
+def effective_resistance(t):
     """Effective resistance of every subtree, keyed by pre-order index.
 
     Leaf: W_e^-1; series: R1 + R2; parallel: R1 : R2.
     """
-    joins, order, weights = _flatten(t, entries)
-    res = list(leaf_resistances(weights))
-    resistance_sweep(joins, res)
+    program, order = flatten(t)
+    res = list(leaf_resistances([lf.weight for lf in program.edges]))
+    resistance_sweep(program.joins, res)
     return _by_preorder(res, order)
 
 
@@ -187,28 +172,28 @@ def split_current(r1, r2, i_in):
     return tuple(_split(r1, r2) @ i_in)
 
 
-def branch_currents(t, resistances, intensity=None, *, entries=None):
+def branch_currents(t, resistances, intensity=None):
     """Current entering every subtree, keyed by pre-order index.
 
     The root receives the identity intensity unless one is supplied;
     series joins pass the current through, parallel joins divide it as
     ``split_current`` does.
     """
-    joins, order, _ = _flatten(t, entries)
+    program, order = flatten(t)
     res = [np.asarray(resistances[i], dtype=float) for i in order]
-    splits = [_split(res[a], res[b]) if kind is Parallel else None for kind, a, _, b, _ in joins]
-    return _by_preorder(_tree_currents(joins, res, splits, intensity), order)
+    splits = [_split(res[a], res[b]) if kind is Parallel else None for kind, a, _, b, _ in program.joins]
+    return _by_preorder(_tree_currents(program.joins, res, splits, intensity), order)
 
 
-def voltage_drops(t, resistances, currents, *, entries=None):
+def voltage_drops(t, resistances, currents):
     """Voltage dropped across every subtree, keyed by pre-order index.
 
     Leaf: R_e I_e; series: V1 + V2; parallel: the two child voltages are
     theoretically equal and their average is propagated to damp roundoff.
     """
-    joins, order, _ = _flatten(t, entries)
+    program, order = flatten(t)
     res, cur = (np.array([d[i] for i in order], dtype=float) for d in (resistances, currents))
-    return _by_preorder(_tree_voltages(joins, res, cur, order), order)
+    return _by_preorder(_tree_voltages(program.joins, res, cur, order), order)
 
 
 def power(current, resistance):
@@ -238,9 +223,9 @@ class ElectricalSolution:
 def solve_tree(t, intensity=None, source=None):
     """Run all three sweeps on a tree, indexed once, with its own leaf weights."""
     entries = index_tree(t)
-    joins, order, weights = _flatten(t, entries)
-    res = list(leaf_resistances(weights))
-    cur = _tree_currents(joins, res, resistance_sweep(joins, res), intensity)
-    vol = _tree_voltages(joins, res, cur, order)
+    program, order = flatten(t, entries)
+    res = list(leaf_resistances([lf.weight for lf in program.edges]))
+    cur = _tree_currents(program.joins, res, resistance_sweep(program.joins, res), intensity)
+    vol = _tree_voltages(program.joins, res, cur, order)
     stacks = (np.asarray(v)[np.argsort(order)] for v in (res, cur, vol))
-    return ElectricalSolution(source, entries, *stacks, {entries[i][0].edge: i for i in order[: len(weights)]})
+    return ElectricalSolution(source, entries, *stacks, {lf.edge: i for lf, i in zip(program.edges, order)})

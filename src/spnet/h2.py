@@ -2,8 +2,8 @@
 
 Three routes to the squared norm: the exact compositional value from one
 reduction shared by all sources (half the trace of each source's root
-effective resistance), a scalar compositional upper bound that folds
-scalar series/parallel rules over each source's tree, and a dense oracle
+effective resistance), a scalar compositional upper bound that folds the
+scalar series/parallel rules over that same reduction, and a dense oracle
 solving the Dirichlet system directly on any connected graph, SP or not.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
@@ -22,7 +22,7 @@ import numpy as np
 from . import electrical, matlin
 from .errors import GraphValidationError
 from .graph import dirichlet_laplacian, ground_leaders
-from .sptree import Series, fold, index_tree, reduce_sources
+from .sptree import Series, flatten, reduce_sources
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,16 @@ def _check_positive(a, b):
         raise ValueError("compositional H2 values must be positive")
 
 
+def _scalar_bounds(program):
+    """{source: bound} of an ``ArcProgram``: the scalar rules folded up from
+    each edge's tr(W^+) / 2."""
+
+    def join(kind, a, b):
+        return h2_series_compose(a, b) if kind is Series else h2_parallel_compose(a, b)
+
+    return program.fold([0.5 * float(np.trace(matlin.pinv(e.weight))) for e in program.edges], join)
+
+
 def h2_scalar_bound(t):
     """Fold the scalar composition rules over a tree.
 
@@ -75,11 +85,7 @@ def h2_scalar_bound(t):
     subtree resistances met at parallel joins are pairwise proportional,
     in particular for k = 1 and for series-only trees.
     """
-    return fold(
-        index_tree(t),
-        lambda lf: 0.5 * float(np.trace(matlin.pinv(lf.weight))),
-        lambda node, a, b: h2_series_compose(a, b) if isinstance(node, Series) else h2_parallel_compose(a, b),
-    )
+    return _scalar_bounds(flatten(t)[0])[None]
 
 
 def _reduced(g):
@@ -102,18 +108,18 @@ def source_trees(g):
 
 
 def compositional_h2(g, method="exact"):
-    """Compositional squared norm of a consensus network (exact or bound).
-    Exact is one shared reduction and one resistance sweep: H2^2(s) = tr R_root(s) / 2."""
-    if method == "exact":
-        gg, _, program = _reduced(g)
-        roots = electrical.root_resistances(program, electrical.leaf_resistances([e.weight for e in gg.edges]))
-        per_source = {s: 0.5 * float(np.trace(r)) for s, r in zip(program.own, roots)}
-        return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
+    """Compositional squared norm of a consensus network (exact or bound),
+    each one fold over one shared reduction: exact H2^2(s) = tr R_root(s) / 2,
+    bound the scalar rules, so no tree is built."""
+    if method not in ("exact", "bound"):
+        raise ValueError(f"unknown compositional method {method!r}")
+    _, _, program = _reduced(g)
     if method == "bound":
-        trees, _, _ = source_trees(g)
-        per_source = {s: h2_scalar_bound(t) for s, t in trees.items()}
+        per_source = _scalar_bounds(program)
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
-    raise ValueError(f"unknown compositional method {method!r}")
+    roots = electrical.root_resistances(program, electrical.leaf_resistances([e.weight for e in program.edges]))
+    per_source = {s: 0.5 * float(np.trace(r)) for s, r in roots.items()}
+    return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
 
 
 def dense_h2(g):
@@ -148,15 +154,11 @@ def dense_voltages(g, source):
     return dict(zip(g.nodes, dense_solve(g, [source])[0]))
 
 
-def dense_provider(g, voltages=None):
-    """Voltage provider backed by one Dirichlet solve for every source.
-
-    ``voltages`` is a ``dense_solve(g, g.sources)`` stack to read instead
-    of solving again.
-    """
+def dense_provider(g):
+    """Voltage provider backed by one Dirichlet solve for every source."""
     if not g.sources:
         raise GraphValidationError("graph has no source nodes")
-    ys = dense_solve(g, g.sources) if voltages is None else voltages
+    ys = dense_solve(g, g.sources)
     pos = {node: i for i, node in enumerate(g.nodes)}
     h2 = {s: 0.5 * float(np.trace(y[pos[s]])) for s, y in zip(g.sources, ys)}
     tails, heads = zip(*((pos[e.tail], pos[e.head]) for e in g.edges))

@@ -37,7 +37,6 @@ class OptConfig:
     max_iters: int = 200
     grad_tol: float = 1e-8
     voltage_mode: str = "compositional"  # compositional | dense
-    fallback_to_dense: bool = True
 
     def __post_init__(self):
         if self.penalty_h <= 0:
@@ -155,8 +154,6 @@ def optimize_weights(g, cfg):
         try:
             provider = CompositionalProvider(g)
         except NotSeriesParallelError:
-            if not cfg.fallback_to_dense:
-                raise
             logger.warning(
                 "graph is not series-parallel from every source; "
                 "falling back to dense voltage solves"

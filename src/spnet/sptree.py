@@ -9,7 +9,7 @@ was decomposed.
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,14 +60,22 @@ def index_tree(t):
     return _preorder(t, lambda node: None if isinstance(node, Leaf) else (node.left, node.right))
 
 
-def fold(entries, leaf_fn, join_fn):
-    """Bottom-up value of an indexed tree without recursion: ``leaf_fn(leaf)``
-    at a leaf, ``join_fn(join, left value, right value)`` at a join."""
-    vals = [None] * len(entries)
-    for i in range(len(entries) - 1, -1, -1):
-        node, li, ri = entries[i]
-        vals[i] = leaf_fn(node) if li < 0 else join_fn(node, vals[li], vals[ri])
-    return vals[0]
+def _flat(entries, kind):
+    """(``ArcProgram``, pre-order index of each arc) of a pre-order list of
+    (node, left index, right index): the leaf nodes in pre-order are its edges,
+    the joins in reversed pre-order (bottom-up) its records, each ``kind(node)``
+    with no flipped child, and the last arc the root of its one source, None."""
+    leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
+    order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
+    arc = dict(zip(order, range(len(order))))
+    joins = [(kind(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
+    return ArcProgram(tuple(entries[i][0] for i in leaves), joins, {None: ([], len(order) - 1, False)}), order
+
+
+def flatten(t, entries=None):
+    """``_flat`` of a tree, whose program's edges are its leaves; ``entries``
+    is ``index_tree(t)`` if already made."""
+    return _flat(index_tree(t) if entries is None else entries, type)
 
 
 def leaves(t):
@@ -120,13 +128,14 @@ class TreeStats:
 def stats(t):
     """Leaf/join counts, height, and realized node count N = 2l - s - 2p."""
 
-    def join(node, a, b):
+    def join(kind, a, b):
         l = a.leaves + b.leaves
-        s = a.series + b.series + (1 if isinstance(node, Series) else 0)
-        p = a.parallel + b.parallel + (1 if isinstance(node, Parallel) else 0)
+        s = a.series + b.series + (kind is Series)
+        p = a.parallel + b.parallel + (kind is Parallel)
         return TreeStats(l, s, p, 1 + max(a.height, b.height), 2 * l - s - 2 * p)
 
-    return fold(index_tree(t), lambda _: TreeStats(1, 0, 0, 0, 2), join)
+    program, _ = flatten(t)
+    return program.fold([TreeStats(1, 0, 0, 0, 2)] * len(program.edges), join)[None]
 
 
 def check_height_bounds(t):
@@ -144,13 +153,11 @@ def realize(t):
     with the right source, a parallel join both terminal pairs, and each
     identified node keeps its name from the left side.
     """
-    entries = index_tree(t)
-    ordered = [node for node, li, _ in entries if li < 0]
-    fresh = iter([(f"v{2 * j}", f"v{2 * j + 1}") for j in range(len(ordered))][::-1])  # met right to left
+    program, _ = flatten(t)
     merged = {}  # node name -> the name it was identified with
 
-    def join(node, a, b):
-        if isinstance(node, Series):
+    def join(kind, a, b):
+        if kind is Series:
             merged[b[0]] = a[1]
             return a[0], b[1]
         merged[b[0]], merged[b[1]] = a
@@ -161,8 +168,9 @@ def realize(t):
             n = merged[n]
         return n
 
-    src, snk = fold(entries, lambda _: next(fresh), join)
-    edges = [(lf.edge, name(f"v{2 * j}"), name(f"v{2 * j + 1}"), lf.weight) for j, lf in enumerate(ordered)]
+    fresh = [(f"v{2 * j}", f"v{2 * j + 1}") for j in range(len(program.edges))]
+    src, snk = program.fold(fresh, join)[None]
+    edges = [(lf.edge, name(a), name(b), lf.weight) for lf, (a, b) in zip(program.edges, fresh)]
     return make_graph(dim(t), dict.fromkeys(n for _, a, b, _ in edges for n in (a, b)), edges), src, snk
 
 
@@ -177,17 +185,35 @@ def recognize(g, source, sink):
 @dataclass(frozen=True, eq=False)
 class ArcProgram:
     """Series-parallel reductions of one graph from several sources to one
-    sink as flat join records (kind, a, a flipped, b, b flipped).
+    sink as flat join records (kind, a, a flipped, b, b flipped): the one form
+    every tree walk runs on (``flatten`` makes it of a tree), evaluated by ``fold``.
 
-    Arcs 0..m-1 are the ``edges``; shared join i is arc m + i, so creation
-    order is bottom-up. ``own[s]`` is (joins, root, reversed) of source s:
-    the joins that finish its reduction on top of the shared ones (join j is
-    arc m + len(joins) + j), its root arc, and whether that runs sink -> s.
+    Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); shared
+    join i is arc m + i, so creation order is bottom-up. ``own[s]`` is (joins,
+    root, reversed) of source s: the joins that finish its reduction on top of
+    the shared ones (join j is arc m + len(joins) + j), its root arc, and
+    whether that runs sink -> s.
     """
 
     edges: tuple
     joins: list
     own: dict
+
+    def fold(self, values, join):
+        """{source: root value} from ``values`` of the edges: ``join(kind, a,
+        b)`` once per shared join, then once per join of each source's own.
+        Flip bits are ignored, which suits orientation-free values (resistance,
+        the bound, counts); order-sensitive walks fold ``flatten`` of a tree."""
+        vals = list(values)
+        for kind, a, _, b, _ in self.joins:
+            vals.append(join(kind, vals[a], vals[b]))
+        base, roots = len(vals), {}
+        for source, (joins, root, _) in self.own.items():
+            for kind, a, _, b, _ in joins:
+                vals.append(join(kind, vals[a], vals[b]))
+            roots[source] = vals[root]
+            del vals[base:]
+        return roots
 
     def tree(self, source):
         """The source's Leaf/Series/Parallel tree, built without recursion."""
@@ -341,11 +367,10 @@ def _build(edges, joins, root, flipped):
 
 def to_json(t):
     """Tree as plain JSON data: leaves reference edges by id only."""
-    return fold(
-        index_tree(t),
-        lambda lf: {"op": "leaf", "edge": lf.edge},
-        lambda node, a, b: {"op": "series" if isinstance(node, Series) else "parallel", "children": [a, b]},
-    )
+    program, _ = flatten(t)
+    op = {Series: "series", Parallel: "parallel"}
+    leaf_data = [{"op": "leaf", "edge": lf.edge} for lf in program.edges]
+    return program.fold(leaf_data, lambda kind, a, b: {"op": op[kind], "children": [a, b]})[None]
 
 
 def from_json(data, g):
@@ -365,9 +390,6 @@ def from_json(data, g):
             raise GraphValidationError("tree join must have exactly two children")
         return d["children"]
 
-    def build_leaf(d):
-        e = emap[d["edge"]]
-        return Leaf(e.id, e.weight, e.tail, e.head)
-
-    join = {"series": Series, "parallel": Parallel}
-    return fold(_preorder(data, children), build_leaf, lambda d, a, b: join[d["op"]](a, b))
+    kinds = {"series": Series, "parallel": Parallel}
+    program, _ = _flat(_preorder(data, children), lambda d: kinds[d["op"]])
+    return replace(program, edges=tuple(emap[d["edge"]] for d in program.edges)).tree(None)

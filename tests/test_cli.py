@@ -185,6 +185,17 @@ class TestCheckCommand:
         assert code == 1
         assert data["errors"]["leaf_voltages"] == pytest.approx(2.0)
 
+    def test_inflated_parallel_split_fails_flow_conservation(self, capsys, monkeypatch):
+        # Both halves of every split scaled alike keep R_a X_a = R_b X_b, so the
+        # provider's parallel guard stays silent; Kirchhoff's law must catch it.
+        from spnet import electrical
+
+        split = electrical._split
+        monkeypatch.setattr(electrical, "_split", lambda r1, r2: 1.01 * split(r1, r2))
+        code, data = run_json(capsys, ["check", "--graph", DEMO])
+        assert code == 1
+        assert data["errors"]["flow_conservation"] > 1e-3
+
 
 class TestFileErrors:
     def test_malformed_json_reports_position(self, capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import fd_gradient_direction, random_aittsp, random_spd, random_symmetric
 from spnet import electrical, h2, matlin, optimize
-from spnet.errors import GraphValidationError, InfeasibleBoundsError, NotSeriesParallelError
+from spnet.errors import GraphValidationError, InfeasibleBoundsError
 from spnet.fileio import config_from_dict, load_config
 from spnet.graph import attachment_edge_ids, make_graph
 from spnet.h2 import dense_provider
@@ -156,7 +156,6 @@ class TestConfig:
             "max_iters",
             "grad_tol",
             "voltage_mode",
-            "fallback_to_dense",
         ]
 
     def test_missing_bounds_for_free_edge(self):
@@ -313,11 +312,3 @@ class TestFallback:
             traj = optimize_weights(g, cfg)
         assert "falling back to dense" in caplog.text
         assert traj.final_objective <= traj.initial_objective
-
-    def test_raises_when_fallback_disabled(self):
-        g = self.k4_consensus()
-        cfg = OptConfig(
-            penalty_h=0.5, bounds=wide_bounds(g), max_iters=3, fallback_to_dense=False
-        )
-        with pytest.raises(NotSeriesParallelError):
-            optimize_weights(g, cfg)

@@ -8,12 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_aittsp
-from spnet import electrical
+from spnet import electrical, sptree
 from spnet.cli import run
 from spnet.errors import NotSeriesParallelError
 from spnet.fileio import save_graph
 from spnet.graph import ground_leaders, make_graph
-from spnet.h2 import CompositionalProvider, compositional_h2, dense_provider, h2_exact_aittsp, source_trees
+from spnet.h2 import (
+    CompositionalProvider,
+    compositional_h2,
+    dense_provider,
+    h2_exact_aittsp,
+    h2_scalar_bound,
+    source_trees,
+)
 from spnet.sptree import recognize
 from test_recognize import ladder
 
@@ -52,7 +59,10 @@ def test_provider_matches_dense_on_scrambled_networks(seed, k, n_sources):
         assert rel_err(got, want) <= 1e-9
 
 
-def test_shared_reduction_is_confluent_with_one_per_source(rng):
+def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
+    builds = []
+    build = sptree._build
+    monkeypatch.setattr(sptree, "_build", lambda *a: builds.append(a) or build(*a))
     for _ in range(40):
         g = scrambled_ids(rng, random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 6))
         gg, sink = ground_leaders(g)
@@ -61,9 +71,14 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng):
         assert list(shared) == list(per_source)
         for s, v in per_source.items():
             assert shared[s] == pytest.approx(v, rel=1e-12)
+        builds.clear()
+        bound = compositional_h2(g, "bound").per_source
+        assert builds == []  # the bound folds over the shared reduction and builds no tree
         trees, _, _ = source_trees(g)
+        assert list(bound) == list(trees)
         for s, t in trees.items():
             assert 0.5 * np.trace(electrical.effective_resistance(t)[0]) == pytest.approx(per_source[s], rel=1e-12)
+            assert bound[s] == h2_scalar_bound(t)
 
 
 def test_two_source_ladder_sweeps_at_most_m_plus_4_joins(rng, monkeypatch):
