@@ -6,20 +6,14 @@ does not converge, 2 when a graph turns out not to be series-parallel.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from . import electrical
 from .errors import GraphValidationError, NotSeriesParallelError, ProjectionError
-from .fileio import (
-    json_chunks,
-    load_config,
-    load_graph,
-    load_tree,
-    weights_to_dict,
-    write_trajectory_csv,
-)
+from .fileio import load_config, load_graph, load_tree, weights_to_dict, write_trajectory_csv
 from .graph import ground_leaders, validate_consensus
 from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
 from .optimize import edge_gradients, optimize_weights
@@ -27,7 +21,7 @@ from .sptree import recognize, to_json
 
 
 def _emit(data, out_path):
-    text = "".join(json_chunks(data)) + "\n"
+    text = json.dumps(data, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)

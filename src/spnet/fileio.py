@@ -20,26 +20,8 @@ def _load_json(path):
         raise GraphValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise GraphValidationError(f"{path}: {exc.strerror}") from exc
-
-
-def json_chunks(data):
-    """The text of ``json.dumps(data, indent=2)`` as a stream of chunks, made
-    without recursion, so deep trees encode."""
-    stack = [(data, 0, None)]  # (value, depth, None), or (text, indent, text) around a line break
-    while stack:
-        value, depth, after = stack.pop()
-        if after is not None:
-            yield value + "\n" + "  " * depth + after
-        elif isinstance(value, (dict, list)) and value:
-            items = list(value.items()) if isinstance(value, dict) else [(None, v) for v in value]
-            yield "{" if isinstance(value, dict) else "["
-            stack.append(("", depth, "}" if isinstance(value, dict) else "]"))
-            for n in range(len(items) - 1, -1, -1):
-                # A key is encoded by json itself, so 1, None or True become "1", "null", "true".
-                key = "" if isinstance(value, list) else json.dumps({items[n][0]: 0})[1:-4] + ": "
-                stack += [(items[n][1], depth + 1, None), ("," if n else "", depth + 1, key)]
-        else:
-            yield json.dumps(value)
+    except RecursionError as exc:
+        raise GraphValidationError(f"{path}: JSON nested too deeply") from exc
 
 
 def _matrix(data, k, context):

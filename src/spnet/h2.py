@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import electrical, matlin
+from . import electrical
 from .errors import GraphValidationError
 from .graph import dirichlet_laplacian, ground_leaders
 from .sptree import Series, flatten, reduce_sources
@@ -70,12 +70,13 @@ def _check_positive(a, b):
 
 def _scalar_bounds(program):
     """{source: bound} of an ``ArcProgram``: the scalar rules folded up from
-    each edge's tr(W^+) / 2."""
+    each edge's tr(W^-1) / 2."""
 
     def join(kind, a, b):
         return h2_series_compose(a, b) if kind is Series else h2_parallel_compose(a, b)
 
-    return program.fold([0.5 * float(np.trace(matlin.pinv(e.weight))) for e in program.edges], join)
+    leaf_r = electrical.leaf_resistances([e.weight for e in program.edges])
+    return program.fold([0.5 * float(np.trace(r)) for r in leaf_r], join)
 
 
 def h2_scalar_bound(t):

@@ -9,7 +9,7 @@ was decomposed.
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,44 +38,34 @@ class Parallel:
     right: object
 
 
-def _preorder(root, children):
-    """Pre-order list of (node, left index, right index) of a binary tree;
-    nodes whose ``children(node)`` is None are leaves and get (-1, -1).
+def index_tree(t):
+    """Pre-order list of (node, left index, right index); leaves get (-1, -1).
     Walked with an explicit stack, so depth is not limited by recursion."""
     entries = []
-    stack = [(root, -1)]  # (node, index of the join it is the right child of, or -1)
+    stack = [(t, -1)]  # (node, index of the join it is the right child of, or -1)
     while stack:
         node, parent = stack.pop()
         if parent >= 0:
             entries[parent][2] = len(entries)
-        pair = children(node)
-        if pair is not None:
-            stack += [(pair[1], len(entries)), (pair[0], -1)]
-        entries.append([node, -1 if pair is None else len(entries) + 1, -1])
+        if isinstance(node, Leaf):
+            entries.append([node, -1, -1])
+        else:
+            stack += [(node.right, len(entries)), (node.left, -1)]
+            entries.append([node, len(entries) + 1, -1])
     return [tuple(e) for e in entries]
 
 
-def index_tree(t):
-    """Pre-order list of (node, left index, right index); leaves get (-1, -1)."""
-    return _preorder(t, lambda node: None if isinstance(node, Leaf) else (node.left, node.right))
-
-
-def _flat(entries, kind):
-    """(``ArcProgram``, pre-order index of each arc) of a pre-order list of
-    (node, left index, right index): the leaf nodes in pre-order are its edges,
-    the joins in reversed pre-order (bottom-up) its records, each ``kind(node)``
-    with no flipped child, and the last arc the root of its one source, None."""
+def flatten(t, entries=None):
+    """(``ArcProgram``, pre-order index of each arc) of a tree; ``entries`` is
+    ``index_tree(t)`` if already made. The leaves in pre-order are its edges,
+    the joins in reversed pre-order (bottom-up) its records, with no flipped
+    child, and the last arc the root of its one source, None."""
+    entries = index_tree(t) if entries is None else entries
     leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
     order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
     arc = dict(zip(order, range(len(order))))
-    joins = [(kind(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
+    joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
     return ArcProgram(tuple(entries[i][0] for i in leaves), joins, {None: ([], len(order) - 1, False)}), order
-
-
-def flatten(t, entries=None):
-    """``_flat`` of a tree, whose program's edges are its leaves; ``entries``
-    is ``index_tree(t)`` if already made."""
-    return _flat(index_tree(t) if entries is None else entries, type)
 
 
 def leaves(t):
@@ -365,31 +355,50 @@ def _build(edges, joins, root, flipped):
     return built[root]
 
 
+TREE_FORMAT = "spnet-tree/2"
+_KINDS = {"series": Series, "parallel": Parallel}
+_OPS = {kind: op for op, kind in _KINDS.items()}
+
+
 def to_json(t):
-    """Tree as plain JSON data: leaves reference edges by id only."""
-    program, _ = flatten(t)
-    op = {Series: "series", Parallel: "parallel"}
-    leaf_data = [{"op": "leaf", "edge": lf.edge} for lf in program.edges]
-    return program.fold(leaf_data, lambda kind, a, b: {"op": op[kind], "children": [a, b]})[None]
+    """Tree as plain JSON data: its nodes as a flat pre-order list of ops, each
+    join followed by its left subtree, then its right; leaves name their edge."""
+    ops = [{"op": "leaf", "edge": node.edge} if li < 0 else {"op": _OPS[type(node)]} for node, li, _ in index_tree(t)]
+    return {"format": TREE_FORMAT, "ops": ops}
 
 
 def from_json(data, g):
-    """Rebuild a tree from JSON data, resolving leaf weights against ``g``."""
-    emap = g.edge_map()
+    """Rebuild a tree from ``to_json`` data, resolving leaf weights against ``g``.
 
-    def children(d):  # checks each JSON node, in pre-order, before its children
-        if not isinstance(d, dict) or "op" not in d:
-            raise GraphValidationError("malformed tree JSON node")
+    One forward pass checks every op in pre-order, counting the subtrees still
+    owed to the joins before it; then one reversed stack pass builds the tree.
+    """
+    if not isinstance(data, dict) or data.get("format") != TREE_FORMAT or not isinstance(data.get("ops"), list):
+        raise GraphValidationError(f"not a {TREE_FORMAT} tree file; write it again with `spnet decompose`")
+    emap, used, owed = g.edge_map(), set(), 1
+    for n, d in enumerate(data["ops"]):
+        if not owed:
+            raise GraphValidationError(f"tree op #{n} follows the end of the tree")
+        op = d.get("op") if isinstance(d, dict) else None
+        if op == "leaf":
+            edge = d.get("edge")
+            if isinstance(edge, (list, dict)) or edge not in emap:  # JSON arrays and objects are unhashable
+                raise GraphValidationError(f"tree op #{n} references unknown edge {edge!r}")
+            if edge in used:
+                raise GraphValidationError(f"tree op #{n} uses edge {edge!r} twice")
+            used.add(edge)
+            owed -= 1
+        elif op in ("series", "parallel"):  # a tuple: ``op`` may be unhashable
+            owed += 1
+        else:
+            raise GraphValidationError(f"tree op #{n}: unknown op {op!r}")
+    if owed:
+        raise GraphValidationError(f"tree ops end with {owed} subtree(s) missing")
+    built = []
+    for d in reversed(data["ops"]):
         if d["op"] == "leaf":
-            if d.get("edge") not in emap:
-                raise GraphValidationError(f"tree references unknown edge {d.get('edge')!r}")
-            return None
-        if d["op"] not in ("series", "parallel"):
-            raise GraphValidationError(f"unknown tree op {d['op']!r}")
-        if len(d.get("children", [])) != 2:
-            raise GraphValidationError("tree join must have exactly two children")
-        return d["children"]
-
-    kinds = {"series": Series, "parallel": Parallel}
-    program, _ = _flat(_preorder(data, children), lambda d: kinds[d["op"]])
-    return replace(program, edges=tuple(emap[d["edge"]] for d in program.edges)).tree(None)
+            e = emap[d["edge"]]
+            built.append(Leaf(e.id, e.weight, e.tail, e.head))
+        else:
+            built.append(_KINDS[d["op"]](built.pop(), built.pop()))
+    return built[0]

@@ -51,7 +51,7 @@ class TestDecomposeCommand:
     def test_unit_path(self, capsys):
         code, tree = run_json(capsys, ["decompose", "--graph", UNIT, "--source", "s"])
         assert code == 0
-        assert tree == {"op": "leaf", "edge": "a"}
+        assert tree == {"format": "spnet-tree/2", "ops": [{"op": "leaf", "edge": "a"}]}
 
     def test_demo_source(self, capsys, tmp_path):
         out = tmp_path / "tree.json"
@@ -59,7 +59,10 @@ class TestDecomposeCommand:
         code = run(["decompose", "--graph", DEMO, "--source", g.sources[0], "--out", str(out)])
         assert code == 0
         tree = json.loads(out.read_text())
-        assert tree["op"] in ("leaf", "series", "parallel")
+        assert tree["format"] == "spnet-tree/2"
+        kinds = [op["op"] for op in tree["ops"]]
+        assert set(kinds) <= {"leaf", "series", "parallel"}
+        assert kinds.count("leaf") == len(kinds) - kinds.count("leaf") + 1
 
     def test_k4_rejected(self, capsys):
         code = run(["decompose", "--graph", K4, "--source", "a", "--sink", "d"])
@@ -226,6 +229,20 @@ class TestFileErrors:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: upper bound for edge {eid!r} is not symmetric within tolerance\n"
+
+    def test_deep_json_is_one_error_line(self, capsys, tmp_path):
+        # json.load recurses, and a tree file in the old nested format from a
+        # 2000-edge path is about this deep too.
+        graph = tmp_path / "deep_graph.json"
+        graph.write_text('{"k": ' + "[" * 3000 + "]" * 3000 + "}")
+        assert run(["h2", "--graph", str(graph)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {graph}: ") and err.count("\n") == 1
+        tree = tmp_path / "deep_tree.json"
+        tree.write_text('{"op": "series", "children": [' * 3000 + '{"op": "leaf", "edge": "a"}' + "]}" * 3000)
+        assert run(["resistance", "--graph", UNIT, "--tree", str(tree)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         assert run(["h2", "--graph", "/no/such/file.json"]) == 1

@@ -14,7 +14,6 @@ from helpers import random_aittsp, random_sptree
 from spnet import electrical
 from spnet import h2 as h2_module
 from spnet.cli import _emit, run
-from spnet.fileio import json_chunks
 from spnet.graph import ground_leaders
 from spnet.h2 import (
     CompositionalProvider,
@@ -235,26 +234,24 @@ class TestDeepTrees:
 
     def test_from_json_errors_in_pre_order(self):
         g, _, _ = realize(parallel(leaf("a", [[1.0]]), leaf("b", [[1.0]])))
-        bad = {"op": "series", "children": [{"op": "leaf", "edge": "zz"}, {"op": "nope"}]}
-        with pytest.raises(spnet.GraphValidationError, match="unknown edge 'zz'"):
-            from_json(bad, g)
-
-    def test_dumps_matches_json_module(self):
-        t = random_sptree(np.random.default_rng(3), 1, 9)
-        samples = [
-            to_json(t),
-            {"a": [], "b": {}, "c": [[1.5, -2e-300], [float("inf"), None]], "d\né": [True, "x\"y"]},
-            [],
-            {},
-            3.25,
-            "s",
-            {1: [0.5], None: {"a": 1}, 2.5: "x"},
-            {True: {False: []}},
+        a, b = {"op": "leaf", "edge": "a"}, {"op": "leaf", "edge": "b"}
+        par, ser = {"op": "parallel"}, {"op": "series"}
+        cases = [
+            ([ser, {"op": "leaf", "edge": "zz"}, {"op": "nope"}], "op #1 references unknown edge 'zz'"),
+            ([par, a, a], "op #2 uses edge 'a' twice"),
+            ([par, a], "1 subtree"),
+            ([par, a, b, a], "op #3 follows the end of the tree"),
+            ([ser, {"op": "leaf", "edge": ["a"]}, b], "unknown edge \\['a'\\]"),
+            ([ser, [a], b], "op #1: unknown op None"),
         ]
-        for data in samples:
-            assert "".join(json_chunks(data)) == json.dumps(data, indent=2)
-        with pytest.raises(TypeError):
-            "".join(json_chunks({(1, 2): 0}))
+        for ops, message in cases:
+            with pytest.raises(spnet.GraphValidationError, match=message):
+                from_json({"format": "spnet-tree/2", "ops": ops}, g)
+        nested = {"op": "parallel", "children": [a, b]}
+        for data in (nested, {"format": "spnet-tree/1", "ops": [par, a, b]}, [par, a, b]):
+            with pytest.raises(spnet.GraphValidationError, match="write it again with `spnet decompose`"):
+                from_json(data, g)
+        assert [lf.edge for lf in leaves(from_json({"format": "spnet-tree/2", "ops": [par, b, a]}, g))] == ["b", "a"]
 
     def test_integer_node_ids_emit_valid_json(self, tmp_path):
         # Per-source results are keyed by node id, which need not be a string.
@@ -300,9 +297,12 @@ def test_long_path_through_every_command(tmp_path):
         h2[method] = json.loads(out.read_text())["total_h2_squared"]
     assert h2["exact"] == pytest.approx(h2["oracle"], rel=1e-9)
     assert h2["bound"] == pytest.approx(h2["exact"], rel=1e-9)  # tight at k = 1
-    assert run(["decompose", "--graph", graph, "--source", "p0", "--out", str(out)]) == 0
-    with open(out) as f:  # ~70 MB: indentation grows with depth
-        assert sum(line.strip() == '"op": "leaf",' for line in f) == 2002
+    tree = tmp_path / "tree.json"
+    assert run(["decompose", "--graph", graph, "--source", "p0", "--out", str(tree)]) == 0
+    assert tree.stat().st_size < 10**6  # flat: linear in the tree's size, not its depth
+    assert sum(op["op"] == "leaf" for op in json.loads(tree.read_text())["ops"]) == 2002
+    assert run(["resistance", "--graph", graph, "--tree", str(tree), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 4003
     csv_path = tmp_path / "traj.csv"
     assert run(["optimize", "--graph", graph, "--config", config, "--out", str(csv_path)]) == 0
     assert len(csv_path.read_text().splitlines()) == 4

@@ -161,7 +161,7 @@ class TestDeterminism:
             )
             outputs.add(proc.stdout)
         assert len(outputs) == 1
-        assert json.loads(outputs.pop())["op"] == "parallel"
+        assert json.loads(outputs.pop())["ops"][0]["op"] == "parallel"
 
 
 class TestDepth:
