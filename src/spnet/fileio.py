@@ -15,13 +15,16 @@ from .sptree import from_json as tree_from_json
 def _load_json(path):
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f)
     except json.JSONDecodeError as exc:
         raise GraphValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise GraphValidationError(f"{path}: {exc.strerror}") from exc
     except RecursionError as exc:
         raise GraphValidationError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(data, dict):
+        raise GraphValidationError(f"{path}: not a JSON object")
+    return data
 
 
 def _matrix(data, k, context):
@@ -39,16 +42,25 @@ def graph_from_dict(data, context="graph"):
         if key not in data:
             raise GraphValidationError(f"{context}: missing field {key!r}")
     k = data["k"]
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise GraphValidationError(f"{context}: k must be a positive integer")
+    if not isinstance(data["edges"], list) or not all(isinstance(e, dict) for e in data["edges"]):
+        raise GraphValidationError(f"{context}: 'edges' must be an array of objects")
     edges = []
     for n, e in enumerate(data["edges"]):
         for key in ("id", "tail", "head", "weight"):
             if key not in e:
                 raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}")
+        if any(isinstance(e[key], (list, dict)) for key in ("id", "tail", "head")):
+            raise GraphValidationError(f"{context}: edge #{n} id, tail and head must be strings or numbers")
         edges.append((e["id"], e["tail"], e["head"], _matrix(e["weight"], k, f"{context}: edge {e['id']!r}")))
+    leaders, sources = data.get("leaders", []), data.get("sources")
+    listed = {"nodes": data["nodes"], "leaders": leaders, "sources": [] if sources is None else sources}
+    for key, value in listed.items():
+        if not isinstance(value, list) or any(isinstance(x, (list, dict)) for x in value):
+            raise GraphValidationError(f"{context}: {key!r} must be an array of strings or numbers")
     try:
-        return make_graph(k, data["nodes"], edges, leaders=data.get("leaders", ()), sources=data.get("sources"))
+        return make_graph(k, data["nodes"], edges, leaders=leaders, sources=sources)
     except ValueError as exc:
         raise GraphValidationError(f"{context}: {exc}") from exc
 
@@ -77,14 +89,20 @@ def save_graph(g, path):
 
 
 def load_tree(path, g):
-    return tree_from_json(_load_json(path), g)
+    data = _load_json(path)
+    try:
+        return tree_from_json(data, g)
+    except ValueError as exc:
+        raise GraphValidationError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(data, k, context="config"):
     if "penalty_h" not in data:
         raise GraphValidationError(f"{context}: missing field 'penalty_h'")
-    bounds = {}
-    for eid, pair in data.get("bounds", {}).items():
+    bounds, raw = {}, data.get("bounds", {})
+    if not isinstance(raw, dict) or not all(isinstance(pair, dict) for pair in raw.values()):
+        raise GraphValidationError(f"{context}: 'bounds' must map each edge id to an object with 'L' and 'U'")
+    for eid, pair in raw.items():
         for key in ("L", "U"):
             if key not in pair:
                 raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}")

@@ -47,7 +47,8 @@ class MatrixGraph:
         if not ids:
             return self
         new = dict(zip(ids, matlin.as_symmetric([new_weights[eid] for eid in ids])))
-        return replace(self, edges=tuple(replace(e, weight=new[e.id]) if e.id in new else e for e in self.edges))
+        edges = tuple(Edge(e.id, e.tail, e.head, new[e.id]) if e.id in new else e for e in self.edges)
+        return replace(self, edges=edges)
 
 
 def make_graph(k, nodes, edges, leaders=(), sources=None):

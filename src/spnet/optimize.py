@@ -18,6 +18,7 @@ whose expansion is the shrinkage form (1 - 1/sqrt(t)) W
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,14 @@ class OptConfig:
     voltage_mode: str = "compositional"  # compositional | dense
 
     def __post_init__(self):
+        # One type rule for the API and config files; a bool is not a number here.
+        for name, kind in (("penalty_h", numbers.Real), ("max_iters", numbers.Integral), ("grad_tol", numbers.Real)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+        if not isinstance(self.bounds, dict):
+            raise ValueError(f"bounds must be a dict of edge id -> (L, U), not {type(self.bounds).__name__}")
         if self.penalty_h <= 0:
             raise ValueError("penalty h must be positive")
         if self.voltage_mode not in ("compositional", "dense"):
@@ -119,35 +128,35 @@ def objective(g, h, voltage_mode="dense"):
     return report.total + penalty_term(g, h)
 
 
-def pgd_step(weights, grads, t, cfg):
-    """One projected descent step at iteration t >= 1: all free edges in one ``project_box`` call."""
+def pgd_step(w, grad, t, h, lower, upper):
+    """One projected descent step at iteration t >= 1 on (F, k, k) stacks: one ``project_box`` call."""
     if t < 1:
         raise ValueError("iteration counter starts at 1")
-    if not weights:
-        return {}
-    eta = 1.0 / (cfg.penalty_h * math.sqrt(t))
-    w = np.array(list(weights.values()), dtype=float)
-    step = w - eta * (np.array([grads[eid] for eid in weights]) + cfg.penalty_h * w)
-    lo, up = (np.array([cfg.bounds[eid][j] for eid in weights], dtype=float) for j in (0, 1))
-    projected, ok = matlin.project_box(step, lo, up)
+    if not len(w):
+        return w
+    eta = 1.0 / (h * math.sqrt(t))
+    projected, ok = matlin.project_box(w - eta * (grad + h * w), lower, upper)
     if not ok:
         raise ProjectionError(f"box projection did not converge at step {t}")
-    return dict(zip(weights, projected))
+    return projected
 
 
 def optimize_weights(g, cfg):
     """Run projected gradient descent on the free (non-attachment) edge weights of ``g``.
 
-    Iterates until the summed Frobenius norm of the regularized gradient
-    drops below ``cfg.grad_tol`` or ``cfg.max_iters`` steps have been
-    taken; the full trajectory is recorded, one snapshot per iterate.
+    Weights, gradients and boxes are (F, k, k) stacks in ``g.edges`` order,
+    the boxes stacked once per run. Iterates until the summed Frobenius norm
+    of the regularized gradient drops below ``cfg.grad_tol`` or
+    ``cfg.max_iters`` steps have been taken; one snapshot per iterate.
     """
     fixed = attachment_edge_ids(g)
     rows = [j for j, e in enumerate(g.edges) if e.id not in fixed]  # the free edges
     free = tuple(g.edges[j].id for j in rows)
-    missing = [eid for eid in free if eid not in cfg.bounds]
-    if missing:
-        raise ValueError(f"no bounds configured for edges {missing}")
+    boxes = [cfg.bounds.get(eid) for eid in free]
+    if None in boxes:
+        raise ValueError(f"no bounds configured for edges {[eid for eid, b in zip(free, boxes) if b is None]}")
+    lower, upper = (np.array([box[j] for box in boxes], dtype=float).reshape(-1, g.k, g.k) for j in (0, 1))
+    w = np.array([g.edges[j].weight for j in rows]).reshape(-1, g.k, g.k)
 
     provider = dense_provider
     if cfg.voltage_mode == "compositional":
@@ -159,38 +168,25 @@ def optimize_weights(g, cfg):
                 "falling back to dense voltage solves"
             )
 
-    weights = {g.edges[j].id: g.edges[j].weight for j in rows}
     current = g
     traj = OptTrajectory()
 
     def record(iteration):
         per_source, q = provider(current)
         grad = edge_gradients(q)[rows]
-        grads = dict(zip(free, grad))
         h2_sq = sum(per_source.values())
         pen = penalty_term(current, cfg.penalty_h)
-        reg = grad + cfg.penalty_h * np.reshape(list(weights.values()), grad.shape)
-        gnorm = float(np.linalg.norm(reg, axis=(1, 2)).sum())
-        traj.records.append(
-            IterationRecord(
-                iteration=iteration,
-                objective=h2_sq + pen,
-                h2_squared=h2_sq,
-                penalty=pen,
-                grad_norm=gnorm,
-                weights={eid: w.copy() for eid, w in weights.items()},
-            )
-        )
-        return grads, gnorm
+        gnorm = float(np.linalg.norm(grad + cfg.penalty_h * w, axis=(1, 2)).sum())
+        snapshot = dict(zip(free, w.copy()))
+        traj.records.append(IterationRecord(iteration, h2_sq + pen, h2_sq, pen, gnorm, snapshot))
+        return grad, gnorm
 
-    grads, gnorm = record(0)
+    grad, gnorm = record(0)
     for t in range(1, cfg.max_iters + 1):
         if gnorm < cfg.grad_tol:
-            traj.converged = True
             break
-        weights = pgd_step(weights, grads, t, cfg)
-        current = current.with_weights(weights)
-        grads, gnorm = record(t)
-    else:
-        traj.converged = gnorm < cfg.grad_tol
+        w = pgd_step(w, grad, t, cfg.penalty_h, lower, upper)
+        current = current.with_weights(dict(zip(free, w)))
+        grad, gnorm = record(t)
+    traj.converged = gnorm < cfg.grad_tol
     return traj

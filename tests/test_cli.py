@@ -162,16 +162,16 @@ class TestCheckCommand:
         assert not data["ok"]
 
 
-    def test_two_dirichlet_builds(self, capsys, monkeypatch):
-        # One build for both dense providers' solve, one for the dense_h2 oracle.
+    def test_one_dense_solve(self, capsys, monkeypatch):
+        # The dense provider's one solve serves the H2^2 total as well as Q.
         import spnet.h2
 
-        builds = []
-        build = spnet.h2.dirichlet_laplacian
-        monkeypatch.setattr(spnet.h2, "dirichlet_laplacian", lambda g: builds.append(g) or build(g))
+        solves = []
+        solve = spnet.h2.dense_solve
+        monkeypatch.setattr(spnet.h2, "dense_solve", lambda g, sources: solves.append(g) or solve(g, sources))
         code, _ = run_json(capsys, ["check", "--graph", DEMO])
         assert code == 0
-        assert len(builds) == 2
+        assert len(solves) == 1
 
     def test_negated_leaf_voltage_fails(self, capsys, monkeypatch):
         # Leaf voltages are compared in one orientation, so a single sign
@@ -243,6 +243,61 @@ class TestFileErrors:
         assert run(["resistance", "--graph", UNIT, "--tree", str(tree)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_tree_file_is_named(self, capsys, tmp_path):
+        # Which of the graph and tree files is stale shows only if the error names the tree file.
+        tree = tmp_path / "stale_tree.json"
+        leaf = {"op": "leaf", "edge": "a"}
+        for data, msg in (
+            ({"format": "spnet-tree/2", "ops": [{"op": "series"}, leaf, leaf]}, "tree op #2 uses edge 'a' twice"),
+            ({"format": "spnet-tree/2", "ops": [{"op": "leaf", "edge": "zz"}]}, "unknown edge 'zz'"),
+            (leaf, "not a spnet-tree/2 tree file"),
+            ([leaf], "not a JSON object"),
+        ):
+            tree.write_text(json.dumps(data))
+            assert run(["resistance", "--graph", UNIT, "--tree", str(tree)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {tree}: ") and msg in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, field, value, msg",
+        [
+            ("config", "bounds", [1], "'bounds' must map each edge id"),
+            ("config", "bounds", {"a1": 5}, "'bounds' must map each edge id"),
+            ("config", "penalty_h", None, "penalty_h must be a number, not NoneType"),
+            ("config", "penalty_h", [1], "penalty_h must be a number, not list"),
+            ("config", "penalty_h", True, "penalty_h must be a number, not bool"),
+            ("config", "max_iters", "5", "max_iters must be an integer, not str"),
+            ("config", "max_iters", 2.5, "max_iters must be an integer, not float"),
+            ("config", "max_iters", False, "max_iters must be an integer, not bool"),
+            ("config", "grad_tol", "x", "grad_tol must be a number, not str"),
+            ("graph", "k", True, "k must be a positive integer"),
+            ("graph", "nodes", "abc", "'nodes' must be an array"),
+            ("graph", "edges", 3, "'edges' must be an array of objects"),
+            ("graph", "edges", [5], "'edges' must be an array of objects"),
+            ("graph", "leaders", 5, "'leaders' must be an array"),
+            ("graph", "leaders", [["r1"]], "'leaders' must be an array"),
+            ("graph", "sources", {"s1": 1}, "'sources' must be an array"),
+            ("graph", "edge id", [1], "edge #0 id, tail and head must be strings or numbers"),
+            ("graph", "edge tail", {"n": 1}, "edge #0 id, tail and head must be strings or numbers"),
+        ],
+    )
+    def test_wrongly_typed_field_is_one_error_line(self, capsys, tmp_path, kind, field, value, msg):
+        data = {
+            "graph": json.loads(Path(DEMO).read_text()),
+            "config": json.loads((DATA / "demo_config.json").read_text()),
+        }
+        if field.startswith("edge "):
+            data[kind]["edges"][0][field.split()[1]] = value
+        else:
+            data[kind][field] = value
+        paths = {name: tmp_path / f"{name}.json" for name in data}
+        for name, path in paths.items():
+            path.write_text(json.dumps(data[name]))
+        argv = ["optimize", "--graph", str(paths["graph"]), "--config", str(paths["config"])]
+        assert run(argv + ["--out", str(tmp_path / "t.csv"), "--weights-out", str(tmp_path / "w.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[kind]}: ") and msg in err and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         assert run(["h2", "--graph", "/no/such/file.json"]) == 1

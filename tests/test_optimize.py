@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from spnet.optimize import (
     edge_gradients,
     objective,
     optimize_weights,
+    penalty_term,
     pgd_step,
 )
 
@@ -137,8 +139,15 @@ class TestConfig:
             matlin.project_box(lo, lo, lo - 1e-10 * np.eye(2))
         # Point boxes and gaps inside the tolerance are accepted by both.
         for up in (lo, lo - 0.5 * matlin.BOX_TOL * np.eye(2)):
-            cfg = OptConfig(penalty_h=1.0, bounds={"e": (lo, up)})
-            pgd_step({"e": np.eye(2)}, {"e": np.zeros((2, 2))}, 1, cfg)
+            OptConfig(penalty_h=1.0, bounds={"e": (lo, up)})
+            pgd_step(np.eye(2)[None], np.zeros((1, 2, 2)), 1, 1.0, lo[None], up[None])
+
+    def test_field_types(self):
+        # The rule config files get: numpy scalars pass, a bool is not a number.
+        OptConfig(penalty_h=np.float64(0.5), bounds={}, max_iters=np.int64(3), grad_tol=0)
+        for bad in ({"penalty_h": True}, {"max_iters": 2.0}, {"grad_tol": None}, {"bounds": [("e", (I1, I1))]}):
+            with pytest.raises(ValueError, match="must be"):
+                OptConfig(**{"penalty_h": 1.0, "bounds": {}, **bad})
 
     def test_load_config_reports_empty_box(self, tmp_path):
         path = tmp_path / "config.json"
@@ -167,33 +176,33 @@ class TestConfig:
 
 class TestPgdStep:
     def test_zero_gradient_shrinks_toward_origin(self):
-        cfg = OptConfig(penalty_h=1.0, bounds={"e": ([[0.1]], [[10.0]])})
-        out = pgd_step({"e": np.array([[2.0]])}, {"e": np.zeros((1, 1))}, 4, cfg)
+        out = pgd_step(np.array([[[2.0]]]), np.zeros((1, 1, 1)), 4, 1.0, np.array([[[0.1]]]), np.array([[[10.0]]]))
         # eta = 1/2, so w' = w - (1/2) w = 1.0
-        assert out["e"][0, 0] == pytest.approx(1.0)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(1.0)
 
     def test_point_constraint_pins_weight(self, rng):
-        w0 = np.array([[3.0]])
-        cfg = OptConfig(penalty_h=0.5, bounds={"e": (w0, w0)})
-        out = pgd_step({"e": np.array([[1.0]])}, {"e": np.array([[-5.0]])}, 1, cfg)
-        np.testing.assert_allclose(out["e"], w0, atol=1e-9)
+        w0 = np.array([[[3.0]]])
+        out = pgd_step(np.array([[[1.0]]]), np.array([[[-5.0]]]), 1, 0.5, w0, w0)
+        np.testing.assert_allclose(out, w0, atol=1e-9)
 
     def test_stack_matches_edge_by_edge_projection(self, rng):
-        k = 3
-        bounds = {f"e{i}": (random_spd(rng, k, 0.5, 1.0), random_spd(rng, k, 2.0, 3.0)) for i in range(5)}
-        cfg = OptConfig(penalty_h=0.7, bounds=bounds)
-        weights = {eid: random_spd(rng, k, 0.1, 4.0) for eid in reversed(list(bounds))}
-        grads = {eid: -random_spd(rng, k, 0.0, 5.0) for eid in weights}
-        out = pgd_step(weights, grads, 3, cfg)
-        assert list(out) == list(weights)
-        eta = 1.0 / (0.7 * np.sqrt(3))
-        for eid, w in weights.items():
-            want, ok = matlin.project_box(w - eta * (grads[eid] + 0.7 * w), *bounds[eid])
+        k, h, t = 3, 0.7, 3
+        lower = np.array([random_spd(rng, k, 0.5, 1.0) for _ in range(5)])
+        upper = np.array([random_spd(rng, k, 2.0, 3.0) for _ in range(5)])
+        w = np.array([random_spd(rng, k, 0.1, 4.0) for _ in range(5)])
+        grad = np.array([-random_spd(rng, k, 0.0, 5.0) for _ in range(5)])
+        out = pgd_step(w, grad, t, h, lower, upper)
+        assert out.shape == w.shape
+        eta = 1.0 / (h * np.sqrt(t))
+        for j in range(5):
+            want, ok = matlin.project_box(w[j] - eta * (grad[j] + h * w[j]), lower[j], upper[j])
             assert ok
-            np.testing.assert_array_equal(out[eid], want)
+            np.testing.assert_array_equal(out[j], want)
 
     def test_no_free_edges(self):
-        assert pgd_step({}, {}, 1, OptConfig(penalty_h=1.0, bounds={})) == {}
+        empty = np.zeros((0, 2, 2))
+        assert pgd_step(empty, empty, 1, 1.0, empty, empty).shape == (0, 2, 2)
 
     @pytest.mark.parametrize("mode", ["compositional", "dense"])
     def test_one_projection_per_step(self, rng, monkeypatch, mode):
@@ -212,9 +221,8 @@ class TestPgdStep:
         assert calls == {"pgd_step": 4, "project_box": 4}
 
     def test_iteration_counter(self):
-        cfg = OptConfig(penalty_h=1.0, bounds={"e": ([[0.1]], [[10.0]])})
         with pytest.raises(ValueError):
-            pgd_step({"e": I1}, {"e": I1}, 0, cfg)
+            pgd_step(I1[None], I1[None], 0, 1.0, 0.1 * I1[None], 10 * I1[None])
 
 
 class TestOptimizeWeights:
@@ -273,6 +281,63 @@ class TestOptimizeWeights:
             assert rc.objective == pytest.approx(rd.objective, rel=1e-8)
             for eid in rc.weights:
                 np.testing.assert_allclose(rc.weights[eid], rd.weights[eid], atol=1e-8)
+
+
+def reference_descent(g, cfg):
+    """The descent written edge by edge: dicts keyed by edge id, boxes looked up
+    per edge and one ``project_box`` call per edge and step. Returns
+    (objective, grad_norm, weights) per iterate."""
+    provider = dense_provider if cfg.voltage_mode == "dense" else h2.CompositionalProvider(g)
+    fixed, h = attachment_edge_ids(g), cfg.penalty_h
+    weights = {e.id: e.weight for e in g.edges if e.id not in fixed}
+    current, grads, out = g, None, []
+    for t in range(cfg.max_iters + 1):
+        if t:
+            eta = 1.0 / (h * math.sqrt(t))
+            new = {}
+            for eid, w in weights.items():
+                new[eid], ok = matlin.project_box(w - eta * (grads[eid] + h * w), *cfg.bounds[eid])
+                assert ok
+            weights = new
+            current = current.with_weights(weights)
+        per_source, q = provider(current)
+        grads = dict(zip((e.id for e in g.edges), edge_gradients(q)))
+        reg = np.array([grads[eid] + h * w for eid, w in weights.items()])
+        gnorm = float(np.linalg.norm(reg, axis=(1, 2)).sum())
+        out.append((sum(per_source.values()) + penalty_term(current, h), gnorm, weights))
+        if gnorm < cfg.grad_tol:
+            break
+    return out
+
+
+class TestWeightStack:
+    @pytest.mark.parametrize("mode", ["compositional", "dense"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_edge_by_edge_reference(self, mode, seed):
+        # Boxes listed in shuffled order, half of the free edges' boxes tight around
+        # the start so that the projection binds; the stacked run must agree bit for bit.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        g = random_aittsp(rng, k, 3)
+        free = [e.id for e in g.edges if e.id not in attachment_edge_ids(g)]
+        tight = set(rng.choice(free, size=(len(free) + 1) // 2, replace=False))
+        bounds = {}
+        for j in rng.permutation(len(g.edges)):
+            e = g.edges[j]
+            bounds[e.id] = (0.97 * e.weight, 1.01 * e.weight) if e.id in tight else (1e-3 * np.eye(k), 1e3 * np.eye(k))
+        cfg = OptConfig(penalty_h=0.3, bounds=bounds, max_iters=6, voltage_mode=mode)
+        traj = optimize_weights(g, cfg)
+        want = reference_descent(g, cfg)
+        assert len(traj.records) == len(want) == 7
+        binding = 0
+        for rec, (obj, gnorm, weights) in zip(traj.records, want):
+            assert (rec.objective, rec.grad_norm) == (obj, gnorm)
+            assert list(rec.weights) == list(weights)
+            for eid, w in weights.items():
+                assert rec.weights[eid].tobytes() == w.tobytes()
+                gap = min(np.linalg.eigvalsh(w - bounds[eid][0]).min(), np.linalg.eigvalsh(bounds[eid][1] - w).min())
+                binding += rec.iteration > 0 and gap < 1e-9
+        assert binding
 
 
 class TestSolvesPerIterate:
