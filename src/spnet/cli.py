@@ -100,7 +100,7 @@ def _kirchhoff(g, q):
     what Kirchhoff's current law asks there: +I at the source, 0 elsewhere),
     each (S, followers, k, k), from a provider's Q stack."""
     pos = {node: i for i, node in enumerate(g.nodes)}
-    flows = np.array([e.weight for e in g.edges]) @ q
+    flows = g.weights @ q
     net, want = np.zeros((2, len(q), len(g.nodes), g.k, g.k))
     np.add.at(net, (slice(None), [pos[e.tail] for e in g.edges]), flows)
     np.subtract.at(net, (slice(None), [pos[e.head] for e in g.edges]), flows)
@@ -112,7 +112,7 @@ def _kirchhoff(g, q):
 def _energies(g, q):
     """Energy sum_e Q_e^T W_e Q_e of each source, (S, k, k); by Tellegen's
     theorem it is the source's own block Y_s^s, its root resistance."""
-    return (q.swapaxes(-1, -2) @ np.array([e.weight for e in g.edges]) @ q).sum(axis=1)
+    return (q.swapaxes(-1, -2) @ g.weights @ q).sum(axis=1)
 
 
 def _cmd_check(args):

@@ -74,8 +74,8 @@ def graph_to_dict(g):
         "k": g.k,
         "nodes": list(g.nodes),
         "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "weight": e.weight.tolist()}
-            for e in g.edges
+            {"id": e.id, "tail": e.tail, "head": e.head, "weight": w.tolist()}
+            for e, w in zip(g.edges, g.weights)
         ],
         "leaders": sorted(g.leaders),
         "sources": list(g.sources),

@@ -1,11 +1,11 @@
 """Matrix-weighted graph model for leader-follower consensus networks.
 
-A graph is a multigraph over string node ids. Edges carry strictly
-positive-definite k x k conductance weights. Leaders are the externally
-controlled nodes; each leader hangs off the network by a single
-identity-weight edge whose follower endpoint is a source node. The
-Dirichlet Laplacian is the follower block of the full graph Laplacian and
-is what both the dense oracle and the gradient are built on.
+A graph is a multigraph over string node ids. Edges are topology only; one
+(m, k, k) stack ``weights`` holds their strictly positive-definite k x k
+conductances. Leaders are the externally controlled nodes; each leader hangs
+off the network by a single identity-weight edge whose follower endpoint is a
+source node. The Dirichlet Laplacian is the follower block of the full graph
+Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +23,6 @@ class Edge:
     id: str
     tail: str
     head: str
-    weight: np.ndarray  # k x k strictly SPD conductance
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +30,7 @@ class MatrixGraph:
     k: int
     nodes: tuple
     edges: tuple
+    weights: np.ndarray  # (m, k, k) strictly SPD conductances; row j is edges[j]'s
     leaders: frozenset = frozenset()
     sources: tuple = ()
 
@@ -38,17 +38,14 @@ class MatrixGraph:
     def followers(self):
         return tuple(n for n in self.nodes if n not in self.leaders)
 
-    def edge_map(self):
-        return {e.id: e for e in self.edges}
-
     def with_weights(self, new_weights):
-        """Copy of the graph with some edge weights replaced (by edge id), checked as one stack."""
-        ids = [e.id for e in self.edges if e.id in new_weights]
-        if not ids:
+        """Copy of the graph with some edge weights replaced (by edge id), checked as one stack; same ``edges``."""
+        rows = [j for j, e in enumerate(self.edges) if e.id in new_weights]
+        if not rows:
             return self
-        new = dict(zip(ids, matlin.as_symmetric([new_weights[eid] for eid in ids])))
-        edges = tuple(Edge(e.id, e.tail, e.head, new[e.id]) if e.id in new else e for e in self.edges)
-        return replace(self, edges=edges)
+        weights = self.weights.copy()
+        weights[rows] = matlin.as_symmetric([new_weights[self.edges[j].id] for j in rows])
+        return replace(self, weights=weights)
 
 
 def make_graph(k, nodes, edges, leaders=(), sources=None):
@@ -66,6 +63,7 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
     node_set = set(nodes)
     seen_ids, ends, weights = set(), [], []
     for eid, tail, head, w in edges:
+        eid = str(eid)
         if eid in seen_ids:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
         seen_ids.add(eid)
@@ -84,13 +82,13 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
     spd = matlin.is_spd(weights)
     if not spd.all():
         raise GraphValidationError(f"edge {ends[int(np.argmin(spd))][0]!r} weight is not strictly SPD")
-    built = [Edge(str(eid), tail, head, w) for (eid, tail, head), w in zip(ends, weights)]
+    built = tuple(Edge(*end) for end in ends)
 
     leaders = frozenset(leaders)
     if not leaders <= node_set:
         raise GraphValidationError("leader set contains unknown nodes")
     if sources is None:
-        sources = tuple(sorted(_attachment_sources(built, leaders)))
+        sources = tuple(sorted(_attachment_sources(built, weights, leaders)))
     else:
         sources = tuple(sources)
         unknown = set(sources) - node_set
@@ -98,14 +96,14 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
             raise GraphValidationError(f"unknown source nodes {sorted(unknown)}")
         if set(sources) & leaders:
             raise GraphValidationError("a source node cannot be a leader")
-    return MatrixGraph(k=k, nodes=nodes, edges=tuple(built), leaders=leaders, sources=sources)
+    return MatrixGraph(k=k, nodes=nodes, edges=built, weights=weights, leaders=leaders, sources=sources)
 
 
-def _attachment_sources(edges, leaders):
+def _attachment_sources(edges, weights, leaders):
     sources = set()
-    for e in edges:
+    for j, e in enumerate(edges):
         for a, b in ((e.tail, e.head), (e.head, e.tail)):
-            if a in leaders and b not in leaders and _is_identity(e.weight):
+            if a in leaders and b not in leaders and _is_identity(weights[j]):
                 sources.add(b)
     return sources
 
@@ -143,7 +141,7 @@ def validate_consensus(g):
     if not is_connected(g):
         raise GraphValidationError("graph is not connected")
     attached = {}
-    for e in g.edges:
+    for j, e in enumerate(g.edges):
         in_l = (e.tail in g.leaders, e.head in g.leaders)
         if all(in_l):
             raise GraphValidationError(f"edge {e.id!r} connects two leaders")
@@ -151,7 +149,7 @@ def validate_consensus(g):
             leader, other = (e.tail, e.head) if in_l[0] else (e.head, e.tail)
             if leader in attached:
                 raise GraphValidationError(f"leader {leader!r} has more than one edge")
-            if not _is_identity(e.weight):
+            if not _is_identity(g.weights[j]):
                 raise GraphValidationError(f"leader edge {e.id!r} does not carry identity weight")
             attached[leader] = other
     missing = g.leaders - set(attached)
@@ -203,9 +201,8 @@ def grounded_laplacian(g, ground):
     idx = {n: i for i, n in enumerate(order)}
     k = g.k
     m = np.zeros((k * len(order), k * len(order)))
-    for e in g.edges:
+    for e, w in zip(g.edges, g.weights):
         t_in, h_in = e.tail not in ground, e.head not in ground
-        w = e.weight
         if t_in and h_in:
             i, j = idx[e.tail], idx[e.head]
             m[k * i : k * i + k, k * i : k * i + k] += w
@@ -249,14 +246,15 @@ def identify_nodes(g, group, new_id=None):
     def relabel(n):
         return rep if n in group else n
 
-    # Intra-group edges are dropped; an edge touching no grouped node is kept, not copied.
+    # Intra-group edges and their weight rows are dropped; an edge touching no grouped node is kept, not copied.
+    keep = [j for j, e in enumerate(g.edges) if e.tail not in group or e.head not in group]
     edges = tuple(
-        e if e.tail not in group and e.head not in group else Edge(e.id, relabel(e.tail), relabel(e.head), e.weight)
-        for e in g.edges
-        if e.tail not in group or e.head not in group
+        e if e.tail not in group and e.head not in group else Edge(e.id, relabel(e.tail), relabel(e.head))
+        for e in (g.edges[j] for j in keep)
     )
     nodes, sources = (tuple(dict.fromkeys(map(relabel, ns))) for ns in (g.nodes, g.sources))
-    return replace(g, nodes=nodes, edges=edges, leaders=frozenset(map(relabel, g.leaders)), sources=sources)
+    leaders = frozenset(map(relabel, g.leaders))
+    return replace(g, nodes=nodes, edges=edges, weights=g.weights[keep], leaders=leaders, sources=sources)
 
 
 def ground_leaders(g, sink_id="l"):

@@ -68,14 +68,13 @@ def _check_positive(a, b):
         raise ValueError("compositional H2 values must be positive")
 
 
-def _scalar_bounds(program):
+def _scalar_bounds(program, leaf_r):
     """{source: bound} of an ``ArcProgram``: the scalar rules folded up from
-    each edge's tr(W^-1) / 2."""
+    each edge's tr(W^-1) / 2, ``leaf_r`` the edges' W^-1."""
 
     def join(kind, a, b):
         return h2_series_compose(a, b) if kind is Series else h2_parallel_compose(a, b)
 
-    leaf_r = electrical.leaf_resistances([e.weight for e in program.edges])
     return program.fold([0.5 * float(np.trace(r)) for r in leaf_r], join)
 
 
@@ -86,7 +85,8 @@ def h2_scalar_bound(t):
     subtree resistances met at parallel joins are pairwise proportional,
     in particular for k = 1 and for series-only trees.
     """
-    return _scalar_bounds(flatten(t)[0])[None]
+    program, _ = flatten(t)
+    return _scalar_bounds(program, electrical.leaf_resistances([lf.weight for lf in program.edges]))[None]
 
 
 def _reduced(g):
@@ -105,7 +105,7 @@ def source_trees(g):
     not TTSP from some source.
     """
     gg, sink, program = _reduced(g)
-    return {s: program.tree(s) for s in gg.sources}, gg, sink
+    return {s: program.tree(s, gg.weights) for s in gg.sources}, gg, sink
 
 
 def compositional_h2(g, method="exact"):
@@ -114,11 +114,12 @@ def compositional_h2(g, method="exact"):
     bound the scalar rules, so no tree is built."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
-    _, _, program = _reduced(g)
+    gg, _, program = _reduced(g)
+    leaf_r = electrical.leaf_resistances(gg.weights)
     if method == "bound":
-        per_source = _scalar_bounds(program)
+        per_source = _scalar_bounds(program, leaf_r)
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
-    roots = electrical.root_resistances(program, electrical.leaf_resistances([e.weight for e in program.edges]))
+    roots = electrical.root_resistances(program, leaf_r)
     per_source = {s: 0.5 * float(np.trace(r)) for s, r in roots.items()}
     return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
 
@@ -183,8 +184,7 @@ class CompositionalProvider:
         """``electrical.SourceSweeps`` of every source under ``g``'s weights."""
         if tuple(e.id for e in g.edges) != self.edge_ids:
             raise ValueError("graph edges differ from the ones the reduction was made for")
-        leaf_r = electrical.leaf_resistances([g.edges[j].weight for j in self.rows])
-        return electrical.solve_sources(self.program, leaf_r)
+        return electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights[self.rows]))
 
     def read(self, solutions):
         """(h2, q) from the sweeps: leaf voltages scattered into ``g.edges`` order."""

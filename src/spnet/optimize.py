@@ -48,8 +48,10 @@ class OptConfig:
                 raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
         if not isinstance(self.bounds, dict):
             raise ValueError(f"bounds must be a dict of edge id -> (L, U), not {type(self.bounds).__name__}")
-        if self.penalty_h <= 0:
-            raise ValueError("penalty h must be positive")
+        if not 0 < self.penalty_h < math.inf:  # rejects NaN too
+            raise ValueError("penalty_h must be finite and positive")
+        if math.isnan(self.grad_tol):
+            raise ValueError("grad_tol must be a number, not NaN")
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
         # Every box [L, U]: shapes edge by edge, then L strictly SPD, U symmetric
@@ -117,8 +119,7 @@ def edge_gradients(q):
 
 def penalty_term(g, h):
     """(h/2) sum_e ||W_e||_F^2, one sum of squares over the weight stack."""
-    w = np.array([e.weight for e in g.edges])
-    return 0.5 * h * float(np.vdot(w, w))
+    return 0.5 * h * float(np.vdot(g.weights, g.weights))
 
 
 def objective(g, h, voltage_mode="dense"):
@@ -156,7 +157,7 @@ def optimize_weights(g, cfg):
     if None in boxes:
         raise ValueError(f"no bounds configured for edges {[eid for eid, b in zip(free, boxes) if b is None]}")
     lower, upper = (np.array([box[j] for box in boxes], dtype=float).reshape(-1, g.k, g.k) for j in (0, 1))
-    w = np.array([g.edges[j].weight for j in rows]).reshape(-1, g.k, g.k)
+    w = g.weights[rows]
 
     provider = dense_provider
     if cfg.voltage_mode == "compositional":

@@ -169,7 +169,7 @@ def recognize(g, source, sink):
     reduction engine with ``source`` and ``sink`` as its only terminals, then
     one explicit-stack pass that builds the tree, in which every leaf's tail
     -> head follows the flow from source to sink."""
-    return reduce_sources(g, (source,), sink).tree(source)
+    return reduce_sources(g, (source,), sink).tree(source, g.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +182,7 @@ class ArcProgram:
     join i is arc m + i, so creation order is bottom-up. ``own[s]`` is (joins,
     root, reversed) of source s: the joins that finish its reduction on top of
     the shared ones (join j is arc m + len(joins) + j), its root arc, and
-    whether that runs sink -> s.
+    whether that runs sink -> s. Graph edges carry no weights; ``tree`` takes them.
     """
 
     edges: tuple
@@ -205,10 +205,10 @@ class ArcProgram:
             del vals[base:]
         return roots
 
-    def tree(self, source):
-        """The source's Leaf/Series/Parallel tree, built without recursion."""
+    def tree(self, source, weights):
+        """The source's Leaf/Series/Parallel tree with ``weights[j]`` on edge j, built without recursion."""
         joins, root, reversed_ = self.own[source]
-        return _build(self.edges, self.joins + joins, root, reversed_)
+        return _build(self.edges, weights, self.joins + joins, root, reversed_)
 
 
 def reduce_sources(g, sources, sink):
@@ -327,8 +327,8 @@ def _reduce(tail, head, joins, arcs, nodes, terminals):
     return [aid for bundle in bundles.values() for aid in bundle]
 
 
-def _build(edges, joins, root, flipped):
-    """Tree of arc ``root`` (reversed if ``flipped``), built without recursion.
+def _build(edges, weights, joins, root, flipped):
+    """Tree of arc ``root`` (reversed if ``flipped``) with ``weights[j]`` on edge j, built without recursion.
 
     A reversed Series swaps and reverses its children, a reversed Parallel
     reverses both, and a reversed Leaf swaps its tail and head.
@@ -348,8 +348,8 @@ def _build(edges, joins, root, flipped):
     built = {}
     for aid, f, left, right in reversed(order):
         if aid < m:
-            e = edges[aid]
-            built[aid] = Leaf(e.id, e.weight, e.head, e.tail) if f else Leaf(e.id, e.weight, e.tail, e.head)
+            e, w = edges[aid], weights[aid]
+            built[aid] = Leaf(e.id, w, e.head, e.tail) if f else Leaf(e.id, w, e.tail, e.head)
         else:
             built[aid] = joins[aid - m][0](built.pop(left), built.pop(right))
     return built[root]
@@ -368,14 +368,14 @@ def to_json(t):
 
 
 def from_json(data, g):
-    """Rebuild a tree from ``to_json`` data, resolving leaf weights against ``g``.
+    """Rebuild a tree from ``to_json`` data, taking leaf weights from ``g.weights``.
 
     One forward pass checks every op in pre-order, counting the subtrees still
     owed to the joins before it; then one reversed stack pass builds the tree.
     """
     if not isinstance(data, dict) or data.get("format") != TREE_FORMAT or not isinstance(data.get("ops"), list):
         raise GraphValidationError(f"not a {TREE_FORMAT} tree file; write it again with `spnet decompose`")
-    emap, used, owed = g.edge_map(), set(), 1
+    emap, used, owed = {e.id: (e, w) for e, w in zip(g.edges, g.weights)}, set(), 1
     for n, d in enumerate(data["ops"]):
         if not owed:
             raise GraphValidationError(f"tree op #{n} follows the end of the tree")
@@ -397,8 +397,8 @@ def from_json(data, g):
     built = []
     for d in reversed(data["ops"]):
         if d["op"] == "leaf":
-            e = emap[d["edge"]]
-            built.append(Leaf(e.id, e.weight, e.tail, e.head))
+            e, w = emap[d["edge"]]
+            built.append(Leaf(e.id, w, e.tail, e.head))
         else:
             built.append(_KINDS[d["op"]](built.pop(), built.pop()))
     return built[0]

@@ -84,15 +84,15 @@ def random_aittsp(rng, k, n_sources, leaves_per_link=4, lo=0.5, hi=2.0):
             if n not in rename:
                 rename[n] = f"m{i}_{n}"
                 nodes.append(rename[n])
-        for e in sub_g.edges:
-            edges.append((e.id, rename[e.tail], rename[e.head], e.weight))
+        for e, w in zip(sub_g.edges, sub_g.weights):
+            edges.append((e.id, rename[e.tail], rename[e.head], w))
     return make_graph(k, nodes, edges, leaders=[f"r{i}" for i in range(n_sources)])
 
 
 def fd_gradient_direction(g, edge_id, direction, step=1e-5):
     """Central finite difference of the dense squared H2 norm along one
     symmetric weight perturbation direction."""
-    base = g.edge_map()[edge_id].weight
+    base = g.weights[[e.id for e in g.edges].index(edge_id)]
     plus = dense_h2(g.with_weights({edge_id: base + step * direction})).total
     minus = dense_h2(g.with_weights({edge_id: base - step * direction})).total
     return (plus - minus) / (2.0 * step)

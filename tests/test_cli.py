@@ -16,6 +16,7 @@ DEMO = str(DATA / "demo_graph.json")
 UNIT = str(DATA / "unit_path.json")
 K4 = str(DATA / "k4.json")
 GOLDEN = Path(__file__).parent / "data" / "demo_trajectory.csv"
+DUP = {"tail": "s1", "head": "m1", "weight": [[1.0, 0.0], [0.0, 1.0]]}  # a demo graph edge, less its id
 
 
 def run_json(capsys, argv):
@@ -280,6 +281,11 @@ class TestFileErrors:
             ("graph", "sources", {"s1": 1}, "'sources' must be an array"),
             ("graph", "edge id", [1], "edge #0 id, tail and head must be strings or numbers"),
             ("graph", "edge tail", {"n": 1}, "edge #0 id, tail and head must be strings or numbers"),
+            # Ids are compared as the strings they become, so 1 and "1" name one edge.
+            ("graph", "edges", [dict(DUP, id=1), dict(DUP, id="1")], "duplicate edge id '1'"),
+            ("config", "penalty_h", float("nan"), "penalty_h must be finite and positive"),
+            ("config", "penalty_h", float("inf"), "penalty_h must be finite and positive"),
+            ("config", "grad_tol", float("nan"), "grad_tol must be a number, not NaN"),
         ],
     )
     def test_wrongly_typed_field_is_one_error_line(self, capsys, tmp_path, kind, field, value, msg):

@@ -84,7 +84,7 @@ class TestQStack:
             column = {e.id: j for j, e in enumerate(g.edges)}
             for c, s in enumerate(g.sources):
                 y = dense_voltages(gg, s)
-                for lf in leaves(provider.program.tree(s)):
+                for lf in leaves(provider.program.tree(s, gg.weights)):
                     j = column[lf.edge]
                     # Net sign of the arc in the source's tree: +1 where the flow runs tail -> head.
                     sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
@@ -151,7 +151,7 @@ class TestCompiledProvider:
         arc = {e.id: a for a, e in enumerate(gg.edges)}
         signs = set()
         for c, s in enumerate(provider.program.own):
-            tree = provider.program.tree(s)
+            tree = provider.program.tree(s, gg.weights)
             sol = electrical.solve_tree(tree)
             for lf, cur in zip(leaves(tree), sol.current[list(sol.leaf_index.values())]):
                 sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0

@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import random_aittsp
+from helpers import random_aittsp, random_spd
 from spnet import graph
 from spnet.errors import GraphValidationError
 from spnet.graph import (
@@ -14,6 +14,7 @@ from spnet.graph import (
     make_graph,
     validate_consensus,
 )
+from spnet.h2 import CompositionalProvider
 
 I1 = np.eye(1)
 
@@ -81,13 +82,13 @@ class TestDirichletLaplacian:
         expected = np.zeros((k * n, k * n))
         e_mat, _ = incidence(g)
         node_pos = {m: i for i, m in enumerate(g.nodes)}
-        for col, edge in enumerate(g.edges):
+        for col, (edge, w) in enumerate(zip(g.edges, g.weights)):
             a = np.zeros((k * n, k))
             for node in (edge.tail, edge.head):
                 if node in idx:
                     sign = e_mat[node_pos[node], col]
                     a[k * idx[node] : k * idx[node] + k, :] = sign * np.eye(k)
-            expected += a @ edge.weight @ a.T
+            expected += a @ w @ a.T
         np.testing.assert_allclose(dl.matrix, expected, atol=1e-12)
 
     def test_disconnected_rejected(self):
@@ -164,13 +165,11 @@ class TestIdentifyNodes:
         for n in g.sources:
             if relabel(n) not in sources:
                 sources.append(relabel(n))
-        edges = tuple(
-            replace(e, tail=relabel(e.tail), head=relabel(e.head))
-            for e in g.edges
-            if relabel(e.tail) != relabel(e.head)
-        )
+        kept = [(e, w) for e, w in zip(g.edges, g.weights) if relabel(e.tail) != relabel(e.head)]
+        edges = tuple(replace(e, tail=relabel(e.tail), head=relabel(e.head)) for e, _ in kept)
+        weights = np.array([w for _, w in kept]).reshape(-1, g.k, g.k)
         leaders = frozenset(relabel(n) for n in g.leaders)
-        return replace(g, nodes=tuple(nodes), edges=edges, leaders=leaders, sources=tuple(sources))
+        return replace(g, nodes=tuple(nodes), edges=edges, weights=weights, leaders=leaders, sources=tuple(sources))
 
     def test_matches_reference(self, rng):
         for _ in range(30):
@@ -185,7 +184,7 @@ class TestIdentifyNodes:
                     got, want = identify_nodes(g, group, new_id), self.reference(g, group, new_id)
                     assert (got.nodes, got.leaders, got.sources) == (want.nodes, want.leaders, want.sources)
                     assert [(e.id, e.tail, e.head) for e in got.edges] == [(e.id, e.tail, e.head) for e in want.edges]
-                    assert all(a.weight is b.weight for a, b in zip(got.edges, want.edges))
+                    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
                     untouched = [e for e in g.edges if not {e.tail, e.head} & set(group)]
                     assert all(e in got.edges for e in untouched)  # kept, not copied
 
@@ -201,10 +200,10 @@ class TestGroundLeaders:
     def test_three_leaders_three_identity_edges(self, rng):
         g = random_aittsp(rng, 2, 3)
         gg, sink = ground_leaders(g)
-        attached = [e for e in gg.edges if sink in (e.tail, e.head)]
+        attached = [w for e, w in zip(gg.edges, gg.weights) if sink in (e.tail, e.head)]
         assert len(attached) == 3
-        for e in attached:
-            np.testing.assert_allclose(e.weight, np.eye(2))
+        for w in attached:
+            np.testing.assert_allclose(w, np.eye(2))
 
     def test_node_count(self, rng):
         g = random_aittsp(rng, 1, 4)
@@ -256,3 +255,54 @@ class TestValidation:
     def test_non_spd_weight_rejected(self):
         with pytest.raises(GraphValidationError):
             make_graph(1, ["a", "b"], [("e", "a", "b", np.array([[-1.0]]))])
+
+    def test_edge_ids_unique_after_string_conversion(self):
+        with pytest.raises(GraphValidationError, match="duplicate edge id '1'"):
+            make_graph(1, ["a", "b"], [(1, "a", "b", I1), ("1", "a", "b", I1)])
+
+
+def rows_by_id(g):
+    return {e.id: w.tobytes() for e, w in zip(g.edges, g.weights)}
+
+
+class TestWeightStack:
+    """``MatrixGraph.weights`` is the one store of edge weights: row j is edges[j]'s."""
+
+    def test_edges_are_topology_only(self, rng):
+        g = random_aittsp(rng, 2, 3)
+        assert [f.name for f in fields(graph.Edge)] == ["id", "tail", "head"]
+        assert g.weights.shape == (len(g.edges), 2, 2)
+
+    def test_quotients_keep_each_edge_row(self, rng):
+        dropped = 0
+        for _ in range(20):
+            g = random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            group = [g.nodes[i] for i in rng.choice(len(g.nodes), min(3, len(g.nodes)), replace=False)]
+            for quotient in (ground_leaders(g)[0], identify_nodes(g, group)):
+                assert len(quotient.weights) == len(quotient.edges)
+                kept, before = rows_by_id(quotient), rows_by_id(g)
+                assert kept == {eid: before[eid] for eid in kept}
+                dropped += len(g.edges) - len(quotient.edges)
+        assert dropped  # some groups hold both ends of an edge, so later rows shift
+
+    def test_with_weights_replaces_only_the_named_rows(self, rng):
+        g = random_aittsp(rng, 3, 4)
+        named = {g.edges[j].id: random_spd(rng, 3) for j in rng.choice(len(g.edges), 3, replace=False)}
+        before = rows_by_id(g)
+        g2 = g.with_weights(named)
+        assert g2.edges is g.edges and g2.weights is not g.weights
+        for eid, row in rows_by_id(g2).items():
+            assert row == (named[eid].tobytes() if eid in named else before[eid])
+        assert rows_by_id(g) == before  # the input graph is untouched
+
+    def test_provider_follows_new_weights_bitwise(self, rng):
+        for _ in range(10):
+            g = random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
+            provider = CompositionalProvider(g)
+            free = [e.id for e in g.edges if e.id not in graph.attachment_edge_ids(g)]
+            moved = g.with_weights({eid: random_spd(rng, g.k) for eid in free if rng.random() < 0.5})
+            edges = [(e.id, e.tail, e.head, w) for e, w in zip(g.edges, moved.weights)]
+            fresh = make_graph(g.k, g.nodes, edges, leaders=g.leaders, sources=g.sources)
+            (h2_a, q_a), (h2_b, q_b) = provider(moved), CompositionalProvider(fresh)(fresh)
+            assert h2_a == h2_b
+            assert q_a.tobytes() == q_b.tobytes()

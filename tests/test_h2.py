@@ -162,9 +162,10 @@ class TestVoltageProviders:
             g = random_aittsp(rng, k, int(rng.integers(2, 5)))
             oracle = dense_h2(g).per_source
             comp = CompositionalProvider(g)
-            tails = {e.id: e.tail for e in ground_leaders(g)[0].edges}
+            gg, _ = ground_leaders(g)
+            tails = {e.id: e.tail for e in gg.edges}
             reversed_leaves += sum(
-                lf.tail != tails[lf.edge] for s in comp.program.own for lf in leaves(comp.program.tree(s))
+                lf.tail != tails[lf.edge] for s in comp.program.own for lf in leaves(comp.program.tree(s, gg.weights))
             )
             comp_h2, comp_q = comp(g)
             dense_h2_sq, dense_q = dense_provider(g)

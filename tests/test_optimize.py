@@ -144,8 +144,12 @@ class TestConfig:
 
     def test_field_types(self):
         # The rule config files get: numpy scalars pass, a bool is not a number.
+        # penalty_h must also be finite and grad_tol not NaN; an infinite grad_tol is a valid stop rule.
         OptConfig(penalty_h=np.float64(0.5), bounds={}, max_iters=np.int64(3), grad_tol=0)
-        for bad in ({"penalty_h": True}, {"max_iters": 2.0}, {"grad_tol": None}, {"bounds": [("e", (I1, I1))]}):
+        OptConfig(penalty_h=0.5, bounds={}, grad_tol=np.float64(np.inf))
+        typed = ({"penalty_h": True}, {"max_iters": 2.0}, {"grad_tol": None}, {"bounds": [("e", (I1, I1))]})
+        nonfinite = ({"penalty_h": math.nan}, {"penalty_h": np.float64(np.inf)}, {"grad_tol": np.float64(np.nan)})
+        for bad in typed + nonfinite:
             with pytest.raises(ValueError, match="must be"):
                 OptConfig(**{"penalty_h": 1.0, "bounds": {}, **bad})
 
@@ -289,7 +293,7 @@ def reference_descent(g, cfg):
     (objective, grad_norm, weights) per iterate."""
     provider = dense_provider if cfg.voltage_mode == "dense" else h2.CompositionalProvider(g)
     fixed, h = attachment_edge_ids(g), cfg.penalty_h
-    weights = {e.id: e.weight for e in g.edges if e.id not in fixed}
+    weights = {e.id: w for e, w in zip(g.edges, g.weights) if e.id not in fixed}
     current, grads, out = g, None, []
     for t in range(cfg.max_iters + 1):
         if t:
@@ -323,8 +327,8 @@ class TestWeightStack:
         tight = set(rng.choice(free, size=(len(free) + 1) // 2, replace=False))
         bounds = {}
         for j in rng.permutation(len(g.edges)):
-            e = g.edges[j]
-            bounds[e.id] = (0.97 * e.weight, 1.01 * e.weight) if e.id in tight else (1e-3 * np.eye(k), 1e3 * np.eye(k))
+            e, w = g.edges[j], g.weights[j]
+            bounds[e.id] = (0.97 * w, 1.01 * w) if e.id in tight else (1e-3 * np.eye(k), 1e3 * np.eye(k))
         cfg = OptConfig(penalty_h=0.3, bounds=bounds, max_iters=6, voltage_mode=mode)
         traj = optimize_weights(g, cfg)
         want = reference_descent(g, cfg)

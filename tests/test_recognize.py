@@ -32,7 +32,7 @@ def scrambled(rng, g):
     for i in rng.permutation(len(g.edges)):
         e = g.edges[i]
         tail, head = (e.head, e.tail) if rng.random() < 0.5 else (e.tail, e.head)
-        edges.append((e.id, tail, head, e.weight))
+        edges.append((e.id, tail, head, g.weights[i]))
     return make_graph(g.k, nodes, edges)
 
 
@@ -96,7 +96,7 @@ class TestRandomSeriesParallel:
             t2 = recognize(g, src, snk)
             np.testing.assert_allclose(effective_resistance(t2)[0], effective_resistance(t)[0], atol=1e-10)
 
-            emap = g.edge_map()
+            emap = {e.id: e for e in g.edges}
             for lf in leaves(t2):
                 e = emap[lf.edge]
                 assert {lf.tail, lf.head} == {e.tail, e.head}

@@ -39,7 +39,7 @@ def scrambled_ids(rng, g):
     for i in rng.permutation(len(g.edges)):
         e = g.edges[i]
         tail, head = (e.head, e.tail) if rng.random() < 0.5 else (e.tail, e.head)
-        edges.append((f"e{rng.integers(1 << 30):x}_{i}", names[tail], names[head], e.weight))
+        edges.append((f"e{rng.integers(1 << 30):x}_{i}", names[tail], names[head], g.weights[i]))
     nodes = [names[g.nodes[i]] for i in rng.permutation(len(g.nodes))]
     return make_graph(g.k, nodes, edges, leaders=[names[n] for n in g.leaders])
 

@@ -145,10 +145,10 @@ def check_make_graph(seed, k, n, fault, at):
         assert_same_fault(info.value, ref)
         return
     g = make_graph(k, nodes, edges)
-    assert [e.weight.tobytes() for e in g.edges] == [w.tobytes() for w in stored]
+    assert [w.tobytes() for w in g.weights] == [w.tobytes() for w in stored]
     # Replacing every weight is checked and stored the same way.
     new = {f"e{i}": WEIGHT_FAULTS[fault](rng, k) for i in range(n)}
-    assert [e.weight.tobytes() for e in g.with_weights(new).edges] == [
+    assert [w.tobytes() for w in g.with_weights(new).weights] == [
         ref_as_symmetric(new[e.id]).tobytes() for e in g.edges
     ]
     if k > 1:
