@@ -1,11 +1,16 @@
 """Regenerate the bundled demo fixtures under src/spnet/data/.
 
+Usage (from the repository root, with spnet importable):
+
+    python scripts/make_demo_fixture.py
+
 The demo network has three leaders (identified to a single grounded node
 when analyzed), k = 2 weights, multi-edges between neighbouring sources,
 and randomized weights/bounds drawn from the fixed seed below. Initial
 weights start near the lower bounds so the descent has room to move.
 """
 
+import argparse
 import json
 import pathlib
 
@@ -27,7 +32,8 @@ def random_spd(rng, k, lo, hi):
     return 0.5 * (m + m.T)
 
 
-def main():
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     rng = np.random.default_rng(SEED)
     identity = np.eye(K)
 

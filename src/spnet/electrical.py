@@ -5,7 +5,8 @@ an arc list, leaves first and then one arc per join, bottom-up: an
 ``sptree.ArcProgram`` (``root_resistances`` by its ``fold``, ``solve_sources``
 for all sources at once), or ``sptree.flatten`` of a tree (``effective_resistance``,
 ``branch_currents``, ``voltage_drops``, ``solve_tree``, keyed by pre-order
-index). Leaf resistances come from one batched inverse. The sweeps:
+index). Leaf resistances come from one batched inverse. ``solve_sources`` sweeps
+only shared joins; the terminal skeleton they leave takes one Dirichlet solve. The sweeps:
 
 - resistance, bottom-up: series R1 + R2; parallel one solve for
   X = (R1 + R2)^-1 [R2 | R1] = (X1, X2), then R = sym(R1 X1), X kept;
@@ -81,46 +82,45 @@ def root_resistances(program, leaf_r):
     return program.fold(leaf_r, join)
 
 
-def _parallel_meets(joins, splits, res, first):
-    """(arc id, R_a, R_b, X) of every parallel join; ``joins[i]`` is arc first + i."""
-    return [(first + i, res[j[1]], res[j[3]], x) for i, (j, x) in enumerate(zip(joins, splits)) if x is not None]
-
-
 @dataclass(frozen=True, eq=False)
 class SourceSweeps:
     """Unit-current solve of every source of an ``ArcProgram``; S in source order."""
 
     roots: np.ndarray  # (S, k, k) effective resistance source -> sink
-    current: np.ndarray  # (arcs, S, k, k) in stored direction; a source's own arcs in its column only
+    current: np.ndarray  # (arcs, S, k, k) in stored direction
     voltage: np.ndarray  # (m, S, k, k) drop tail -> head of every leaf arc
 
 
 def solve_sources(program, leaf_r):
     """Resistance, current and leaf-voltage sweeps of every source together:
-    each source's own joins first, from +I at its root (-I where the root runs
-    sink -> source), then the shared joins once for all S columns. The guard
-    compares R_a X_a with R_b X_b once per parallel join: neither depends on
-    the source."""
-    m, k = len(program.edges), leaf_r.shape[-1]
+    one R sweep of the shared joins, then one solve of the terminal skeleton's
+    grounded Laplacian (live arcs as conductances G = R^-1, sink dropped) for
+    all S unit injections, a Kron reduction onto the terminals. Root R of
+    source s is Y_s^s; each live arc carries G (Y_tail - Y_head) down the
+    shared joins in one current sweep. The guard compares R_a X_a with R_b X_b
+    once per shared parallel join: neither depends on the source."""
+    m, k, n_src = len(program.edges), leaf_r.shape[-1], len(program.sources)
     res = list(leaf_r)
     splits = resistance_sweep(program.joins, res)
-    base, own = len(res), list(program.own.values())
-    meets = _parallel_meets(program.joins, splits, res, m)
-    cur = np.zeros((base + max(len(joins) for joins, _, _ in own), len(own), k, k))
-    roots = []
-    for c, (joins, root, reversed_) in enumerate(own):
-        own_splits = resistance_sweep(joins, res)
-        meets += _parallel_meets(joins, own_splits, res, base)
-        roots.append(res[root])
-        del res[base:]
-        cur[root, c] = -np.eye(k) if reversed_ else np.eye(k)
-        current_sweep(joins, own_splits, cur[:, c : c + 1], base)
+    tails, heads = program.ends.T
+    cond = leaf_resistances([res[a] for a in program.live])
+    n = int(program.ends.max())  # the sink, the last skeleton node
+    nodes = np.arange(n + 1)
+    lap = np.zeros((n + 1, k, n + 1, k))
+    lap[tails, :, heads] = lap[heads, :, tails] = -cond  # the reduction leaves one arc per node pair
+    lap[nodes, :, nodes] = -lap.sum(axis=2)
+    y = np.zeros((n + 1, k, n_src, k))  # source c is node c, so its unit injection is column block c of I
+    y[:n] = np.linalg.solve(lap[:n, :, :n].reshape(n * k, n * k), np.eye(n * k, n_src * k)).reshape(n, k, n_src, k)
+    y = y.swapaxes(1, 2)
+    cur = np.zeros((len(res), n_src, k, k))
+    cur[program.live] = cond[:, None] @ (y[tails] - y[heads])
     current_sweep(program.joins, splits, cur, m)
-    if meets:
-        arcs, ra, rb, x = zip(*meets)
-        x = np.array(x)
-        _check_parallel(np.array(ra) @ x[:, 0], np.array(rb) @ x[:, 1], lambda i: f"join arc {arcs[i]}")
-    return SourceSweeps(np.array(roots), cur, leaf_r[:, None] @ cur[:m])
+    par = [i for i, x in enumerate(splits) if x is not None]
+    if par:
+        x = np.array([splits[i] for i in par])
+        ra, rb = (np.array([res[program.joins[i][side]] for i in par]) for side in (1, 3))
+        _check_parallel(ra @ x[:, 0], rb @ x[:, 1], lambda i: f"join arc {m + par[i]}")
+    return SourceSweeps(y[nodes[:n_src], nodes[:n_src]], cur, leaf_r[:, None] @ cur[:m])
 
 
 def _by_preorder(values, order):

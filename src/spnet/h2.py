@@ -11,8 +11,8 @@ electrical pass it returns the per-source squared norm ``h2[s]`` and one
 (S, m, k, k) stack ``q`` of voltage drops, ``q[c, j] = Y_tail - Y_head`` of
 edge ``g.edges[j]`` in its stored orientation under the c-th source of
 ``h2``'s keys. ``CompositionalProvider`` sweeps one shared series-parallel
-reduction for all sources; ``dense_provider`` solves the Dirichlet system
-once for all sources.
+reduction and solves the terminal skeleton it leaves once for all sources;
+``dense_provider`` solves the whole Dirichlet system once for all sources.
 """
 
 from dataclasses import dataclass
@@ -188,7 +188,7 @@ class CompositionalProvider:
 
     def read(self, solutions):
         """(h2, q) from the sweeps: leaf voltages scattered into ``g.edges`` order."""
-        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.own, solutions.roots)}
+        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, solutions.roots)}
         q = np.zeros((len(h2), len(self.edge_ids), self.k, self.k))
         q.swapaxes(0, 1)[self.rows] = solutions.voltage
         return h2, q

@@ -4,11 +4,11 @@ The gradient of the squared H2 norm with respect to one edge weight is
 -1/2 sum_s Q_s Q_s^T, where Q_s is the difference of the matrix-valued
 voltage drops at the edge's endpoints under identity current injected at
 source s. Each iterate makes one provider call (``spnet.h2``): one pass of
-either the compositional tree sweeps or the dense solve returns the
-per-source squared norms and every Q_s as one (S, m, k, k) stack, rows in
-source order and columns in ``g.edges`` order. ``edge_gradients`` turns that
-stack into every edge's gradient with one batched matrix product, and both
-providers feed the same update
+either the compositional shared sweeps around one terminal-skeleton solve or
+the dense solve returns the per-source squared norms and every Q_s as one
+(S, m, k, k) stack, rows in source order and columns in ``g.edges`` order.
+``edge_gradients`` turns that stack into every edge's gradient with one
+batched matrix product, and both providers feed the same update
 
     W' = Proj_[L,U]( W - eta_t (grad_H2 + h W) ),    eta_t = 1/(h sqrt(t)),
 

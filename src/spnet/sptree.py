@@ -59,13 +59,14 @@ def flatten(t, entries=None):
     """(``ArcProgram``, pre-order index of each arc) of a tree; ``entries`` is
     ``index_tree(t)`` if already made. The leaves in pre-order are its edges,
     the joins in reversed pre-order (bottom-up) its records, with no flipped
-    child, and the last arc the root of its one source, None."""
+    child, and the last arc the root of its one source, None: the one live arc."""
     entries = index_tree(t) if entries is None else entries
     leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
     order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
     arc = dict(zip(order, range(len(order))))
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
-    return ArcProgram(tuple(entries[i][0] for i in leaves), joins, {None: ([], len(order) - 1, False)}), order
+    edges, root = tuple(entries[i][0] for i in leaves), len(order) - 1
+    return ArcProgram(edges, joins, {None: ([], root, False)}, (None,), np.array([root]), np.array([[0, 1]])), order
 
 
 def leaves(t):
@@ -183,11 +184,18 @@ class ArcProgram:
     root, reversed) of source s: the joins that finish its reduction on top of
     the shared ones (join j is arc m + len(joins) + j), its root arc, and
     whether that runs sink -> s. Graph edges carry no weights; ``tree`` takes them.
+
+    The terminal skeleton is what the shared joins leave: the ``live`` arcs
+    between the skeleton's nodes, numbered with source c (``sources[c]``) as
+    node c, then the other nodes left, then the sink last.
     """
 
     edges: tuple
     joins: list
     own: dict
+    sources: tuple
+    live: np.ndarray  # arc ids no shared join consumes, ascending
+    ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
 
     def fold(self, values, join):
         """{source: root value} from ``values`` of the edges: ``join(kind, a,
@@ -229,6 +237,8 @@ def reduce_sources(g, sources, sink):
     protected = {index[s] for s in sources} | {index[sink]}
     live = sorted(_reduce(tail, head, joins, range(len(g.edges)), range(len(g.nodes)), protected))
     skeleton = sorted({tail[aid] for aid in live} | {head[aid] for aid in live})
+    number = {n: c for c, n in enumerate([index[s] for s in sources] + [n for n in skeleton if n not in protected])}
+    number[index[sink]] = len(number)
     own = {}
     for s in sources:
         terminals = (index[s], index[sink])
@@ -243,7 +253,8 @@ def reduce_sources(g, sources, sink):
             ends = f"{g.nodes[u]!r}-{g.nodes[v]!r}"
             raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
         own[s] = (own_joins, rest[0], u != terminals[0])
-    return ArcProgram(g.edges, joins, own)
+    arc_ends = [[number[tail[aid]], number[head[aid]]] for aid in live]
+    return ArcProgram(g.edges, joins, own, tuple(sources), np.array(live, dtype=int), np.array(arc_ends, dtype=int))
 
 
 def _reduce(tail, head, joins, arcs, nodes, terminals):

@@ -335,3 +335,34 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         g = load_graph(UNIT)
         assert graph_to_dict(graph_from_dict(graph_to_dict(g))) == graph_to_dict(g)
+
+
+class TestDemoFixtureScript:
+    """``scripts/make_demo_fixture.py`` writes the bundled fixtures, and only
+    when called without arguments."""
+
+    @staticmethod
+    def load(monkeypatch, out_dir):
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_fixture.py"
+        spec = importlib.util.spec_from_file_location("make_demo_fixture", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "DATA_DIR", out_dir)
+        return module
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)])
+    def test_options_exit_without_writing(self, monkeypatch, tmp_path, capsys, argv, code):
+        script = self.load(monkeypatch, tmp_path / "data")
+        with pytest.raises(SystemExit) as info:
+            script.main(argv)
+        assert info.value.code == code
+        assert "usage: " in capsys.readouterr()[code != 0]
+        assert not (tmp_path / "data").exists()
+
+    def test_rewrites_the_bundled_fixtures_byte_identically(self, monkeypatch, tmp_path):
+        self.load(monkeypatch, tmp_path).main([])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in DATA.glob("*.json"))
+        for p in tmp_path.iterdir():
+            assert p.read_bytes() == (DATA / p.name).read_bytes()

@@ -1,13 +1,14 @@
 """One shared series-parallel reduction for every source: agreement with the
 dense judge on scrambled networks, confluence with a reduction per source,
-the joins one call sweeps, and rejection of a non-SP core."""
+the terminal skeleton it leaves and its one solve, the joins one call sweeps,
+and rejection of a non-SP core."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_aittsp
+from helpers import random_aittsp, random_spd, random_sptree
 from spnet import electrical, sptree
 from spnet.cli import run
 from spnet.errors import NotSeriesParallelError
@@ -21,7 +22,8 @@ from spnet.h2 import (
     h2_scalar_bound,
     source_trees,
 )
-from spnet.sptree import recognize
+from spnet.sptree import Series, flatten, recognize
+from test_compiled import assert_matches_dense
 from test_recognize import ladder
 
 I1 = np.eye(1)
@@ -49,7 +51,9 @@ def scrambled_ids(rng, g):
 def test_provider_matches_dense_on_scrambled_networks(seed, k, n_sources):
     rng = np.random.default_rng(seed)
     g = scrambled_ids(rng, random_aittsp(rng, k, n_sources, leaves_per_link=int(rng.integers(1, 7))))
-    comp_h2, comp_q = CompositionalProvider(g)(g)
+    provider = CompositionalProvider(g)
+    check_skeleton(provider.program, *ground_leaders(g))
+    comp_h2, comp_q = provider(g)
     dense_h2, dense_q = dense_provider(g)
     assert list(comp_h2) == list(dense_h2) == list(g.sources)
     for s, v in dense_h2.items():
@@ -81,18 +85,83 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
             assert bound[s] == h2_scalar_bound(t)
 
 
-def test_two_source_ladder_sweeps_at_most_m_plus_4_joins(rng, monkeypatch):
+def arc_ends(program):
+    """(tail, head) node name of every arc, replayed from the join records: a
+    series join runs from its oriented left child's tail to its oriented right
+    child's head, a parallel join as its oriented left child."""
+    ends = [(e.tail, e.head) for e in program.edges]
+    for kind, a, fa, b, fb in program.joins:
+        (p, q), (u, v) = (ends[a][::-1] if fa else ends[a]), (ends[b][::-1] if fb else ends[b])
+        assert q == u if kind is Series else (p, q) == (u, v)
+        ends.append((p, v) if kind is Series else (p, q))
+    return ends
+
+
+def check_skeleton(program, gg, sink):
+    """The skeleton record: the live arcs are exactly the arcs no shared join
+    consumes, at most one per node pair; their ends number source c as node
+    c and the sink last, each number naming one node of the graph."""
+    consumed = {arc for _, a, _, b, _ in program.joins for arc in (a, b)}
+    assert list(program.live) == sorted(set(range(len(program.edges) + len(program.joins))) - consumed)
+    assert program.sources == tuple(gg.sources)
+    names = {}
+    for (u, v), (tail, head) in zip(program.ends, (arc_ends(program)[a] for a in program.live)):
+        assert u != v
+        assert names.setdefault(u, tail) == tail and names.setdefault(v, head) == head
+    n = len(names)
+    assert sorted(names) == list(range(n)) and len(set(names.values())) == n
+    assert [names[c] for c in range(len(gg.sources))] == list(gg.sources) and names[n - 1] == sink
+    assert len({frozenset(pair) for pair in program.ends.tolist()}) == len(program.live)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n_sources", [8, 16, 32])
+def test_skeleton_solve_matches_dense_on_long_chains(k, n_sources):
+    g = random_aittsp(np.random.default_rng(7), k, n_sources, leaves_per_link=12)
+    gg, sink = ground_leaders(g)
+    program = CompositionalProvider(g).program
+    check_skeleton(program, gg, sink)
+    assert len(program.live) > n_sources  # the skeleton is more than the attachment edges
+    assert_matches_dense(g)
+
+
+def test_skeleton_with_a_non_terminal_hub_matches_dense(rng):
+    # A Y: hub c joins sources s1 and s2 and leader r3, so after grounding c
+    # is a degree-3 skeleton node that is neither a source nor the sink.
+    k = 2
+    edges = [("a1", "r1", "s1"), ("a2", "r2", "s2"), ("y1", "s1", "c"), ("y2", "c", "s2"), ("y3", "r3", "c")]
+    edges += [("p1", "s1", "c"), ("p2", "c", "m"), ("p3", "m", "r3")]  # shared joins on two arms
+    nodes, weighted = ["r1", "r2", "r3", "s1", "s2", "c", "m"], [(e, u, v, random_spd(rng, k)) for e, u, v in edges]
+    g = make_graph(k, nodes, weighted, leaders=["r1", "r2", "r3"], sources=["s1", "s2"])
+    gg, sink = ground_leaders(g)
+    program = CompositionalProvider(g).program
+    check_skeleton(program, gg, sink)
+    hub = range(len(gg.sources), int(program.ends.max()))  # skeleton nodes between the sources and the sink
+    assert len(hub) == 1 and np.count_nonzero(program.ends == hub[0]) == 3
+    assert len(program.joins) == 3
+    assert_matches_dense(g)
+
+
+def test_flattened_tree_is_its_own_skeleton(rng):
+    # A flattened tree's one live arc is its root, from source 0 to sink 1.
+    t = random_sptree(rng, 3, 9)
+    program, _ = flatten(t)
+    leaf_r = electrical.leaf_resistances([lf.weight for lf in program.edges])
+    sweeps = electrical.solve_sources(program, leaf_r)
+    np.testing.assert_allclose(sweeps.roots[0], electrical.effective_resistance(t)[0], rtol=1e-12)
+    np.testing.assert_allclose(sweeps.current[-1, 0], np.eye(3), atol=1e-12)
+
+
+def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
     swept = []
     sweep = electrical.resistance_sweep
     monkeypatch.setattr(electrical, "resistance_sweep", lambda joins, r: swept.append(len(joins)) or sweep(joins, r))
     for rungs in (5, 40):
         g = ladder(rng, 2, rungs)
-        m = len(g.edges)
         provider = CompositionalProvider(g)
         swept.clear()
         provider(g)
-        assert len(swept) == 3  # the shared joins, then each source's own
-        assert sum(swept) <= m + 4 < 2 * (m - 1)
+        assert swept == [len(provider.program.joins)]  # the shared joins only; the skeleton is one solve
 
 
 def k4_core():
