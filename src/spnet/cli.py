@@ -2,7 +2,8 @@
 
 Subcommands: decompose | h2 | resistance | optimize | check. Exit codes:
 0 on success, 1 on validation failure or when a descent step's box projection
-does not converge, 2 when a graph turns out not to be series-parallel.
+does not converge, 2 when ``decompose`` or ``h2 --method exact|bound`` meets a
+graph that is not series-parallel (``check`` and ``optimize`` solve any).
 """
 
 import argparse
@@ -44,10 +45,7 @@ def _cmd_decompose(args):
 def _cmd_h2(args):
     g = load_graph(args.graph)
     validate_consensus(g)
-    if args.method == "oracle":
-        report = dense_h2(g)
-    else:
-        report = compositional_h2(g, method="exact" if args.method == "exact" else "bound")
+    report = dense_h2(g) if args.method == "oracle" else compositional_h2(g, method=args.method)
     _emit(report.to_dict(), args.out)
     return 0
 

@@ -104,7 +104,7 @@ def solve_sources(program, leaf_r):
     splits = resistance_sweep(program.joins, res)
     tails, heads = program.ends.T
     cond = leaf_resistances([res[a] for a in program.live])
-    n = int(program.ends.max())  # the sink, the last skeleton node
+    n = len(program.nodes) - 1  # the sink, the last skeleton node
     nodes = np.arange(n + 1)
     lap = np.zeros((n + 1, k, n + 1, k))
     lap[tails, :, heads] = lap[heads, :, tails] = -cond  # the reduction leaves one arc per node pair

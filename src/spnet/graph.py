@@ -8,6 +8,7 @@ source node. The Dirichlet Laplacian is the follower block of the full graph
 Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,21 +113,19 @@ def _is_identity(w):
     return np.abs(w - np.eye(w.shape[0])).max() <= IDENTITY_ATOL
 
 
-def is_connected(g):
-    if not g.nodes:
-        return False
-    adj = {n: set() for n in g.nodes}
-    for e in g.edges:
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
+def reached(pairs, start):
+    """The nodes that a path over the node ``pairs`` (edges, either way) joins to ``start``."""
+    adj = defaultdict(list)
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {start}, [start]
     while stack:
         for m in adj[stack.pop()]:
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
-    return len(seen) == len(g.nodes)
+    return seen
 
 
 def validate_consensus(g):
@@ -138,7 +137,7 @@ def validate_consensus(g):
     """
     if not g.leaders:
         raise GraphValidationError("leader set is empty")
-    if not is_connected(g):
+    if not g.nodes or len(reached(((e.tail, e.head) for e in g.edges), g.nodes[0])) < len(g.nodes):
         raise GraphValidationError("graph is not connected")
     attached = {}
     for j, e in enumerate(g.edges):

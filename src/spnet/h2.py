@@ -3,16 +3,17 @@
 Three routes to the squared norm: the exact compositional value from one
 reduction shared by all sources (half the trace of each source's root
 effective resistance), a scalar compositional upper bound that folds the
-scalar series/parallel rules over that same reduction, and a dense oracle
-solving the Dirichlet system directly on any connected graph, SP or not.
+scalar series/parallel rules over that same reduction (both finish each
+source's reduction, so both reject a graph that is not series-parallel from a
+source), and a dense oracle solving the Dirichlet system on any connected graph.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
 (S, m, k, k) stack ``q`` of voltage drops, ``q[c, j] = Y_tail - Y_head`` of
 edge ``g.edges[j]`` in its stored orientation under the c-th source of
 ``h2``'s keys. ``CompositionalProvider`` sweeps one shared series-parallel
-reduction and solves the terminal skeleton it leaves once for all sources;
-``dense_provider`` solves the whole Dirichlet system once for all sources.
+reduction and solves the terminal skeleton it leaves, SP or not, once for
+all sources; ``dense_provider`` solves the whole Dirichlet system once for all.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import electrical
 from .errors import GraphValidationError
-from .graph import dirichlet_laplacian, ground_leaders
+from .graph import dirichlet_laplacian, ground_leaders, reached
 from .sptree import Series, flatten, reduce_sources
 
 
@@ -171,11 +172,18 @@ class CompositionalProvider:
     """Voltage provider backed by one shared series-parallel reduction, made
     here; each call takes the weights from a graph with the same edges in the
     same order (a ValueError otherwise) and runs ``electrical.solve_sources``.
-    Edges that grounding drops (leader-leader edges) get Q = 0.
+    No source's reduction is finished, so it solves any grounded network whose
+    skeleton reaches the sink (a GraphValidationError otherwise): a core that
+    is not series-parallel is only a bigger skeleton. Edges that grounding
+    drops (leader-leader edges) get Q = 0.
     """
 
     def __init__(self, g):
         gg, _, self.program = _reduced(g)
+        linked = reached(self.program.ends.tolist(), len(self.program.nodes) - 1)  # the sink is the last node
+        if len(linked) < len(self.program.nodes):
+            name = next(n for c, n in enumerate(self.program.nodes) if c not in linked)
+            raise GraphValidationError(f"node {name!r} is not connected to a leader")
         self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
         rows = {eid: i for i, eid in enumerate(self.edge_ids)}
         self.rows = [rows[e.id] for e in gg.edges]  # g.edges row of each grounded edge

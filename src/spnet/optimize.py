@@ -3,9 +3,10 @@
 The gradient of the squared H2 norm with respect to one edge weight is
 -1/2 sum_s Q_s Q_s^T, where Q_s is the difference of the matrix-valued
 voltage drops at the edge's endpoints under identity current injected at
-source s. Each iterate makes one provider call (``spnet.h2``): one pass of
-either the compositional shared sweeps around one terminal-skeleton solve or
-the dense solve returns the per-source squared norms and every Q_s as one
+source s. Each iterate makes one provider call (``spnet.h2``), and either
+provider solves any connected network, series-parallel or not: one pass of
+the compositional shared sweeps around one terminal-skeleton solve, or of the
+dense solve, returns the per-source squared norms and every Q_s as one
 (S, m, k, k) stack, rows in source order and columns in ``g.edges`` order.
 ``edge_gradients`` turns that stack into every edge's gradient with one
 batched matrix product, and both providers feed the same update
@@ -16,7 +17,6 @@ whose expansion is the shrinkage form (1 - 1/sqrt(t)) W
 + (1/(2 h sqrt(t))) sum_s Q_s Q_s^T.
 """
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .errors import NotSeriesParallelError, ProjectionError
+from .errors import ProjectionError
 from .graph import attachment_edge_ids
 from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -159,16 +157,7 @@ def optimize_weights(g, cfg):
     lower, upper = (np.array([box[j] for box in boxes], dtype=float).reshape(-1, g.k, g.k) for j in (0, 1))
     w = g.weights[rows]
 
-    provider = dense_provider
-    if cfg.voltage_mode == "compositional":
-        try:
-            provider = CompositionalProvider(g)
-        except NotSeriesParallelError:
-            logger.warning(
-                "graph is not series-parallel from every source; "
-                "falling back to dense voltage solves"
-            )
-
+    provider = CompositionalProvider(g) if cfg.voltage_mode == "compositional" else dense_provider
     current = g
     traj = OptTrajectory()
 

@@ -66,7 +66,7 @@ def flatten(t, entries=None):
     arc = dict(zip(order, range(len(order))))
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
     edges, root = tuple(entries[i][0] for i in leaves), len(order) - 1
-    return ArcProgram(edges, joins, {None: ([], root, False)}, (None,), np.array([root]), np.array([[0, 1]])), order
+    return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), (0, 1)), order
 
 
 def leaves(t):
@@ -175,38 +175,57 @@ def recognize(g, source, sink):
 
 @dataclass(frozen=True, eq=False)
 class ArcProgram:
-    """Series-parallel reductions of one graph from several sources to one
+    """Series-parallel reduction of one graph from several sources to one
     sink as flat join records (kind, a, a flipped, b, b flipped): the one form
     every tree walk runs on (``flatten`` makes it of a tree), evaluated by ``fold``.
 
     Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); shared
-    join i is arc m + i, so creation order is bottom-up. ``own[s]`` is (joins,
-    root, reversed) of source s: the joins that finish its reduction on top of
-    the shared ones (join j is arc m + len(joins) + j), its root arc, and
-    whether that runs sink -> s. Graph edges carry no weights; ``tree`` takes them.
+    join i is arc m + i, so creation order is bottom-up. Graph edges carry no
+    weights; ``tree`` takes them.
 
     The terminal skeleton is what the shared joins leave: the ``live`` arcs
     between the skeleton's nodes, numbered with source c (``sources[c]``) as
-    node c, then the other nodes left, then the sink last.
+    node c, then the other nodes left, then the sink last. ``finish`` reduces
+    it further for one source at a time, when a fold or a tree asks.
     """
 
     edges: tuple
     joins: list
-    own: dict
     sources: tuple
     live: np.ndarray  # arc ids no shared join consumes, ascending
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
+    nodes: tuple  # name of each skeleton node, by number
+    order: tuple  # the skeleton node numbers in graph node order, as the reduction queued them
+
+    def finish(self, s):
+        """(joins, root arc, whether it runs sink -> s) that end the reduction
+        of source s: the live arcs reduced with only it and the sink as
+        terminals (join j is arc m + len(self.joins) + j). Raises
+        NotSeriesParallelError if that stalls or ends on a non-terminal pair."""
+        live, joins, terminals = self.live.tolist(), [], (self.sources.index(s), len(self.nodes) - 1)
+        tail, head = [[None] * (len(self.edges) + len(self.joins)) for _ in range(2)]  # only live arcs' ends are read
+        for aid, (u, v) in zip(live, self.ends.tolist()):
+            tail[aid], head[aid] = u, v
+        rest = _reduce(tail, head, joins, live, self.order, terminals)
+        if len(rest) != 1:
+            why = f"stalled with {len(rest)} edges; graph is not series-parallel between {s!r} and {self.nodes[-1]!r}"
+            raise NotSeriesParallelError(f"reduction {why}")
+        u, v = tail[rest[0]], head[rest[0]]
+        if sorted((u, v)) != sorted(terminals):
+            ends = f"{self.nodes[u]!r}-{self.nodes[v]!r}"
+            raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
+        return joins, rest[0], u != terminals[0]
 
     def fold(self, values, join):
         """{source: root value} from ``values`` of the edges: ``join(kind, a,
-        b)`` once per shared join, then once per join of each source's own.
-        Flip bits are ignored, which suits orientation-free values (resistance,
-        the bound, counts); order-sensitive walks fold ``flatten`` of a tree."""
-        vals = list(values)
+        b)`` once per shared join, then once per join ``finish`` makes for each
+        source. Flip bits are ignored, which suits orientation-free values
+        (resistance, the bound, counts); order-sensitive walks fold ``flatten`` of a tree."""
+        finished, vals = [self.finish(s) for s in self.sources], list(values)  # every source checked before any join
         for kind, a, _, b, _ in self.joins:
             vals.append(join(kind, vals[a], vals[b]))
         base, roots = len(vals), {}
-        for source, (joins, root, _) in self.own.items():
+        for source, (joins, root, _) in zip(self.sources, finished):
             for kind, a, _, b, _ in joins:
                 vals.append(join(kind, vals[a], vals[b]))
             roots[source] = vals[root]
@@ -215,17 +234,16 @@ class ArcProgram:
 
     def tree(self, source, weights):
         """The source's Leaf/Series/Parallel tree with ``weights[j]`` on edge j, built without recursion."""
-        joins, root, reversed_ = self.own[source]
+        joins, root, reversed_ = self.finish(source)
         return _build(self.edges, weights, self.joins + joins, root, reversed_)
 
 
 def reduce_sources(g, sources, sink):
     """Reduce a multigraph once for several sources into an ``ArcProgram``:
     one run with every source and the sink as terminals, valid for each source
-    alone since series-parallel reduction is confluent (Duffin 1965), then per
-    source a run over the few live arcs left with only it and the sink as
-    terminals. Raises NotSeriesParallelError at the first source whose
-    reduction stalls or ends on a non-terminal pair."""
+    alone since series-parallel reduction is confluent (Duffin 1965), and the
+    terminal skeleton it leaves. Nothing here needs the graph to be
+    series-parallel; ``ArcProgram.finish`` checks it per source."""
     index = {n: i for i, n in enumerate(g.nodes)}
     if sink not in index or any(s not in index for s in sources):
         raise GraphValidationError("terminal is not a node of the graph")
@@ -236,25 +254,11 @@ def reduce_sources(g, sources, sink):
     joins = []
     protected = {index[s] for s in sources} | {index[sink]}
     live = sorted(_reduce(tail, head, joins, range(len(g.edges)), range(len(g.nodes)), protected))
-    skeleton = sorted({tail[aid] for aid in live} | {head[aid] for aid in live})
-    number = {n: c for c, n in enumerate([index[s] for s in sources] + [n for n in skeleton if n not in protected])}
-    number[index[sink]] = len(number)
-    own = {}
-    for s in sources:
-        terminals = (index[s], index[sink])
-        own_tail, own_head, own_joins = tail[:], head[:], []
-        rest = _reduce(own_tail, own_head, own_joins, live, skeleton, terminals)
-        if len(rest) != 1:
-            raise NotSeriesParallelError(
-                f"reduction stalled with {len(rest)} edges; graph is not series-parallel between {s!r} and {sink!r}"
-            )
-        u, v = own_tail[rest[0]], own_head[rest[0]]
-        if sorted((u, v)) != sorted(terminals):
-            ends = f"{g.nodes[u]!r}-{g.nodes[v]!r}"
-            raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
-        own[s] = (own_joins, rest[0], u != terminals[0])
-    arc_ends = [[number[tail[aid]], number[head[aid]]] for aid in live]
-    return ArcProgram(g.edges, joins, own, tuple(sources), np.array(live, dtype=int), np.array(arc_ends, dtype=int))
+    hubs = sorted({n for aid in live for n in (tail[aid], head[aid])} - protected)
+    number = {n: c for c, n in enumerate([index[s] for s in sources] + hubs + [index[sink]])}
+    ends = np.array([[number[tail[aid]], number[head[aid]]] for aid in live], dtype=int).reshape(-1, 2)
+    nodes, order = tuple(g.nodes[n] for n in number), tuple(number[n] for n in sorted(number))
+    return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, order)
 
 
 def _reduce(tail, head, joins, arcs, nodes, terminals):

@@ -71,6 +71,17 @@ class TestDecomposeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [(["h2", "--method", m], f"demo_h2_{m}.json") for m in ("exact", "bound")]
+    + [(["decompose", "--source", s], f"demo_decompose_{s}.json") for s in ("s1", "s2", "s3")],
+)
+def test_demo_output_is_pinned(capsys, argv, pinned):
+    # Byte for byte: the exact H2 fold and each source's tree may not move a digit.
+    assert run([argv[0], "--graph", DEMO, *argv[1:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN.parent / pinned).read_text()
+
+
 class TestResistanceCommand:
     def test_unit_path_annotations(self, capsys, tmp_path):
         tree_path = tmp_path / "tree.json"

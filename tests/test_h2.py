@@ -165,7 +165,9 @@ class TestVoltageProviders:
             gg, _ = ground_leaders(g)
             tails = {e.id: e.tail for e in gg.edges}
             reversed_leaves += sum(
-                lf.tail != tails[lf.edge] for s in comp.program.own for lf in leaves(comp.program.tree(s, gg.weights))
+                lf.tail != tails[lf.edge]
+                for s in comp.program.sources
+                for lf in leaves(comp.program.tree(s, gg.weights))
             )
             comp_h2, comp_q = comp(g)
             dense_h2_sq, dense_q = dense_provider(g)

@@ -280,11 +280,16 @@ class TestOptimizeWeights:
         base = dict(penalty_h=0.2, bounds=wide_bounds(g), max_iters=15)
         comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
         dense = optimize_weights(g, OptConfig(voltage_mode="dense", **base))
-        assert len(comp.records) == len(dense.records)
-        for rc, rd in zip(comp.records, dense.records):
-            assert rc.objective == pytest.approx(rd.objective, rel=1e-8)
-            for eid in rc.weights:
-                np.testing.assert_allclose(rc.weights[eid], rd.weights[eid], atol=1e-8)
+        assert_same_trajectory(comp, dense, 1e-8)
+
+
+def assert_same_trajectory(a, b, tol):
+    """As many iterates; objectives within ``tol`` relative, weights within ``tol`` absolute."""
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert ra.objective == pytest.approx(rb.objective, rel=tol)
+        for eid in ra.weights:
+            np.testing.assert_allclose(ra.weights[eid], rb.weights[eid], rtol=0, atol=tol)
 
 
 def reference_descent(g, cfg):
@@ -366,7 +371,10 @@ class TestSolvesPerIterate:
         assert calls == expected
 
 
-class TestFallback:
+class TestNonSeriesParallelCore:
+    """A core that is not series-parallel is one more skeleton for the
+    compositional provider: no fallback, no warning."""
+
     @staticmethod
     def k4_consensus():
         pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
@@ -374,10 +382,24 @@ class TestFallback:
         edges.append(("att", "r", "a", I1))
         return make_graph(1, ["r", "a", "b", "c", "d"], edges, leaders=["r"])
 
-    def test_warns_and_uses_dense(self, caplog):
+    def test_compositional_mode_solves_it(self, caplog, monkeypatch):
         g = self.k4_consensus()
-        cfg = OptConfig(penalty_h=0.5, bounds=wide_bounds(g), max_iters=3)
-        with caplog.at_level("WARNING", logger="spnet.optimize"):
-            traj = optimize_weights(g, cfg)
-        assert "falling back to dense" in caplog.text
-        assert traj.final_objective <= traj.initial_objective
+        calls = []
+        solve = electrical.solve_sources
+        monkeypatch.setattr(electrical, "solve_sources", lambda *a: calls.append(a) or solve(*a))
+        base = dict(penalty_h=0.5, bounds=wide_bounds(g), max_iters=3)
+        with caplog.at_level("DEBUG"):
+            comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
+        assert caplog.records == []
+        assert len(calls) == len(comp.records) == 4
+        assert_same_trajectory(comp, optimize_weights(g, OptConfig(voltage_mode="dense", **base)), 1e-9)
+
+    @pytest.mark.parametrize("mode", ["compositional", "dense"])
+    def test_disconnected_graph_is_rejected(self, mode):
+        # r - s, two s - t edges, and u - v with no leader: a GraphValidationError, never a LinAlgError.
+        edges = [("a", "r", "s", I1), ("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)]
+        g = make_graph(1, ["r", "s", "t", "u", "v"], edges, leaders=["r"])
+        cfg = OptConfig(penalty_h=0.5, bounds=wide_bounds(g), max_iters=2, voltage_mode=mode)
+        message = "node 'u' is not connected to a leader" if mode == "compositional" else "not positive definite"
+        with pytest.raises(GraphValidationError, match=message):
+            optimize_weights(g, cfg)

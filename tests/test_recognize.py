@@ -140,8 +140,14 @@ class TestRejection:
 
     def test_ends_on_non_terminal_pair(self):
         g = make_graph(1, ["a", "b", "c"], [("e0", "a", "b", I1)])
-        with pytest.raises(NotSeriesParallelError, match="not on the terminal pair"):
+        with pytest.raises(NotSeriesParallelError) as info:
             recognize(g, "a", "c")
+        assert str(info.value) == "reduction ended on edge 'a'-'b', not on the terminal pair"
+
+    def test_edgeless_graph_stalls(self):
+        with pytest.raises(NotSeriesParallelError) as info:
+            recognize(make_graph(1, ["a", "b"], []), "a", "b")
+        assert str(info.value) == "reduction stalled with 0 edges; graph is not series-parallel between 'a' and 'b'"
 
 
 class TestDeterminism:

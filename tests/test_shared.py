@@ -1,7 +1,10 @@
 """One shared series-parallel reduction for every source: agreement with the
 dense judge on scrambled networks, confluence with a reduction per source,
 the terminal skeleton it leaves and its one solve, the joins one call sweeps,
-and rejection of a non-SP core."""
+and cores that are not series-parallel: the provider solves them, while what
+needs a source's tree rejects them."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from spnet.h2 import (
     h2_scalar_bound,
     source_trees,
 )
-from spnet.sptree import Series, flatten, recognize
+from spnet.optimize import OptConfig, optimize_weights
+from spnet.sptree import Series, flatten, realize, recognize
 from test_compiled import assert_matches_dense
+from test_optimize import assert_same_trajectory
 from test_recognize import ladder
 
 I1 = np.eye(1)
@@ -172,9 +177,13 @@ def k4_core():
     return make_graph(1, ["r1", "r2", "a", "b", "c", "d", "y"], edges, leaders=["r1", "r2"])
 
 
-def test_k4_core_is_rejected(capsys, tmp_path):
+def test_k4_core_is_solved_but_has_no_tree(capsys, tmp_path):
+    # The provider and `check` solve the core as a bigger skeleton; what needs
+    # a source's own reduction rejects it with the same message as before.
     message = "reduction stalled with 9 edges; graph is not series-parallel between 'a' and 'l'"
-    for build in (compositional_h2, CompositionalProvider, source_trees):
+    check_skeleton(CompositionalProvider(k4_core()).program, *ground_leaders(k4_core()))
+    assert_matches_dense(k4_core(), sp=False)
+    for build in (compositional_h2, source_trees):
         with pytest.raises(NotSeriesParallelError) as info:
             build(k4_core())
         assert str(info.value) == message
@@ -182,4 +191,49 @@ def test_k4_core_is_rejected(capsys, tmp_path):
     save_graph(k4_core(), path)
     assert run(["h2", "--graph", str(path), "--method", "exact"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert run(["check", "--graph", str(path)]) == 2
+    assert run(["check", "--graph", str(path)]) == 0
+
+
+def k4_subdivision(rng, k, n_sources):
+    """K4 on a b c d with a random SP network hung on each of its edges, and
+    a leader on each of ``n_sources`` of its corners."""
+    nodes, edges, corners = ["a", "b", "c", "d"], [], rng.permutation(4)[:n_sources]
+    for i, (u, v) in enumerate(itertools.combinations("abcd", 2)):
+        sub, src, snk = realize(random_sptree(rng, k, int(rng.integers(1, 5)), prefix=f"k{i}_"))
+        rename = {src: u, snk: v}
+        for n in sub.nodes:
+            if n not in rename:
+                rename[n] = f"m{i}_{n}"
+                nodes.append(rename[n])
+        edges += [(e.id, rename[e.tail], rename[e.head], w) for e, w in zip(sub.edges, sub.weights)]
+    edges += [(f"att{c}", f"r{c}", "abcd"[c], np.eye(k)) for c in corners]
+    return make_graph(k, nodes + [f"r{c}" for c in corners], edges, leaders=[f"r{c}" for c in corners])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 16]), st.integers(1, 3))
+def test_provider_solves_k4_subdivisions(seed, k, n_sources):
+    g = k4_subdivision(np.random.default_rng(seed), k, n_sources)
+    check_skeleton(CompositionalProvider(g).program, *ground_leaders(g))
+    # With one leader the K4 hangs off it and its edges carry roundoff only,
+    # so Q is judged over each source's whole stack.
+    assert_matches_dense(g, per_edge=False, sp=False)
+    for build in (compositional_h2, source_trees):
+        with pytest.raises(NotSeriesParallelError, match="stalled"):
+            build(g)
+
+
+def test_pendant_path_is_solved_but_has_no_tree(capsys, tmp_path):
+    # L0 - p0 - p1 - p2 with leader L0: p1 and p2 hang off the source and carry no current.
+    edges = [("a", "L0", "p0", I1), ("b", "p0", "p1", I1), ("c", "p1", "p2", 2 * I1)]
+    g = make_graph(1, ["L0", "p0", "p1", "p2"], edges, leaders=["L0"])
+    assert_matches_dense(g, per_edge=False, sp=False)
+    path = tmp_path / "pendant.json"
+    save_graph(g, path)
+    assert run(["check", "--graph", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["h2", "--graph", str(path), "--method", "exact"]) == 2  # the pendant p1 - p2 stalls its reduction
+    assert "reduction stalled with 2 edges" in capsys.readouterr().err
+    base = dict(penalty_h=0.3, bounds={e.id: (0.5 * I1, 2 * I1) for e in g.edges}, max_iters=10)
+    comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
+    assert_same_trajectory(comp, optimize_weights(g, OptConfig(voltage_mode="dense", **base)), 1e-9)
