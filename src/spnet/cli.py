@@ -53,15 +53,9 @@ def _cmd_h2(args):
 def _cmd_resistance(args):
     g = load_graph(args.graph)
     tree = load_tree(args.tree, g)
-    sol = electrical.solve_tree(tree)
-    out = {
-        str(i): {
-            "resistance": sol.resistance[i].tolist(),
-            "current": sol.current[i].tolist(),
-            "voltage": sol.voltage[i].tolist(),
-        }
-        for i in range(len(sol.resistance))
-    }
+    names = ("resistance", "current", "voltage")
+    blocks = zip(*electrical.solve_tree(tree))  # (R, I, V) of each subtree, in pre-order
+    out = {str(i): {n: a.tolist() for n, a in zip(names, b)} for i, b in enumerate(blocks)}
     _emit(out, args.out)
     return 0
 

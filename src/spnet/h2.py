@@ -6,6 +6,8 @@ effective resistance), a scalar compositional upper bound that folds the
 scalar series/parallel rules over that same reduction (both finish each
 source's reduction, so both reject a graph that is not series-parallel from a
 source), and a dense oracle solving the Dirichlet system on any connected graph.
+Of a hand-built tree, ``h2_scalar_bound`` folds the bound; its exact value is
+half the trace of the root resistance ``electrical.solve_tree`` returns.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
@@ -38,18 +40,6 @@ class H2Report:
             "per_source": dict(self.per_source),
             "method": self.method,
         }
-
-
-def h2_exact_single_source(t):
-    """Exact squared norm for one source: half the trace of the root resistance."""
-    res = electrical.effective_resistance(t)
-    return 0.5 * float(np.trace(res[0]))
-
-
-def h2_exact_aittsp(trees):
-    """Sum of per-source exact values, one decomposition tree per source."""
-    per_source = {s: h2_exact_single_source(t) for s, t in trees.items()}
-    return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
 
 
 def h2_series_compose(a, b):
@@ -173,17 +163,20 @@ class CompositionalProvider:
     here; each call takes the weights from a graph with the same edges in the
     same order (a ValueError otherwise) and runs ``electrical.solve_sources``.
     No source's reduction is finished, so it solves any grounded network whose
-    skeleton reaches the sink (a GraphValidationError otherwise): a core that
-    is not series-parallel is only a bigger skeleton. Edges that grounding
-    drops (leader-leader edges) get Q = 0.
+    skeleton reaches the sink and whose every node has an edge (a
+    GraphValidationError otherwise): a core that is not series-parallel is
+    only a bigger skeleton. Edges that grounding drops (leader-leader edges)
+    get Q = 0.
     """
 
     def __init__(self, g):
         gg, _, self.program = _reduced(g)
         linked = reached(self.program.ends.tolist(), len(self.program.nodes) - 1)  # the sink is the last node
-        if len(linked) < len(self.program.nodes):
-            name = next(n for c, n in enumerate(self.program.nodes) if c not in linked)
-            raise GraphValidationError(f"node {name!r} is not connected to a leader")
+        touched = {n for e in gg.edges for n in (e.tail, e.head)}  # the reduction never sees an edgeless node
+        cut = [n for c, n in enumerate(self.program.nodes) if c not in linked]
+        cut += [n for n in gg.nodes if n not in touched]
+        if cut:
+            raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
         self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
         rows = {eid: i for i, eid in enumerate(self.edge_ids)}
         self.rows = [rows[e.id] for e in gg.edges]  # g.edges row of each grounded edge

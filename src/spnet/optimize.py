@@ -26,7 +26,7 @@ import numpy as np
 from . import matlin
 from .errors import ProjectionError
 from .graph import attachment_edge_ids
-from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
+from .h2 import CompositionalProvider, dense_provider
 
 
 @dataclass
@@ -120,11 +120,15 @@ def penalty_term(g, h):
     return 0.5 * h * float(np.vdot(g.weights, g.weights))
 
 
+def _provider(g, voltage_mode):
+    return CompositionalProvider(g) if voltage_mode == "compositional" else dense_provider
+
+
 def objective(g, h, voltage_mode="dense"):
-    """Regularized objective: squared H2 norm plus (h/2) sum_e ||W_e||_F^2.
-    It needs no voltage drops, so the compositional mode is one resistance sweep."""
-    report = dense_h2(g) if voltage_mode == "dense" else compositional_h2(g)
-    return report.total + penalty_term(g, h)
+    """Regularized objective: squared H2 norm plus (h/2) sum_e ||W_e||_F^2,
+    the norm from one call of the provider ``optimize_weights`` would use."""
+    per_source, _ = _provider(g, voltage_mode)(g)
+    return sum(per_source.values()) + penalty_term(g, h)
 
 
 def pgd_step(w, grad, t, h, lower, upper):
@@ -157,7 +161,7 @@ def optimize_weights(g, cfg):
     lower, upper = (np.array([box[j] for box in boxes], dtype=float).reshape(-1, g.k, g.k) for j in (0, 1))
     w = g.weights[rows]
 
-    provider = CompositionalProvider(g) if cfg.voltage_mode == "compositional" else dense_provider
+    provider = _provider(g, cfg.voltage_mode)
     current = g
     traj = OptTrajectory()
 

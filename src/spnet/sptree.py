@@ -55,12 +55,12 @@ def index_tree(t):
     return [tuple(e) for e in entries]
 
 
-def flatten(t, entries=None):
-    """(``ArcProgram``, pre-order index of each arc) of a tree; ``entries`` is
-    ``index_tree(t)`` if already made. The leaves in pre-order are its edges,
-    the joins in reversed pre-order (bottom-up) its records, with no flipped
-    child, and the last arc the root of its one source, None: the one live arc."""
-    entries = index_tree(t) if entries is None else entries
+def flatten(t):
+    """(``ArcProgram``, pre-order index of each arc) of a tree. The leaves in
+    pre-order are its edges, the joins in reversed pre-order (bottom-up) its
+    records, with no flipped child, and the last arc the root of its one
+    source, None: the one live arc."""
+    entries = index_tree(t)
     leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
     order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
     arc = dict(zip(order, range(len(order))))

@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 
+from spnet.electrical import solve_tree
 from spnet.graph import make_graph
 from spnet.h2 import dense_h2
-from spnet.sptree import Leaf, Parallel, Series, leaf, parallel, realize, series
+from spnet.sptree import Leaf, Parallel, Series, index_tree, leaf, parallel, realize, series
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -22,6 +23,21 @@ def random_psd(rng, k, hi=1.0):
     eig = rng.uniform(0.0, hi, size=k)
     m = (q * eig) @ q.T
     return 0.5 * (m + m.T)
+
+
+def root_resistance(t):
+    """Effective resistance of a whole tree: the root block of ``solve_tree``."""
+    return solve_tree(t)[0][0]
+
+
+def tree_h2(t):
+    """Exact squared norm of a one-source tree: half the trace of its root resistance."""
+    return 0.5 * float(np.trace(root_resistance(t)))
+
+
+def leaf_rows(t):
+    """Pre-order index of each leaf of a tree, keyed by edge id."""
+    return {node.edge: i for i, (node, li, _) in enumerate(index_tree(t)) if li < 0}
 
 
 def random_sptree(rng, k, n_leaves, prefix="e", lo=0.5, hi=2.0):

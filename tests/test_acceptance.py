@@ -12,13 +12,16 @@ import pytest
 from helpers import (
     enumerate_sptrees,
     fd_gradient_direction,
+    leaf_rows,
     random_aittsp,
     random_spd,
     random_sptree,
     random_symmetric,
+    root_resistance,
+    tree_h2,
 )
 from spnet import matlin
-from spnet.electrical import effective_resistance, index_tree, power, solve_tree, split_current
+from spnet.electrical import solve_tree
 from spnet.errors import NotSeriesParallelError
 from spnet.fileio import load_config, load_graph
 from spnet.graph import attachment_edge_ids, dirichlet_laplacian, make_graph
@@ -27,7 +30,6 @@ from spnet.h2 import (
     dense_h2,
     dense_provider,
     dense_voltages,
-    h2_exact_single_source,
     h2_parallel_compose,
     h2_scalar_bound,
     lyapunov_residual,
@@ -37,6 +39,7 @@ from spnet.optimize import edge_gradients, optimize_weights
 from spnet.sptree import (
     Series,
     check_height_bounds,
+    index_tree,
     leaf,
     leaves,
     parallel,
@@ -95,8 +98,8 @@ def test_criterion_2_series_exactness():
         t = random_sptree(rng, int(rng.integers(1, 4)), int(rng.integers(2, 12)))
         for node, li, ri in index_tree(t):
             if isinstance(node, Series):
-                whole = h2_exact_single_source(node)
-                parts = h2_exact_single_source(node.left) + h2_exact_single_source(node.right)
+                whole = tree_h2(node)
+                parts = tree_h2(node.left) + tree_h2(node.right)
                 assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
                 checked += 1
     assert checked > 100
@@ -107,12 +110,12 @@ def test_criterion_3_parallel_bound():
     rng = np.random.default_rng(1003)
     for _ in range(200):
         t = random_sptree(rng, int(rng.integers(1, 4)), int(rng.integers(1, 10)))
-        assert h2_scalar_bound(t) >= h2_exact_single_source(t) - 1e-9
+        assert h2_scalar_bound(t) >= tree_h2(t) - 1e-9
     for c in (0.5, 1.0, 2.0):
         t1 = random_sptree(rng, 3, 4, prefix="p")
-        t2 = leaf("q", matlin.pinv(c * effective_resistance(t1)[0]))
-        exact = h2_exact_single_source(parallel(t1, t2))
-        bound = h2_parallel_compose(h2_exact_single_source(t1), h2_exact_single_source(t2))
+        t2 = leaf("q", matlin.pinv(c * root_resistance(t1)))
+        exact = tree_h2(parallel(t1, t2))
+        bound = h2_parallel_compose(tree_h2(t1), tree_h2(t2))
         assert abs(exact - bound) <= 1e-9
     print(
         "\n[PASS] criterion 3: scalar parallel compose bounds exact value on 200 trees, "
@@ -148,29 +151,36 @@ def test_criterion_5_voltage_current_consistency():
         g = random_aittsp(rng, k, int(rng.integers(2, 5)))
         trees, gg, sink = source_trees(g)
         for s, t in trees.items():
-            sol = solve_tree(t, source=s)
+            _, cur, vol = solve_tree(t)
             for i, (node, li, ri) in enumerate(index_tree(t)):
                 if li < 0:
                     continue
                 if isinstance(node, Series):
-                    np.testing.assert_allclose(sol.current[li], sol.current[i], atol=1e-12)
-                    np.testing.assert_allclose(sol.current[ri], sol.current[i], atol=1e-12)
+                    np.testing.assert_allclose(cur[li], cur[i], atol=1e-12)
+                    np.testing.assert_allclose(cur[ri], cur[i], atol=1e-12)
                 else:
-                    np.testing.assert_allclose(
-                        sol.current[li] + sol.current[ri], sol.current[i], atol=1e-12
-                    )
+                    np.testing.assert_allclose(cur[li] + cur[ri], cur[i], atol=1e-12)
             y = dense_voltages(gg, s)
+            rows = leaf_rows(t)
             for lf in leaves(t):
                 # Compare in the leaf's own orientation: recognition may
                 # traverse an edge against its stored direction.
-                err = rel_err(sol.leaf_voltage(lf.edge), y[lf.tail] - y[lf.head])
+                err = rel_err(vol[rows[lf.edge]], y[lf.tail] - y[lf.head])
                 volt_worst = max(volt_worst, err)
                 assert err <= 1e-9
     for _ in range(3):
         k = int(rng.integers(1, 4))
         r1, r2 = random_spd(rng, k), random_spd(rng, k)
         i_in = rng.standard_normal((k, k))
-        i1, i2 = split_current(r1, r2, i_in)
+        # The split of a two-leaf parallel tree under unit current, times I_in
+        # (the split is linear), with power Tr(I^T R I) computed inline.
+        _, cur, _ = solve_tree(parallel(leaf("a", matlin.pinv(r1)), leaf("b", matlin.pinv(r2))))
+        i1, i2 = cur[1] @ i_in, cur[2] @ i_in
+        np.testing.assert_allclose(i1 + i2, i_in, atol=1e-12)
+
+        def power(i, r):
+            return float(np.trace(i.T @ r @ i))
+
         best = power(i1, r1) + power(i2, r2)
         for _ in range(1000):
             delta = 0.1 * rng.standard_normal((k, k))
@@ -267,7 +277,7 @@ def test_criterion_10_recognition_round_trip():
         t = random_sptree(rng, int(rng.integers(1, 4)), int(rng.integers(1, 13)))
         g, src, snk = realize(t)
         t2 = recognize(g, src, snk)
-        err = float(np.abs(effective_resistance(t)[0] - effective_resistance(t2)[0]).max())
+        err = float(np.abs(root_resistance(t) - root_resistance(t2)).max())
         worst = max(worst, err)
         assert err <= 1e-10
     pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]

@@ -82,6 +82,22 @@ def test_demo_output_is_pinned(capsys, argv, pinned):
     assert capsys.readouterr().out == (GOLDEN.parent / pinned).read_text()
 
 
+@pytest.mark.parametrize("source", ["s1", "s2", "s3"])
+def test_demo_resistance_is_pinned(capsys, source):
+    # Every block of `resistance` on each demo source's pinned tree, to 1e-12
+    # relative to the block's largest entry: solves may move it by roundoff only.
+    tree = GOLDEN.parent / f"demo_decompose_{source}.json"
+    code, got = run_json(capsys, ["resistance", "--graph", DEMO, "--tree", str(tree)])
+    want = json.loads((GOLDEN.parent / f"demo_resistance_{source}.json").read_text())
+    assert code == 0
+    assert list(got) == list(want)
+    for i, blocks in want.items():
+        assert list(got[i]) == list(blocks) == ["resistance", "current", "voltage"]
+        for name, block in blocks.items():
+            a, b = np.array(got[i][name]), np.array(block)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (i, name)
+
+
 class TestResistanceCommand:
     def test_unit_path_annotations(self, capsys, tmp_path):
         tree_path = tmp_path / "tree.json"

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import spnet
-from helpers import random_aittsp, random_sptree
-from spnet import electrical
+from helpers import leaf_rows, random_aittsp, random_sptree, tree_h2
+from spnet import electrical, sptree
 from spnet import h2 as h2_module
 from spnet.cli import _emit, run
 from spnet.graph import ground_leaders
@@ -21,7 +21,6 @@ from spnet.h2 import (
     dense_h2,
     dense_provider,
     dense_voltages,
-    h2_exact_single_source,
     h2_scalar_bound,
 )
 from spnet.optimize import edge_gradients
@@ -30,6 +29,7 @@ from spnet.sptree import (
     Series,
     check_height_bounds,
     from_json,
+    index_tree,
     leaf,
     leaves,
     parallel,
@@ -123,8 +123,8 @@ class TestCompiledProvider:
         calls, indexed = [], []
         reduce_sources = h2_module.reduce_sources
         monkeypatch.setattr(h2_module, "reduce_sources", lambda *a: calls.append(a) or reduce_sources(*a))
-        monkeypatch.setattr(electrical, "index_tree", lambda t: indexed.append(t))
         g = random_aittsp(rng, 2, 3)
+        monkeypatch.setattr(sptree, "index_tree", lambda t: indexed.append(t))
         provider = CompositionalProvider(g)
         assert len(calls) == 1
         provider(g)
@@ -153,10 +153,13 @@ class TestCompiledProvider:
         signs = set()
         for c, s in enumerate(provider.program.sources):
             tree = provider.program.tree(s, gg.weights)
-            sol = electrical.solve_tree(tree)
-            for lf, cur in zip(leaves(tree), sol.current[list(sol.leaf_index.values())]):
+            _, cur, _ = electrical.solve_tree(tree)
+            rows = leaf_rows(tree)
+            for lf in leaves(tree):
                 sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
-                np.testing.assert_allclose(sweeps.current[arc[lf.edge], c], sign * cur, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(
+                    sweeps.current[arc[lf.edge], c], sign * cur[rows[lf.edge]], rtol=1e-12, atol=1e-15
+                )
                 signs.add(sign)
         assert signs == {1.0, -1.0}
 
@@ -171,18 +174,17 @@ class TestCompiledProvider:
 
 
 class TestVoltageGuard:
-    def test_reports_first_disagreeing_join_bottom_up(self):
-        # Pre-order: 0 outer join, 1 inner join, 2 a, 3 b, 4 c; both joins disagree.
+    def test_reports_first_disagreeing_join_bottom_up(self, monkeypatch):
+        # Arcs: 0 a, 1 b, 2 c, then the joins bottom-up: 3 inner, 4 outer.
+        # Every split favours its left child, so both joins disagree.
         t = parallel(parallel(leaf("a", [[1.0]]), leaf("b", [[2.0]])), leaf("c", [[1.0]]))
-        res = electrical.effective_resistance(t)
-        bad = {0: np.eye(1), 1: 0.5 * np.eye(1), 2: 0.45 * np.eye(1), 3: 0.05 * np.eye(1), 4: 0.5 * np.eye(1)}
-        with pytest.raises(ValueError, match="tree node 1;"):
-            electrical.voltage_drops(t, res, bad)
+        monkeypatch.setattr(electrical, "_split", lambda r1, r2: np.array([0.9 * np.eye(1), 0.1 * np.eye(1)]))
+        with pytest.raises(ValueError, match="join arc 3;"):
+            electrical.solve_tree(t)
 
     def test_consistent_currents_pass(self, rng):
         t = random_sptree(rng, 3, 12)
-        res = electrical.effective_resistance(t)
-        vol = electrical.voltage_drops(t, res, electrical.branch_currents(t, res))
+        res, _, vol = electrical.solve_tree(t)
         np.testing.assert_allclose(vol[0], res[0], rtol=1e-10)
 
 
@@ -219,10 +221,10 @@ class TestDeepTrees:
         g, src, snk = realize(t)
         assert len(g.nodes) == st.nodes == 5001
         back = from_json(to_json(t), g)
-        assert [(type(a), getattr(a, "edge", None)) for a, _, _ in electrical.index_tree(back)] == [
-            (type(a), getattr(a, "edge", None)) for a, _, _ in electrical.index_tree(t)
+        assert [(type(a), getattr(a, "edge", None)) for a, _, _ in index_tree(back)] == [
+            (type(a), getattr(a, "edge", None)) for a, _, _ in index_tree(t)
         ]
-        assert h2_scalar_bound(t) == pytest.approx(h2_exact_single_source(t), rel=1e-12)
+        assert h2_scalar_bound(t) == pytest.approx(tree_h2(t), rel=1e-12)
 
     def test_realize_matches_recursive_reference(self, rng):
         for _ in range(30):
@@ -317,8 +319,9 @@ def test_resistance_layout(tmp_path, capsys):
     assert run(["decompose", "--graph", DEMO, "--source", g.sources[0], "--out", str(tree_path)]) == 0
     assert run(["resistance", "--graph", DEMO, "--tree", str(tree_path)]) == 0
     data = json.loads(capsys.readouterr().out)
-    sol = electrical.solve_tree(spnet.fileio.load_tree(str(tree_path), g))
-    assert list(data) == [str(i) for i in range(len(sol.entries))]
+    tree = spnet.fileio.load_tree(str(tree_path), g)
+    _, _, vol = electrical.solve_tree(tree)
+    assert list(data) == [str(i) for i in range(len(index_tree(tree)))]
     for i, annotations in data.items():
         assert list(annotations) == ["resistance", "current", "voltage"]
-        np.testing.assert_array_equal(annotations["voltage"], sol.voltage[int(i)])
+        np.testing.assert_array_equal(annotations["voltage"], vol[int(i)])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_aittsp, random_spd, random_sptree
+from helpers import random_aittsp, random_spd, random_sptree, root_resistance, tree_h2
 from spnet import matlin
-from spnet.electrical import effective_resistance
 from spnet.errors import GraphValidationError
 from spnet.graph import dirichlet_laplacian, ground_leaders, make_graph
 from spnet.h2 import (
@@ -12,14 +11,12 @@ from spnet.h2 import (
     dense_h2,
     dense_provider,
     dense_voltages,
-    h2_exact_aittsp,
-    h2_exact_single_source,
     h2_parallel_compose,
     h2_scalar_bound,
     h2_series_compose,
     lyapunov_residual,
 )
-from spnet.sptree import leaf, leaves, parallel, series
+from spnet.sptree import leaf, leaves, parallel, realize, series
 
 I1 = np.eye(1)
 
@@ -28,30 +25,48 @@ def unit_leaf(eid, k=1):
     return leaf(eid, np.eye(k))
 
 
+def consensus(trees):
+    """One network of several trees, {source: tree}: each realized with its
+    nodes renamed apart, its sink a leader and its source the source."""
+    nodes, edges, leaders = [], [], []
+    for c, t in enumerate(trees.values()):
+        g, src, snk = realize(t)
+        name = {n: n if n in (src, snk) else f"{c}.{n}" for n in g.nodes}
+        name[src], name[snk] = list(trees)[c], f"leader{c}"
+        nodes += [name[n] for n in g.nodes]
+        edges += [(e.id, name[e.tail], name[e.head], w) for e, w in zip(g.edges, g.weights)]
+        leaders.append(name[snk])
+    return make_graph(g.k, nodes, edges, leaders=leaders, sources=list(trees))
+
+
 class TestExactSingleSource:
     def test_unit_path(self):
-        assert h2_exact_single_source(unit_leaf("a")) == pytest.approx(0.5)
+        assert tree_h2(unit_leaf("a")) == pytest.approx(0.5)
 
     def test_parallel_unit_paths(self):
-        assert h2_exact_single_source(parallel(unit_leaf("a"), unit_leaf("b"))) == pytest.approx(0.25)
+        assert tree_h2(parallel(unit_leaf("a"), unit_leaf("b"))) == pytest.approx(0.25)
 
     def test_series_unit_paths_k2(self):
         t = series(unit_leaf("a", 2), unit_leaf("b", 2))
-        assert h2_exact_single_source(t) == pytest.approx(2.0)
+        assert tree_h2(t) == pytest.approx(2.0)
 
 
 class TestAittspSum:
     def test_single_source(self, rng):
         t = random_sptree(rng, 2, 5)
-        report = h2_exact_aittsp({"s": t})
-        assert report.total == pytest.approx(h2_exact_single_source(t))
+        report = compositional_h2(consensus({"s": t}))
+        assert report.total == pytest.approx(tree_h2(t), rel=1e-12)
 
     def test_two_identical_branches(self, rng):
+        # Each tree hangs off the other's source at the sink, so neither
+        # source has a tree of the whole network; the provider solves it.
         t1 = random_sptree(np.random.default_rng(3), 2, 4, prefix="x")
         t2 = random_sptree(np.random.default_rng(3), 2, 4, prefix="y")
-        report = h2_exact_aittsp({"s1": t1, "s2": t2})
-        assert report.total == pytest.approx(2 * h2_exact_single_source(t1))
-        assert report.total == pytest.approx(sum(report.per_source.values()))
+        g = consensus({"s1": t1, "s2": t2})
+        per_source, _ = CompositionalProvider(g)(g)
+        assert per_source["s1"] == pytest.approx(per_source["s2"], rel=1e-12)
+        assert sum(per_source.values()) == pytest.approx(2 * tree_h2(t1), rel=1e-12)
+        assert sum(per_source.values()) == pytest.approx(dense_h2(g).total, rel=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
@@ -78,20 +93,16 @@ class TestComposeRules:
     def test_series_split_exactness(self, rng):
         for _ in range(20):
             t = series(random_sptree(rng, 2, 4, prefix="l"), random_sptree(rng, 2, 4, prefix="r"))
-            whole = h2_exact_single_source(t)
-            split = h2_series_compose(
-                h2_exact_single_source(t.left), h2_exact_single_source(t.right)
-            )
+            whole = tree_h2(t)
+            split = h2_series_compose(tree_h2(t.left), tree_h2(t.right))
             assert whole == pytest.approx(split, abs=1e-12)
 
     def test_parallel_proportional_equality(self, rng):
         for c in (0.5, 1.0, 2.0):
             t1 = random_sptree(rng, 2, 4, prefix="p")
-            r1 = effective_resistance(t1)[0]
-            t2 = leaf("q", matlin.pinv(c * r1))
-            joined = parallel(t1, t2)
-            exact = h2_exact_single_source(joined)
-            bound = h2_parallel_compose(h2_exact_single_source(t1), h2_exact_single_source(t2))
+            t2 = leaf("q", matlin.pinv(c * root_resistance(t1)))
+            exact = tree_h2(parallel(t1, t2))
+            bound = h2_parallel_compose(tree_h2(t1), tree_h2(t2))
             assert exact == pytest.approx(bound, abs=1e-9)
 
 
@@ -99,22 +110,22 @@ class TestScalarBound:
     def test_equals_exact_for_scalars(self, rng):
         for _ in range(20):
             t = random_sptree(rng, 1, int(rng.integers(1, 10)))
-            assert h2_scalar_bound(t) == pytest.approx(h2_exact_single_source(t), abs=1e-12)
+            assert h2_scalar_bound(t) == pytest.approx(tree_h2(t), abs=1e-12)
 
     def test_equals_exact_for_series_only(self, rng):
         t = unit_leaf("e0", 3)
         for i in range(1, 5):
             t = series(t, leaf(f"e{i}", random_spd(rng, 3)))
-        assert h2_scalar_bound(t) == pytest.approx(h2_exact_single_source(t), rel=1e-12)
+        assert h2_scalar_bound(t) == pytest.approx(tree_h2(t), rel=1e-12)
 
     def test_strictly_above_for_non_proportional_parallel(self):
         t = parallel(leaf("a", np.diag([1.0, 2.0])), leaf("b", np.diag([2.0, 1.0])))
-        assert h2_scalar_bound(t) > h2_exact_single_source(t) + 1e-6
+        assert h2_scalar_bound(t) > tree_h2(t) + 1e-6
 
     def test_upper_bound_on_random_trees(self, rng):
         for _ in range(50):
             t = random_sptree(rng, 3, int(rng.integers(1, 8)))
-            assert h2_scalar_bound(t) >= h2_exact_single_source(t) - 1e-9
+            assert h2_scalar_bound(t) >= tree_h2(t) - 1e-9
 
 
 class TestDenseOracle:

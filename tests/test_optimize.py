@@ -96,14 +96,15 @@ class TestObjective:
         assert objective(g, h=0.05) == pytest.approx(0.525)
 
     def test_modes_agree(self, rng):
-        g = random_aittsp(rng, 2, 3)
-        assert objective(g, 0.1, "dense") == pytest.approx(
-            objective(g, 0.1, "compositional"), rel=1e-9
-        )
+        # A random SP network, and a K4 core that no source has a tree of.
+        for g in (random_aittsp(rng, 2, 3), TestNonSeriesParallelCore.k4_consensus()):
+            assert objective(g, 0.1, "dense") == pytest.approx(
+                objective(g, 0.1, "compositional"), rel=1e-9
+            )
 
-    def test_one_reduction_and_no_current_sweep(self, rng, monkeypatch):
-        counts = {"reduce_sources": 0, "current_sweep": 0}
-        for module, name in ((h2, "reduce_sources"), (electrical, "current_sweep")):
+    def test_one_reduction_and_one_provider_call(self, rng, monkeypatch):
+        counts = {"reduce_sources": 0, "solve_sources": 0}
+        for module, name in ((h2, "reduce_sources"), (electrical, "solve_sources")):
 
             def counted(*args, _fn=getattr(module, name), _name=name):
                 counts[_name] += 1
@@ -112,7 +113,7 @@ class TestObjective:
             monkeypatch.setattr(module, name, counted)
         g = random_aittsp(rng, 2, 3)
         value = objective(g, 0.3, "compositional")
-        assert counts == {"reduce_sources": 1, "current_sweep": 0}
+        assert counts == {"reduce_sources": 1, "solve_sources": 1}
         assert value == pytest.approx(objective(g, 0.3, "dense"), rel=1e-9)
 
 
@@ -396,10 +397,16 @@ class TestNonSeriesParallelCore:
 
     @pytest.mark.parametrize("mode", ["compositional", "dense"])
     def test_disconnected_graph_is_rejected(self, mode):
-        # r - s, two s - t edges, and u - v with no leader: a GraphValidationError, never a LinAlgError.
-        edges = [("a", "r", "s", I1), ("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)]
-        g = make_graph(1, ["r", "s", "t", "u", "v"], edges, leaders=["r"])
-        cfg = OptConfig(penalty_h=0.5, bounds=wide_bounds(g), max_iters=2, voltage_mode=mode)
-        message = "node 'u' is not connected to a leader" if mode == "compositional" else "not positive definite"
-        with pytest.raises(GraphValidationError, match=message):
-            optimize_weights(g, cfg)
+        # A GraphValidationError, never a LinAlgError nor a solution: r - s,
+        # two s - t edges, and u - v with no leader; r - s, s - t and a
+        # follower x that no edge touches.
+        cases = [
+            (["r", "s", "t", "u", "v"], [("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)], "u"),
+            (["r", "s", "t", "x"], [("b", "s", "t", I1)], "x"),
+        ]
+        for nodes, edges, cut in cases:
+            g = make_graph(1, nodes, [("a", "r", "s", I1), *edges], leaders=["r"])
+            cfg = OptConfig(penalty_h=0.5, bounds=wide_bounds(g), max_iters=2, voltage_mode=mode)
+            message = "not positive definite" if mode == "dense" else f"node '{cut}' is not connected to a leader"
+            with pytest.raises(GraphValidationError, match=message):
+                optimize_weights(g, cfg)

@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_spd, random_sptree
-from spnet.electrical import effective_resistance, index_tree
+from helpers import random_spd, random_sptree, root_resistance
 from spnet.errors import NotSeriesParallelError
 from spnet.graph import make_graph
 from spnet.h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
-from spnet.sptree import Series, leaves, realize, recognize, series
+from spnet.sptree import Series, index_tree, leaves, realize, recognize, series
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 I1 = np.eye(1)
@@ -94,7 +93,7 @@ class TestRandomSeriesParallel:
             g0, src, snk = realize(t)
             g = replace(scrambled(rng, g0), leaders=frozenset({snk}), sources=(src,))
             t2 = recognize(g, src, snk)
-            np.testing.assert_allclose(effective_resistance(t2)[0], effective_resistance(t)[0], atol=1e-10)
+            np.testing.assert_allclose(root_resistance(t2), root_resistance(t), atol=1e-10)
 
             emap = {e.id: e for e in g.edges}
             for lf in leaves(t2):

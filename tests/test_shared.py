@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_aittsp, random_spd, random_sptree
+from helpers import random_aittsp, random_spd, random_sptree, tree_h2
 from spnet import electrical, sptree
 from spnet.cli import run
 from spnet.errors import NotSeriesParallelError
@@ -21,7 +21,6 @@ from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
     dense_provider,
-    h2_exact_aittsp,
     h2_scalar_bound,
     source_trees,
 )
@@ -75,7 +74,7 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
     for _ in range(40):
         g = scrambled_ids(rng, random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 6))
         gg, sink = ground_leaders(g)
-        per_source = h2_exact_aittsp({s: recognize(gg, s, sink) for s in gg.sources}).per_source
+        per_source = {s: tree_h2(recognize(gg, s, sink)) for s in gg.sources}
         shared = compositional_h2(g).per_source
         assert list(shared) == list(per_source)
         for s, v in per_source.items():
@@ -86,7 +85,7 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
         trees, _, _ = source_trees(g)
         assert list(bound) == list(trees)
         for s, t in trees.items():
-            assert 0.5 * np.trace(electrical.effective_resistance(t)[0]) == pytest.approx(per_source[s], rel=1e-12)
+            assert tree_h2(t) == pytest.approx(per_source[s], rel=1e-12)
             assert bound[s] == h2_scalar_bound(t)
 
 
@@ -153,7 +152,7 @@ def test_flattened_tree_is_its_own_skeleton(rng):
     program, _ = flatten(t)
     leaf_r = electrical.leaf_resistances([lf.weight for lf in program.edges])
     sweeps = electrical.solve_sources(program, leaf_r)
-    np.testing.assert_allclose(sweeps.roots[0], electrical.effective_resistance(t)[0], rtol=1e-12)
+    np.testing.assert_allclose(sweeps.roots[0], electrical.root_resistances(program, leaf_r)[None], rtol=1e-12)
     np.testing.assert_allclose(sweeps.current[-1, 0], np.eye(3), atol=1e-12)
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import enumerate_sptrees, random_sptree
-from spnet.electrical import effective_resistance
+from helpers import enumerate_sptrees, random_sptree, root_resistance
 from spnet.errors import NotSeriesParallelError
 from spnet.graph import make_graph
 from spnet.sptree import (
@@ -134,8 +133,8 @@ class TestRecognize:
             t = random_sptree(rng, 2, int(rng.integers(1, 12)))
             g, src, snk = realize(t)
             t2 = recognize(g, src, snk)
-            r1 = effective_resistance(t)[0]
-            r2 = effective_resistance(t2)[0]
+            r1 = root_resistance(t)
+            r2 = root_resistance(t2)
             np.testing.assert_allclose(r1, r2, atol=1e-10)
 
     def test_leaf_orientation_matches_flow(self, rng):
@@ -157,5 +156,5 @@ class TestJson:
         t2 = from_json(data, g)
         assert to_json(t2) == data
         np.testing.assert_allclose(
-            effective_resistance(t)[0], effective_resistance(t2)[0], atol=1e-12
+            root_resistance(t), root_resistance(t2), atol=1e-12
         )
