@@ -5,6 +5,12 @@ Everything here is direct eigendecomposition on k x k arrays with k <= 16;
 and ``project_box`` also take (n, k, k) stacks, matrix by matrix. All
 returned matrices are explicitly symmetrized so that roundoff asymmetry
 cannot accumulate in callers.
+
+``project_box`` stops a row after its first Dykstra pass when that pass
+certifies the KKT conditions of the projection, which bounds the distance
+to the true projection by the complementarity residual. A box is proven
+non-empty either by that certificate or, for the rows it does not stop, by
+one ``eigvalsh`` of U - L.
 """
 
 import numpy as np
@@ -111,54 +117,72 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     """Project a symmetric matrix onto the Loewner box {Y : L <= Y <= U}.
 
     Runs Dykstra's alternating projections between the half-cones
-    {Y >= L} and {Y <= U}, each realized by eigenvalue clipping, until the
-    Frobenius change between successive iterates drops below ``tol``.
+    {Y >= L} and {Y <= U}, each realized by eigenvalue clipping, on states
+    s = (y, p, q) that keep Dykstra's invariant y + p + q = X.
 
-    The Dykstra map T on each row's state s = (y, p, q) is Anderson-
-    accelerated (Walker & Ni 2011; see ``_Anderson``): from the third
-    iteration on, a row's next state is an affine combination of its last
-    outputs of T, not the newest one alone. Every output of T keeps
-    Dykstra's invariant y + p + q = X, so the combination does too, and any
-    fixed point is the Frobenius projection onto the box. Y is always the y
-    of an output of T, so Y <= U holds exactly, and a row that stops within
-    two iterations returns exactly what plain Dykstra returns.
+    A row stops after its first pass from (X, 0, 0) when that pass meets the
+    KKT conditions of the projection (Birgin & Raydan 2005). The pass makes
+    Z = L + [X - L]_+, P = X - Z <= 0, Y = U - [U - Z]_+ and Q = Z - Y >= 0,
+    so Y <= U, X - Y = P + Q and Q (U - Y) = 0 hold by construction; the
+    row is certified when also min eig(Y - L) >= -BOX_TOL and
+    ||P (Y - L)||_F <= ``tol``. For the projection Y* and a feasible Y this
+    bounds ||Y - Y*||_F^2 <= tr(-P (Y - L)) <= sqrt(k) ``tol``, and since
+    U - L = (U - Y) + (Y - L), it proves the row's box non-empty under
+    ``BOX_TOL``, up to rounding. Any other row stops once the Frobenius
+    change between successive iterates drops below ``tol``.
+
+    From the third pass on, the Dykstra map T is Anderson-accelerated
+    (Walker & Ni 2011; see ``_Anderson``): a row's next state is an affine
+    combination of its last outputs of T, not the newest one alone. Every
+    output of T keeps Dykstra's invariant, so the combination does too, and
+    any fixed point is the Frobenius projection onto the box. Y is always
+    the y of an output of T, so Y <= U holds exactly. A row that the first
+    pass does not certify but that stops within two passes returns exactly
+    what plain Dykstra returns.
 
     An (n, k, k) stack is projected row by row in one batched loop; each row
-    stops at the iteration its one-matrix call would. Returns ``(Y,
-    converged)``: ``converged`` is one bool, false if any row missed the stop
-    rule (that row's last iterate is kept). Empty boxes raise ``InfeasibleBoundsError``.
+    stops at the pass its one-matrix call would. Returns ``(Y, converged)``:
+    ``converged`` is one bool, false if any row missed both stop rules (that
+    row's last iterate is kept). X, L and U are checked for symmetry in one
+    pass over the three. A box is empty when min eig(U - L) < -BOX_TOL; the
+    boxes the first pass does not certify are checked so, and an empty one
+    raises ``InfeasibleBoundsError`` before anything is returned.
     """
-    x, lower, upper = (as_symmetric(m) for m in (x, lower, upper))
+    x, lower, upper = (np.asarray(m, dtype=float) for m in (x, lower, upper))
     _check_same_dim(x, lower, upper)
-    if float(np.linalg.eigvalsh(upper - lower).min()) < -BOX_TOL:
-        raise InfeasibleBoundsError("empty Loewner box: L is not below U")
-
     shape = x.shape
-    lo, up = (m.reshape(-1, *shape[-2:]) for m in (lower, upper))
-    x = x.reshape(lo.shape)
-    y_out = x.copy()
-    s = np.zeros((len(x), 3, *shape[-2:]))  # the live rows' states (y, p, q)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {shape}")
+    x, lo, up = as_symmetric(np.stack((x, lower, upper)).reshape(-1, *shape[-2:])).reshape(3, -1, *shape[-2:])
+
+    if max_iter < 1:
+        _require_nonempty(lo, up)
+        return x.reshape(shape), False
+    s = np.zeros((len(x), 3, *shape[-2:]))  # the states (y, p, q), first (X, 0, 0)
     s[:, 0] = x
-    rows = np.arange(len(x))  # the rows still iterating
-    history = None  # made once some row outlives its second iteration
-    for it in range(max_iter):
-        y, p, q = s[:, 0], s[:, 1], s[:, 2]
-        t = np.empty_like(s)  # T(s)
-        z = lo + psd_part(y + p - lo)
-        t[:, 1] = y + p - z
-        t[:, 0] = y_t = up - psd_part(up - (z + q))
-        t[:, 2] = z + q - y_t
-        live = ~(np.linalg.norm(y_t - y_out[rows], axis=(-2, -1)) < tol)
-        y_out[rows] = y_t
+    t = _dykstra_map(s, lo, up)
+    y_out = t[:, 0].copy()
+    gap = y_out - lo
+    certified = (np.linalg.eigvalsh(gap).min(axis=-1) >= -BOX_TOL) & (
+        np.linalg.norm(t[:, 1] @ gap, axis=(-2, -1)) <= tol
+    )
+    _require_nonempty(lo[~certified], up[~certified])
+    live = ~certified & ~(np.linalg.norm(y_out - x, axis=(-2, -1)) < tol)
+    if not live.any():
+        return y_out.reshape(shape), True
+    rows = np.flatnonzero(live)  # the rows still iterating
+    lo, up, s = lo[live], up[live], t[live]
+    history = None  # made once some row outlives its second pass
+    for _ in range(1, max_iter):
+        t = _dykstra_map(s, lo, up)
+        live = ~(np.linalg.norm(t[:, 0] - y_out[rows], axis=(-2, -1)) < tol)
+        y_out[rows] = t[:, 0]
         if not live.all():
             if not live.any():
                 return y_out.reshape(shape), True
             rows, lo, up, s, t = rows[live], lo[live], up[live], s[live], t[live]
             if history is not None:
                 history.keep(live)
-        if it == 0:
-            s = t
-            continue
         n = len(t)
         if history is None:  # T's first output is s; its residual is s - (X, 0, 0)
             f = s.copy()
@@ -166,6 +190,24 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
             history = _Anderson(s.reshape(n, -1), f.reshape(n, -1))
         s = history.extrapolate(t.reshape(n, -1), (t - s).reshape(n, -1)).reshape(t.shape)
     return y_out.reshape(shape), False
+
+
+def _dykstra_map(s, lo, up):
+    """One Dykstra pass T(s) on a stack of states s = (y, p, q): clip y + p
+    onto {Y >= L}, then that plus q onto {Y <= U}."""
+    y, p, q = s[:, 0], s[:, 1], s[:, 2]
+    t = np.empty_like(s)
+    z = lo + psd_part(y + p - lo)
+    t[:, 1] = y + p - z
+    t[:, 0] = y_t = up - psd_part(up - (z + q))
+    t[:, 2] = z + q - y_t
+    return t
+
+
+def _require_nonempty(lo, up):
+    """Raise ``InfeasibleBoundsError`` if any box [L, U] of the stacks is empty."""
+    if len(lo) and float(np.linalg.eigvalsh(up - lo).min()) < -BOX_TOL:
+        raise InfeasibleBoundsError("empty Loewner box: L is not below U")
 
 
 class _Anderson:

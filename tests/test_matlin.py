@@ -232,6 +232,23 @@ class TestProjectBoxStack:
         assert ok
         np.testing.assert_allclose(y, lo, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_first_pass_certificate_stops_rows(self, rng, monkeypatch, k):
+        # Wide boxes with X inside, X above U only and X below L only: one
+        # pass meets the KKT conditions, though the iterate still moved.
+        lo = np.array([random_spd(rng, k, 0.5, 1.0) for _ in range(3)])
+        up = lo + np.array([random_spd(rng, k, 5.0, 6.0) for _ in range(3)])
+        x = lo + np.array([random_spd(rng, k, 1.0, 2.0), up[1] - lo[1], np.zeros((k, k))])
+        x[1:] += np.array([random_spd(rng, k, 0.1, 0.2), -random_spd(rng, k, 0.1, 0.2)])
+        for args in zip(x, lo, up):
+            assert self.iterations(monkeypatch, *args) == 1
+            assert matlin.project_box(*args, max_iter=1)[1] is True
+        assert self.iterations(monkeypatch, x, lo, up) == 1
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok is True
+        for row, want in zip(y, (x[0], up[1], lo[2])):
+            assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("gap", [0.0, -0.5e-12, -2e-12, -1e-10])
     def test_box_rule_matches_loewner_leq(self, rng, gap):
         lo = random_spd(rng, 3)
@@ -297,7 +314,9 @@ class TestAcceleratedProjection:
     @pytest.mark.parametrize("k", [4, 16])
     def test_rows_stopping_within_two_iterations_are_plain_dykstra(self, rng, k):
         # Wide boxes holding X stop after one iteration; wide boxes with X
-        # just above U after two; tight boxes run on with extrapolation.
+        # just above U after two; tight boxes run on with extrapolation. A
+        # row the first pass certifies returns that pass's Y, which plain
+        # Dykstra's second pass moves by rounding only.
         x, lo, up = box_stack(rng, 9, k)
         x[3::3] = up[3::3] + random_spd(rng, k, 0.1, 0.2)
         y, ok = matlin.project_box(x, lo, up)
@@ -306,9 +325,64 @@ class TestAcceleratedProjection:
         for row, args in zip(y, zip(x, lo, up)):
             want, it = plain_dykstra(*args)
             iters.append(it)
-            if it <= 2:
+            if it == 1:
                 np.testing.assert_array_equal(row, want)
+            elif it == 2:
+                assert np.abs(row - want).max() <= 1e-15 * np.abs(want).max()
         assert {1, 2} <= set(iters) and max(iters) > 2
+
+
+def first_pass_rows(rng, k, rows):
+    """(X, L, U) stacks, one row per (wide, where) pair: a wide or tight box
+    and X inside it, above U only, below L only, or outside on both sides."""
+    xs, los, ups = [], [], []
+    for wide, where in rows:
+        lo = random_spd(rng, k, 0.5, 2.0)
+        up = lo + (random_spd(rng, k, 5.0, 6.0) if wide else random_spd(rng, k, 0.01, 0.2))
+        if where == "inside":
+            x = lo + rng.uniform(0.1, 0.9) * (up - lo)
+        elif where == "above":
+            x = up + random_spd(rng, k, 0.05, 1.0)
+        elif where == "below":
+            x = lo - random_spd(rng, k, 0.05, 1.0)
+        else:
+            d = rng.standard_normal((k, k))
+            x = 0.5 * (lo + up) + 0.5 * (d + d.T)
+        xs.append(x)
+        los.append(lo)
+        ups.append(up)
+    return np.array(xs), np.array(los), np.array(ups)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 2, 4, 16]),
+    st.lists(
+        st.tuples(st.booleans(), st.sampled_from(["inside", "above", "below", "outside"])), min_size=1, max_size=4
+    ),
+    st.sampled_from([1e-3, 2e-12]),
+)
+def test_rows_stopped_by_the_first_pass_are_projections(seed, k, rows, emptiness):
+    rng = np.random.default_rng(seed)
+    x, lo, up = first_pass_rows(rng, k, rows)
+    y, _ = matlin.project_box(x, lo, up)
+    one_pass = np.array([matlin.project_box(*args, max_iter=1)[1] for args in zip(x, lo, up)])
+    if one_pass.any():
+        want, _ = plain_dykstra(x[one_pass], lo[one_pass], up[one_pass], tol=0.0, max_iter=5000)
+        for row, ref, a, b in zip(y[one_pass], want, lo[one_pass], up[one_pass]):
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.linalg.eigvalsh(row - a).min() >= -1e-9
+            assert np.linalg.eigvalsh(b - row).min() >= -1e-9
+
+    # One empty box beside rows the first pass stops still raises, with or
+    # without a pass: X = U makes that pass look as good as it can.
+    bad = random_spd(rng, k)
+    bad_up = bad - emptiness * np.eye(k)
+    x, lo, up = (np.concatenate([m[one_pass], [extra]]) for m, extra in ((x, bad_up), (lo, bad), (up, bad_up)))
+    for max_iter in (500, 0):
+        with pytest.raises(InfeasibleBoundsError):
+            matlin.project_box(x, lo, up, max_iter=max_iter)
 
 
 class TestSymmetricStack:
