@@ -1,13 +1,11 @@
 """Matrix-valued electrical solve over series-parallel join records.
 
 One engine: ``solve_sources`` sweeps an ``sptree.ArcProgram``, join records
-``(kind, a, a flipped, b, b flipped)`` over an arc list, leaves first and then
-one arc per join, bottom-up, for all its sources at once; ``root_resistances``
-folds the resistance rules over each source's own reduction. A tree is one
-more program: ``solve_tree`` runs ``solve_sources`` on ``sptree.flatten`` of
-it, whose terminal skeleton is its root arc. Leaf resistances come from one
-batched inverse. ``solve_sources`` sweeps only shared joins; the terminal
-skeleton they leave takes one Dirichlet solve. The sweeps:
+``(kind, a, a flipped, b, b flipped)`` over an arc list (leaves, then one arc
+per join, bottom-up) for all its sources at once: ``skeleton_solve`` (the
+shared joins' R sweep, one Dirichlet solve of the terminal skeleton), then
+one current sweep. ``solve_tree`` runs it on ``sptree.flatten`` of a tree,
+whose skeleton is its root arc. Leaf resistances are one batched inverse. The sweeps:
 
 - resistance, bottom-up: series R1 + R2; parallel one solve for
   X = (R1 + R2)^-1 [R2 | R1] = (X1, X2), then R = sym(R1 X1), X kept;
@@ -74,16 +72,6 @@ def _check_parallel(v1, v2, arcs):
         )
 
 
-def root_resistances(program, leaf_r):
-    """Effective resistance from each source of an ``ArcProgram`` to its sink,
-    {source: R}: one fold, with the arithmetic of ``resistance_sweep``."""
-
-    def join(kind, r1, r2):
-        return matlin.symmetrize(r1 @ _split(r1, r2)[0]) if kind is Parallel else r1 + r2
-
-    return program.fold(leaf_r, join)
-
-
 @dataclass(frozen=True, eq=False)
 class SourceSweeps:
     """Unit-current solve of every source of an ``ArcProgram``; S in source order."""
@@ -94,15 +82,12 @@ class SourceSweeps:
     voltage: np.ndarray  # (m, S, k, k) drop tail -> head of every leaf arc
 
 
-def solve_sources(program, leaf_r):
-    """Resistance, current and leaf-voltage sweeps of every source together:
-    one R sweep of the shared joins, then one solve of the terminal skeleton's
-    grounded Laplacian (live arcs as conductances G = R^-1, sink dropped) for
-    all S unit injections, a Kron reduction onto the terminals. Root R of
-    source s is Y_s^s; each live arc carries G (Y_tail - Y_head) down the
-    shared joins in one current sweep. The guard compares R_a X_a with R_b X_b
-    once per shared parallel join: neither depends on the source."""
-    m, k, n_src = len(program.edges), leaf_r.shape[-1], len(program.sources)
+def skeleton_solve(program, leaf_r):
+    """The shared R sweep, then one solve of the terminal skeleton's grounded
+    Laplacian (sink dropped) for all S unit injections, a Kron reduction:
+    (R of every arc, each join's split, live-arc conductances G = R^-1, Y),
+    Y (skeleton nodes, S, k, k); source c's root R is Y[c, c]."""
+    k, n_src = leaf_r.shape[-1], len(program.sources)
     res = list(leaf_r)
     splits = resistance_sweep(program.joins, res)
     tails, heads = program.ends.T
@@ -114,16 +99,25 @@ def solve_sources(program, leaf_r):
     lap[nodes, :, nodes] = -lap.sum(axis=2)
     y = np.zeros((n + 1, k, n_src, k))  # source c is node c, so its unit injection is column block c of I
     y[:n] = np.linalg.solve(lap[:n, :, :n].reshape(n * k, n * k), np.eye(n * k, n_src * k)).reshape(n, k, n_src, k)
-    y = y.swapaxes(1, 2)
+    return res, splits, cond, y.swapaxes(1, 2)
+
+
+def solve_sources(program, leaf_r):
+    """Resistance, current and leaf-voltage sweeps of every source together:
+    ``skeleton_solve``, then each live arc carries G (Y_tail - Y_head) down
+    the shared joins in one current sweep. The guard compares R_a X_a with
+    R_b X_b once per shared parallel join: neither depends on the source."""
+    m, k, n_src = len(program.edges), leaf_r.shape[-1], len(program.sources)
+    res, splits, cond, y = skeleton_solve(program, leaf_r)
     cur = np.zeros((len(res), n_src, k, k))
-    cur[program.live] = cond[:, None] @ (y[tails] - y[heads])
+    cur[program.live] = cond[:, None] @ (y[program.ends[:, 0]] - y[program.ends[:, 1]])
     current_sweep(program.joins, splits, cur, m)
     par = [i for i, x in enumerate(splits) if x is not None]
     if par:
         x = np.array([splits[i] for i in par])
         ra, rb = (np.array([res[program.joins[i][side]] for i in par]) for side in (1, 3))
         _check_parallel(ra @ x[:, 0], rb @ x[:, 1], [m + i for i in par])
-    return SourceSweeps(y[nodes[:n_src], nodes[:n_src]], res, cur, leaf_r[:, None] @ cur[:m])
+    return SourceSweeps(y[range(n_src), range(n_src)], res, cur, leaf_r[:, None] @ cur[:m])
 
 
 def solve_tree(t):

@@ -1,13 +1,12 @@
 """H2 performance of leader-follower consensus networks.
 
-Three routes to the squared norm: the exact compositional value from one
-reduction shared by all sources (half the trace of each source's root
-effective resistance), a scalar compositional upper bound that folds the
-scalar series/parallel rules over that same reduction (both finish each
-source's reduction, so both reject a graph that is not series-parallel from a
-source), and a dense oracle solving the Dirichlet system on any connected graph.
-Of a hand-built tree, ``h2_scalar_bound`` folds the bound; its exact value is
-half the trace of the root resistance ``electrical.solve_tree`` returns.
+Three routes to the squared norm: the exact compositional value, half the
+trace of each source's root resistance from one shared reduction and one
+terminal-skeleton solve (``electrical.skeleton_solve``); a scalar upper bound
+folded over that reduction and each source's finish, so it rejects a graph not
+series-parallel from a source; and a dense oracle on any connected graph. Of a
+hand-built tree, ``h2_scalar_bound`` folds the bound; its exact value is half
+the trace of the root resistance ``electrical.solve_tree`` returns.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
@@ -81,11 +80,20 @@ def h2_scalar_bound(t):
 
 
 def _reduced(g):
-    """(grounded graph, sink id, its ``ArcProgram`` from every source to the sink)."""
+    """(grounded graph, sink id, its ``ArcProgram`` from every source to the
+    sink); a GraphValidationError names the first node cut off from the sink in
+    the skeleton or left with no edge (the reduction never sees an edgeless one)."""
     gg, sink = ground_leaders(g)
     if not gg.sources:
         raise GraphValidationError("graph has no source nodes")
-    return gg, sink, reduce_sources(gg, gg.sources, sink)
+    program = reduce_sources(gg, gg.sources, sink)
+    linked = reached(program.ends.tolist(), len(program.nodes) - 1)  # the sink is the last node
+    touched = {e.tail for e in gg.edges} | {e.head for e in gg.edges}
+    cut = [n for c, n in enumerate(program.nodes) if c not in linked]
+    cut += [n for n in gg.nodes if n not in touched]
+    if cut:
+        raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
+    return gg, sink, program
 
 
 def source_trees(g):
@@ -100,9 +108,9 @@ def source_trees(g):
 
 
 def compositional_h2(g, method="exact"):
-    """Compositional squared norm of a consensus network (exact or bound),
-    each one fold over one shared reduction: exact H2^2(s) = tr R_root(s) / 2,
-    bound the scalar rules, so no tree is built."""
+    """Compositional squared norm, no tree built: exact H2^2(s) = tr Y_s^s / 2
+    from ``electrical.skeleton_solve``, so on any network ``CompositionalProvider``
+    takes; bound the scalar rules folded over the reduction and each source's finish."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
     gg, _, program = _reduced(g)
@@ -110,8 +118,8 @@ def compositional_h2(g, method="exact"):
     if method == "bound":
         per_source = _scalar_bounds(program, leaf_r)
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
-    roots = electrical.root_resistances(program, leaf_r)
-    per_source = {s: 0.5 * float(np.trace(r)) for s, r in roots.items()}
+    *_, y = electrical.skeleton_solve(program, leaf_r)
+    per_source = {s: 0.5 * float(np.trace(y[c, c])) for c, s in enumerate(program.sources)}
     return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
 
 
@@ -171,12 +179,6 @@ class CompositionalProvider:
 
     def __init__(self, g):
         gg, _, self.program = _reduced(g)
-        linked = reached(self.program.ends.tolist(), len(self.program.nodes) - 1)  # the sink is the last node
-        touched = {n for e in gg.edges for n in (e.tail, e.head)}  # the reduction never sees an edgeless node
-        cut = [n for c, n in enumerate(self.program.nodes) if c not in linked]
-        cut += [n for n in gg.nodes if n not in touched]
-        if cut:
-            raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
         self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
         rows = {eid: i for i, eid in enumerate(self.edge_ids)}
         self.rows = [rows[e.id] for e in gg.edges]  # g.edges row of each grounded edge

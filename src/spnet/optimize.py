@@ -50,6 +50,8 @@ class OptConfig:
             raise ValueError("penalty_h must be finite and positive")
         if math.isnan(self.grad_tol):
             raise ValueError("grad_tol must be a number, not NaN")
+        if self.max_iters < 0:  # 0 is valid: the start point's objective and gradient only
+            raise ValueError("max_iters must be a non-negative integer")
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
         # Every box [L, U]: shapes edge by edge, then L strictly SPD, U symmetric

@@ -220,7 +220,7 @@ class ArcProgram:
         """{source: root value} from ``values`` of the edges: ``join(kind, a,
         b)`` once per shared join, then once per join ``finish`` makes for each
         source. Flip bits are ignored, which suits orientation-free values
-        (resistance, the bound, counts); order-sensitive walks fold ``flatten`` of a tree."""
+        (the bound, ``stats``, ``realize``); order-sensitive walks fold ``flatten`` of a tree."""
         finished, vals = [self.finish(s) for s in self.sources], list(values)  # every source checked before any join
         for kind, a, _, b, _ in self.joins:
             vals.append(join(kind, vals[a], vals[b]))

@@ -46,15 +46,15 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1e-30))
 
 
-def assert_matches_dense(g, per_edge=True, sp=True):
-    """H2² per source against ``dense_h2`` and Q against ``dense_provider``
-    (same orientation, no sign forgiven), all to 1e-9 relative: edge by edge,
-    or over each source's whole Q stack when ``per_edge`` is false. On a
-    series-parallel ``g`` (``sp``) the exact compositional H2² is judged too."""
+def assert_matches_dense(g, per_edge=True):
+    """The provider's and the exact compositional H2² per source against
+    ``dense_h2`` and Q against ``dense_provider`` (same orientation, no sign
+    forgiven), all to 1e-9 relative: edge by edge, or over each source's whole
+    Q stack when ``per_edge`` is false."""
     oracle = dense_h2(g).per_source
     comp_h2, comp_q = CompositionalProvider(g)(g)
     _, dense_q = dense_provider(g)
-    exact = compositional_h2(g).per_source if sp else comp_h2
+    exact = compositional_h2(g).per_source
     assert comp_h2.keys() == exact.keys() == oracle.keys()
     for s, v in oracle.items():
         assert comp_h2[s] == pytest.approx(v, rel=1e-9)

@@ -154,6 +154,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="must be"):
                 OptConfig(**{"penalty_h": 1.0, "bounds": {}, **bad})
 
+    def test_max_iters_may_be_zero_but_not_negative(self):
+        # Zero steps is a run: the start point's objective and gradient only.
+        g = make_graph(1, ["r", "s"], [("e", "r", "s", I1)], leaders=["r"])
+        traj = optimize_weights(g, OptConfig(penalty_h=1.0, bounds={}, max_iters=0))
+        assert [rec.iteration for rec in traj.records] == [0]
+        for bad in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
+                OptConfig(penalty_h=1.0, bounds={}, max_iters=bad)
+
     def test_load_config_reports_empty_box(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"penalty_h": 1.0, "bounds": {"e": {"L": [[2.0]], "U": [[2.0 - 1e-10]]}}}))

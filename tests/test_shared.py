@@ -1,10 +1,11 @@
 """One shared series-parallel reduction for every source: agreement with the
 dense judge on scrambled networks, confluence with a reduction per source,
 the terminal skeleton it leaves and its one solve, the joins one call sweeps,
-and cores that are not series-parallel: the provider solves them, while what
-needs a source's tree rejects them."""
+and cores that are not series-parallel: the provider and exact H2 solve them,
+while what needs a source's tree rejects them."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import random_aittsp, random_spd, random_sptree, tree_h2
 from spnet import electrical, sptree
 from spnet.cli import run
-from spnet.errors import NotSeriesParallelError
+from spnet.errors import GraphValidationError, NotSeriesParallelError
 from spnet.fileio import save_graph
 from spnet.graph import ground_leaders, make_graph
 from spnet.h2 import (
@@ -152,7 +153,7 @@ def test_flattened_tree_is_its_own_skeleton(rng):
     program, _ = flatten(t)
     leaf_r = electrical.leaf_resistances([lf.weight for lf in program.edges])
     sweeps = electrical.solve_sources(program, leaf_r)
-    np.testing.assert_allclose(sweeps.roots[0], electrical.root_resistances(program, leaf_r)[None], rtol=1e-12)
+    np.testing.assert_allclose(sweeps.roots[0], sweeps.resistance[-1], rtol=1e-12)  # G^-1 back from the skeleton solve
     np.testing.assert_allclose(sweeps.current[-1, 0], np.eye(3), atol=1e-12)
 
 
@@ -168,6 +169,36 @@ def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
         assert swept == [len(provider.program.joins)]  # the shared joins only; the skeleton is one solve
 
 
+@pytest.mark.parametrize("n_sources", [1, 4, 16])
+def test_exact_h2_is_one_sweep_and_one_skeleton_solve(rng, monkeypatch, n_sources):
+    # Exact H2 reads every source's root from the skeleton solve: the shared
+    # R sweep once, no current sweep, and no source's reduction finished.
+    g = random_aittsp(rng, 2, n_sources)  # built by realizing trees, which finishes them
+    program = CompositionalProvider(g).program
+    calls = {"resistance_sweep": [], "current_sweep": [], "finish": []}
+    for owner, name in ((electrical, "resistance_sweep"), (electrical, "current_sweep"), (sptree.ArcProgram, "finish")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, log=calls[name]: log.append(a) or fn(*a))
+    report = compositional_h2(g, "exact")
+    assert [len(a[0]) for a in calls["resistance_sweep"]] == [len(program.joins)]
+    assert calls["current_sweep"] == calls["finish"] == []
+    assert list(report.per_source) == list(program.sources)
+
+
+@pytest.mark.parametrize("build", [compositional_h2, lambda g: compositional_h2(g, "bound"), source_trees])
+def test_every_compositional_route_rejects_an_unreached_node(build):
+    # The provider's check guards exact H2, the bound and the trees alike: a
+    # component u - v with no leader, and a follower x that no edge touches.
+    cases = [
+        (["r", "s", "t", "u", "v"], [("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)], "u"),
+        (["r", "s", "t", "x"], [("b", "s", "t", I1)], "x"),
+    ]
+    for nodes, edges, cut in cases:
+        g = make_graph(1, nodes, [("a", "r", "s", I1), *edges], leaders=["r"])
+        with pytest.raises(GraphValidationError, match=f"node '{cut}' is not connected to a leader"):
+            build(g)
+
+
 def k4_core():
     """K4 on a b c d with sources a and b, and a pendant two-edge bundle at c."""
     pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
@@ -177,20 +208,31 @@ def k4_core():
 
 
 def test_k4_core_is_solved_but_has_no_tree(capsys, tmp_path):
-    # The provider and `check` solve the core as a bigger skeleton; what needs
-    # a source's own reduction rejects it with the same message as before.
+    # The provider, exact H2 and `check` solve the core as a bigger skeleton;
+    # what needs a source's own reduction rejects it with the same message as before.
     message = "reduction stalled with 9 edges; graph is not series-parallel between 'a' and 'l'"
     check_skeleton(CompositionalProvider(k4_core()).program, *ground_leaders(k4_core()))
-    assert_matches_dense(k4_core(), sp=False)
-    for build in (compositional_h2, source_trees):
+    assert_matches_dense(k4_core())
+    for build in (lambda g: compositional_h2(g, "bound"), source_trees):
         with pytest.raises(NotSeriesParallelError) as info:
             build(k4_core())
         assert str(info.value) == message
     path = tmp_path / "k4.json"
     save_graph(k4_core(), path)
-    assert run(["h2", "--graph", str(path), "--method", "exact"]) == 2
+    assert_cli_exact_matches_oracle(capsys, path)
+    assert run(["h2", "--graph", str(path), "--method", "bound"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert run(["check", "--graph", str(path)]) == 0
+
+
+def assert_cli_exact_matches_oracle(capsys, path):
+    """``h2 --method exact`` exits 0 and its total agrees with ``--method oracle`` to 1e-9."""
+    totals = []
+    for method in ("exact", "oracle"):
+        capsys.readouterr()
+        assert run(["h2", "--graph", str(path), "--method", method]) == 0
+        totals.append(json.loads(capsys.readouterr().out)["total_h2_squared"])
+    assert totals[0] == pytest.approx(totals[1], rel=1e-9)
 
 
 def k4_subdivision(rng, k, n_sources):
@@ -216,8 +258,8 @@ def test_provider_solves_k4_subdivisions(seed, k, n_sources):
     check_skeleton(CompositionalProvider(g).program, *ground_leaders(g))
     # With one leader the K4 hangs off it and its edges carry roundoff only,
     # so Q is judged over each source's whole stack.
-    assert_matches_dense(g, per_edge=False, sp=False)
-    for build in (compositional_h2, source_trees):
+    assert_matches_dense(g, per_edge=False)
+    for build in (lambda g: compositional_h2(g, "bound"), source_trees):
         with pytest.raises(NotSeriesParallelError, match="stalled"):
             build(g)
 
@@ -226,12 +268,12 @@ def test_pendant_path_is_solved_but_has_no_tree(capsys, tmp_path):
     # L0 - p0 - p1 - p2 with leader L0: p1 and p2 hang off the source and carry no current.
     edges = [("a", "L0", "p0", I1), ("b", "p0", "p1", I1), ("c", "p1", "p2", 2 * I1)]
     g = make_graph(1, ["L0", "p0", "p1", "p2"], edges, leaders=["L0"])
-    assert_matches_dense(g, per_edge=False, sp=False)
+    assert_matches_dense(g, per_edge=False)
     path = tmp_path / "pendant.json"
     save_graph(g, path)
     assert run(["check", "--graph", str(path)]) == 0
-    capsys.readouterr()
-    assert run(["h2", "--graph", str(path), "--method", "exact"]) == 2  # the pendant p1 - p2 stalls its reduction
+    assert_cli_exact_matches_oracle(capsys, path)
+    assert run(["h2", "--graph", str(path), "--method", "bound"]) == 2  # the pendant p1 - p2 stalls its finish
     assert "reduction stalled with 2 edges" in capsys.readouterr().err
     base = dict(penalty_h=0.3, bounds={e.id: (0.5 * I1, 2 * I1) for e in g.edges}, max_iters=10)
     comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
