@@ -186,37 +186,35 @@ class DirichletLaplacian:
 
 
 def grounded_laplacian(g, ground):
-    """Laplacian of ``g`` with the ``ground`` node set removed.
+    """Laplacian of ``g`` with the ``ground`` node set removed, assembled in one scatter.
 
-    Edges internal to the remaining nodes contribute full 2x2 block
-    patterns; edges into the ground set contribute only their diagonal
-    block. Grounded-node columns/rows are dropped entirely, which is the
-    boundary condition pinning their voltage to zero.
+    The ground set is one merged node, numbered n. Each edge adds +W to its two
+    diagonal blocks and -W to its two off-diagonal ones; blocks in the ground's
+    row or column are dropped (the boundary condition pinning its voltage to
+    zero) and one ``np.bincount`` sums the rest in edge order, parallel edges
+    in either orientation too, so the matrix is exactly symmetric.
     """
     ground = set(ground)
     order = tuple(sorted(n for n in g.nodes if n not in ground))
     if not order:
         raise GraphValidationError("grounding removes every node")
-    idx = {n: i for i, n in enumerate(order)}
-    k = g.k
-    m = np.zeros((k * len(order), k * len(order)))
-    for e, w in zip(g.edges, g.weights):
-        t_in, h_in = e.tail not in ground, e.head not in ground
-        if t_in and h_in:
-            i, j = idx[e.tail], idx[e.head]
-            m[k * i : k * i + k, k * i : k * i + k] += w
-            m[k * j : k * j + k, k * j : k * j + k] += w
-            m[k * i : k * i + k, k * j : k * j + k] -= w
-            m[k * j : k * j + k, k * i : k * i + k] -= w
-        elif t_in or h_in:
-            i = idx[e.tail] if t_in else idx[e.head]
-            m[k * i : k * i + k, k * i : k * i + k] += w
-    return DirichletLaplacian(follower_order=order, matrix=matlin.symmetrize(m))
+    n, k = len(order), g.k
+    idx = dict.fromkeys(ground, n)
+    idx.update((v, i) for i, v in enumerate(order))
+    ends = np.array([(idx[e.tail], idx[e.head]) for e in g.edges], dtype=np.intp).reshape(-1, 2)
+    rows, cols = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]  # blocks (t, t), (h, h), (t, h), (h, t)
+    keep = (rows < n) & (cols < n)
+    r = np.arange(k)
+    at = (rows[keep] * n * k + cols[keep])[:, None, None] * k + (r[:, None] * n * k + r)
+    blocks = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * g.weights[:, None]
+    a = np.bincount(at.ravel(), weights=blocks[keep].ravel(), minlength=(n * k) ** 2)
+    return DirichletLaplacian(follower_order=order, matrix=a.reshape(n * k, n * k))
 
 
 def dirichlet_laplacian(g):
     """Follower-block Dirichlet Laplacian A(W) with respect to the leaders. It is positive
-    definite iff every follower reaches a leader; a GraphValidationError otherwise."""
+    definite iff every follower reaches a leader: one Cholesky factorization checks it (a
+    GraphValidationError otherwise); callers factor the matrix again to solve."""
     dl = grounded_laplacian(g, g.leaders)
     try:
         np.linalg.cholesky(dl.matrix)

@@ -81,16 +81,14 @@ def h2_scalar_bound(t):
 
 def _reduced(g):
     """(grounded graph, sink id, its ``ArcProgram`` from every source to the
-    sink); a GraphValidationError names the first node cut off from the sink in
-    the skeleton or left with no edge (the reduction never sees an edgeless one)."""
+    sink); a GraphValidationError names the first skeleton node cut off from the
+    sink, an edgeless node included (the skeleton keeps it, with no arc)."""
     gg, sink = ground_leaders(g)
     if not gg.sources:
         raise GraphValidationError("graph has no source nodes")
     program = reduce_sources(gg, gg.sources, sink)
     linked = reached(program.ends.tolist(), len(program.nodes) - 1)  # the sink is the last node
-    touched = {e.tail for e in gg.edges} | {e.head for e in gg.edges}
     cut = [n for c, n in enumerate(program.nodes) if c not in linked]
-    cut += [n for n in gg.nodes if n not in touched]
     if cut:
         raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
     return gg, sink, program

@@ -185,8 +185,9 @@ class ArcProgram:
 
     The terminal skeleton is what the shared joins leave: the ``live`` arcs
     between the skeleton's nodes, numbered with source c (``sources[c]``) as
-    node c, then the other nodes left, then the sink last. ``finish`` reduces
-    it further for one source at a time, when a fold or a tree asks.
+    node c, then the other nodes left (an edgeless node too, with no arc), then
+    the sink last. ``finish`` reduces it further for one source at a time,
+    when a fold or a tree asks.
     """
 
     edges: tuple
@@ -251,10 +252,11 @@ def reduce_sources(g, sources, sink):
         raise GraphValidationError("source and sink must differ")
     tail = [index[e.tail] for e in g.edges]
     head = [index[e.head] for e in g.edges]
+    edgeless = set(range(len(g.nodes))).difference(tail, head)  # skeleton nodes with no arc
     joins = []
     protected = {index[s] for s in sources} | {index[sink]}
     live = sorted(_reduce(tail, head, joins, range(len(g.edges)), range(len(g.nodes)), protected))
-    hubs = sorted({n for aid in live for n in (tail[aid], head[aid])} - protected)
+    hubs = sorted(({n for aid in live for n in (tail[aid], head[aid])} | edgeless) - protected)
     number = {n: c for c, n in enumerate([index[s] for s in sources] + hubs + [index[sink]])}
     ends = np.array([[number[tail[aid]], number[head[aid]]] for aid in live], dtype=int).reshape(-1, 2)
     nodes, order = tuple(g.nodes[n] for n in number), tuple(number[n] for n in sorted(number))

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from helpers import random_aittsp, random_spd
+from helpers import random_aittsp, random_spd, random_sptree
 from spnet import graph
 from spnet.errors import GraphValidationError
 from spnet.graph import (
@@ -11,10 +11,12 @@ from spnet.graph import (
     identify_nodes,
     incidence,
     dirichlet_laplacian,
+    grounded_laplacian,
     make_graph,
     validate_consensus,
 )
 from spnet.h2 import CompositionalProvider
+from spnet.sptree import realize
 
 I1 = np.eye(1)
 
@@ -109,6 +111,50 @@ class TestDirichletLaplacian:
         monkeypatch.setattr(graph, "grounded_laplacian", lambda g, ground: singular)
         with pytest.raises(GraphValidationError, match="not positive definite"):
             dirichlet_laplacian(grounded_path3())
+
+
+def loop_laplacian(g, ground):
+    """Per-edge reference assembly: four k x k slice updates per edge, in edge order."""
+    ground = set(ground)
+    order = tuple(sorted(n for n in g.nodes if n not in ground))
+    k = g.k
+    idx = {n: k * i for i, n in enumerate(order)}
+    a = np.zeros((k * len(order), k * len(order)))
+    for e, w in zip(g.edges, g.weights):
+        inside = [idx[n] for n in (e.tail, e.head) if n in idx]
+        for i in inside:
+            a[i : i + k, i : i + k] += w
+        if len(inside) == 2:
+            i, j = inside
+            a[i : i + k, j : j + k] -= w
+            a[j : j + k, i : i + k] -= w
+    return order, a
+
+
+def multigraph(rng, k):
+    """Leaders r1 - r2 joined by an edge, a three-edge s1 - u bundle stored in
+    both orientations, a parallel pair u - v, and follower edges into both leaders."""
+    pairs = [("r1", "r2"), ("s1", "u"), ("u", "s1"), ("s1", "u"), ("u", "v"), ("v", "u"), ("v", "s2"), ("u", "r1")]
+    edges = [("a1", "r1", "s1", np.eye(k)), ("a2", "s2", "r2", np.eye(k)), ("g2", "r2", "v", random_spd(rng, k))]
+    edges += [(f"e{i}", u, v, random_spd(rng, k)) for i, (u, v) in enumerate(pairs)]
+    return make_graph(k, ["r1", "r2", "s1", "s2", "u", "v"], edges, leaders=["r1", "r2"])
+
+
+class TestGroundedLaplacian:
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_matches_per_edge_loop(self, rng, k):
+        # Leader grounding, a non-leader ground set with an edge inside it and
+        # a bundle into it, a realized tree grounded at its sink, and a chain.
+        g = multigraph(rng, k)
+        tree_graph, _, sink = realize(random_sptree(rng, k, 12))
+        chain = random_aittsp(rng, k, 3)
+        for h, ground in [(g, g.leaders), (g, {"v", "s2"}), (tree_graph, {sink}), (chain, chain.leaders)]:
+            dl = grounded_laplacian(h, ground)
+            order, want = loop_laplacian(h, ground)
+            assert dl.follower_order == order
+            assert dl.matrix.shape == want.shape
+            assert np.abs(dl.matrix - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(dl.matrix, dl.matrix.T)
 
 
 class TestIdentifyNodes:

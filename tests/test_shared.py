@@ -199,6 +199,17 @@ def test_every_compositional_route_rejects_an_unreached_node(build):
             build(g)
 
 
+def test_edgeless_node_is_a_skeleton_node_with_no_arc():
+    # The reduction keeps a node no edge touches in its skeleton, where the
+    # reach check finds it cut off; the other skeleton nodes keep their arcs.
+    g = make_graph(1, ["l", "x", "s", "t"], [("a", "s", "l", I1), ("b", "s", "t", I1), ("c", "t", "l", 2 * I1)])
+    program = sptree.reduce_sources(g, ("s",), "l")
+    assert program.nodes == ("s", "x", "l")
+    assert program.ends.tolist() == [[0, 2]]
+    with pytest.raises(GraphValidationError, match="node 'x' is not connected to a leader"):
+        CompositionalProvider(make_graph(1, g.nodes, [("a", "s", "l", I1)], leaders=["l"]))
+
+
 def k4_core():
     """K4 on a b c d with sources a and b, and a pendant two-edge bundle at c."""
     pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
