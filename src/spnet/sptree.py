@@ -188,6 +188,10 @@ class ArcProgram:
     node c, then the other nodes left (an edgeless node too, with no arc), then
     the sink last. ``finish`` reduces it further for one source at a time,
     when a fold or a tree asks.
+
+    ``plan`` is the order the electrical sweeps take the shared joins in, each
+    long heavy path of them one ``Chain`` (``chain_plan``); None sweeps every
+    join in turn, as for a flattened tree.
     """
 
     edges: tuple
@@ -197,6 +201,7 @@ class ArcProgram:
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
     nodes: tuple  # name of each skeleton node, by number
     order: tuple  # the skeleton node numbers in graph node order, as the reduction queued them
+    plan: tuple = None  # sweep order with long chains (``chain_plan``), or None: every join in turn
 
     def finish(self, s):
         """(joins, root arc, whether it runs sink -> s) that end the reduction
@@ -260,7 +265,115 @@ def reduce_sources(g, sources, sink):
     number = {n: c for c, n in enumerate([index[s] for s in sources] + hubs + [index[sink]])}
     ends = np.array([[number[tail[aid]], number[head[aid]]] for aid in live], dtype=int).reshape(-1, 2)
     nodes, order = tuple(g.nodes[n] for n in number), tuple(number[n] for n in sorted(number))
-    return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, order)
+    plan = chain_plan(len(g.edges), joins, live, g.k)
+    return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, order, plan)
+
+
+# Where block cyclic reduction beats the per-join sweep, measured on ladders
+# and paths at k = 1 to 16 with 10 to 1000 rungs or edges: a heavy path of at
+# least CHAIN_MIN_JOINS joins (ladders win from about 16 rungs, paths from
+# about 60 edges), at k <= CHAIN_MAX_K (it loses at k = 16). Shorter chains and
+# larger k keep the per-join sweep.
+CHAIN_MIN_JOINS = 60
+CHAIN_MAX_K = 8
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """A heavy path of shared joins, from join ``top`` down to a leaf, as a
+    port system: each join has one light child, the other child carries the
+    path on. A parallel light child, and the bottom leaf last, is a shunt at
+    the current port; series light children between two shunts sum into one
+    coupling group between two ports, those above the first shunt into the
+    lead group, in series with the top port. Index data only; the sweeps in
+    ``electrical`` solve it."""
+
+    top: int  # join index of the path's top
+    joins: tuple  # join indices of the path, top-down
+    arcs: np.ndarray  # the series light children (lead group first), then the shunts, top-down
+    signs: np.ndarray  # (arcs, 1, 1, 1) +-1: whether each runs with the top arc, by the flip bits on the way down
+    rows: np.ndarray  # ``arcs`` with every join replaced by edge 0: the leaves' rows of a per-edge stack
+    inner: np.ndarray  # where ``arcs`` holds a join
+    series: int  # how many of ``arcs`` are series children
+    lead: int  # how many of those form the lead group
+    groups: np.ndarray  # start in ``arcs`` of the lead group (if any) and of each coupling group
+    ports: np.ndarray  # start in ``arcs[series:]`` of each port's shunts
+    coupling: np.ndarray  # coupling group of each series arc below the lead group
+    port: np.ndarray  # port of each shunt
+
+
+def chain_plan(m, joins, live, k):
+    """The shared joins' sweep order with every heavy path of at least
+    CHAIN_MIN_JOINS joins (leaf counts decide the heavy child, Sleator &
+    Tarjan 1983) made one ``Chain`` at its top's place and its other joins
+    left out; None when no path qualifies, k exceeds CHAIN_MAX_K or there are
+    too few joins. One pass counts leaves and path lengths; the chains are
+    built from the tops it finds."""
+    least = CHAIN_MIN_JOINS
+    if k > CHAIN_MAX_K or len(joins) < least:
+        return None
+    size, depth, tops = [1] * m, [0] * m, []  # depth: joins on the heavy path from an arc down
+    for _, a, _, b, _ in joins:
+        sa, sb = size[a], size[b]
+        size.append(sa + sb)
+        heavy, light = (a, b) if sa >= sb else (b, a)
+        depth.append(depth[heavy] + 1)
+        if depth[light] >= least:
+            tops.append(light - m)
+    tops += [aid - m for aid in live if depth[aid] >= least]
+    if not tops:
+        return None
+    chains = {top: _chain(m, joins, size, top) for top in tops}
+    inner = {j for chain in chains.values() for j in chain.joins[1:]}
+    return tuple(chains.get(j, j) for j in sorted(set(range(len(joins))) - inner))
+
+
+def _chain(m, joins, size, top):
+    """The ``Chain`` of the heavy path from join ``top`` down, ``size`` the leaf count of every arc."""
+    path, series, shunts, series_signs, shunt_signs, groups, ports, coupling, port = [], [], [], [], [], [], [], [], []
+    j, sign, prev = top, 1, True  # prev: the last light child was series, or none came yet
+    while j >= 0:
+        kind, a, fa, b, fb = joins[j]
+        light, fl, heavy, fh = (b, fb, a, fa) if size[a] >= size[b] else (a, fa, b, fb)
+        path.append(j)
+        if kind is Series:
+            if ports:
+                if not prev:
+                    groups.append(len(series))
+                coupling.append(len(groups) - 1)
+            series.append(light)
+            series_signs.append(-sign if fl else sign)
+        else:
+            if prev:
+                ports.append(len(shunts))
+            port.append(len(ports) - 1)
+            shunts.append(light)
+            shunt_signs.append(-sign if fl else sign)
+        prev = kind is Series
+        sign = -sign if fh else sign
+        j = heavy - m
+    if prev:
+        ports.append(len(shunts))
+    port.append(len(ports) - 1)
+    shunts.append(j + m)  # the bottom leaf, the last shunt
+    shunt_signs.append(sign)
+    lead = groups[0] if groups else len(series)  # the series light children above the first shunt
+    arcs = np.array(series + shunts)
+    inner = np.flatnonzero(arcs >= m)
+    return Chain(
+        top,
+        tuple(path),
+        arcs,
+        np.array(series_signs + shunt_signs, dtype=float).reshape(-1, 1, 1, 1),
+        np.where(arcs < m, arcs, 0),
+        inner,
+        len(series),
+        lead,
+        np.array([0] * (lead > 0) + groups, dtype=int),
+        np.array(ports),
+        np.array(coupling, dtype=int),
+        np.array(port),
+    )
 
 
 def _reduce(tail, head, joins, arcs, nodes, terminals):

@@ -214,6 +214,18 @@ class TestVoltageDrops:
         with pytest.raises(ValueError, match="parallel children voltages disagree"):
             solve_tree(t)
 
+    @pytest.mark.parametrize("error", [1.3, 1.01])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_one_sided_split_error_raises_at_every_weight_scale(self, rng, monkeypatch, scale, error):
+        # Only X1 is off, so the children's voltages differ by the error times
+        # their own scale, which is about 1 / scale: the guard must not read
+        # that difference against a floor of 1.
+        a, b, c = (leaf(e, scale * random_spd(rng, 2)) for e in "abc")
+        split = electrical._split
+        monkeypatch.setattr(electrical, "_split", lambda r1, r2: split(r1, r2) * np.array([error, 1.0])[:, None, None])
+        with pytest.raises(ValueError, match="parallel children voltages disagree"):
+            solve_tree(parallel(series(a, b), c))
+
 
 class TestConservationAndOhm:
     def test_flow_and_ohm_at_every_node(self, rng):

@@ -1,17 +1,20 @@
 """Scale tier: ``CompositionalProvider`` against ``dense_provider`` on the
-larger members of the path and ladder family, to 10³ edges. H2² per source,
-each source's Q stack and the edge gradients agree to 1e-9 relative, the
-tolerances of ``test_compiled.assert_matches_dense`` (Q over each source's
-whole stack, since it decays along a long chain below the dense solve's own
-roundoff)."""
+larger members of the path, ladder and random SP tree family, to 10³ edges,
+with ladders and paths on both sides of the rule that solves long chains by
+cyclic reduction. H2² per source, each source's Q stack and the edge
+gradients agree to 1e-9 relative, the tolerances of
+``test_compiled.assert_matches_dense`` (Q over each source's whole stack,
+since it decays along a long chain below the dense solve's own roundoff)."""
 
 import numpy as np
 import pytest
 
-from helpers import random_spd
+from helpers import random_spd, random_sptree
+from spnet import sptree
 from spnet.graph import make_graph
 from spnet.h2 import CompositionalProvider, dense_provider
 from spnet.optimize import edge_gradients
+from spnet.sptree import realize
 from test_compiled import rel_err
 from test_recognize import ladder
 
@@ -24,19 +27,55 @@ def path(rng, k, m):
     return make_graph(k, nodes, edges, leaders=["L0", "L1"])
 
 
+def sp_tree(rng, k, n_leaves):
+    """``realize`` of a random SP tree, leaders L0 and L1 attached to its terminals."""
+    sub, src, snk = realize(random_sptree(rng, k, n_leaves))
+    edges = [(e.id, e.tail, e.head, w) for e, w in zip(sub.edges, sub.weights)]
+    edges += [("att0", "L0", src, np.eye(k)), ("att1", snk, "L1", np.eye(k))]
+    return make_graph(k, list(sub.nodes) + ["L0", "L1"], edges, leaders=["L0", "L1"])
+
+
 @pytest.mark.parametrize(
-    "build, edges",
+    "build, edges, chained",
     [
-        (lambda rng: path(rng, 1, 1000), 1000),
-        (lambda rng: ladder(rng, 1, 334), 1002),
-        (lambda rng: ladder(rng, 4, 100), 300),
+        (lambda rng: path(rng, 1, 1000), 1000, True),
+        (lambda rng: path(rng, 2, 500), 500, True),
+        (lambda rng: path(rng, 4, 300), 300, True),
+        (lambda rng: path(rng, 8, 150), 150, True),
+        (lambda rng: path(rng, 16, 100), 100, False),
+        (lambda rng: ladder(rng, 1, 334), 1002, True),
+        (lambda rng: ladder(rng, 2, 15), 45, False),
+        (lambda rng: ladder(rng, 2, 334), 1002, True),
+        (lambda rng: ladder(rng, 4, 100), 300, True),
+        (lambda rng: ladder(rng, 8, 15), 45, False),
+        (lambda rng: ladder(rng, 8, 60), 180, True),
+        (lambda rng: ladder(rng, 16, 40), 120, False),
+        (lambda rng: sp_tree(rng, 1, 1000), 1002, False),
+        (lambda rng: sp_tree(rng, 4, 300), 302, False),
     ],
-    ids=["path-k1", "ladder-k1", "ladder-k4"],
+    ids=[
+        "path-k1",
+        "path-k2",
+        "path-k4",
+        "path-k8",
+        "path-k16",
+        "ladder-k1",
+        "short-ladder-k2",
+        "ladder-k2",
+        "ladder-k4",
+        "short-ladder-k8",
+        "ladder-k8",
+        "ladder-k16",
+        "sp-tree-k1",
+        "sp-tree-k4",
+    ],
 )
-def test_provider_matches_dense(rng, build, edges):
+def test_provider_matches_dense(rng, build, edges, chained):
     g = build(rng)
     assert len(g.edges) == edges
-    comp_h2, comp_q = CompositionalProvider(g)(g)
+    provider = CompositionalProvider(g)
+    assert any(type(step) is sptree.Chain for step in provider.program.plan or ()) == chained
+    comp_h2, comp_q = provider(g)
     dense_h2, dense_q = dense_provider(g)
     assert comp_h2.keys() == dense_h2.keys() == set(g.sources)
     for s, v in dense_h2.items():

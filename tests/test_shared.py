@@ -160,7 +160,7 @@ def test_flattened_tree_is_its_own_skeleton(rng):
 def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
     swept = []
     sweep = electrical.resistance_sweep
-    monkeypatch.setattr(electrical, "resistance_sweep", lambda joins, r: swept.append(len(joins)) or sweep(joins, r))
+    monkeypatch.setattr(electrical, "resistance_sweep", lambda joins, *a: swept.append(len(joins)) or sweep(joins, *a))
     for rungs in (5, 40):
         g = ladder(rng, 2, rungs)
         provider = CompositionalProvider(g)
