@@ -8,7 +8,7 @@ was decomposed.
 """
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,29 +329,33 @@ def chain_plan(m, joins, live, k):
 
 
 def _chain(m, joins, size, top):
-    """The ``Chain`` of the heavy path from join ``top`` down, ``size`` the leaf count of every arc."""
+    """The ``Chain`` of the heavy path from join ``top`` down, ``size`` the leaf
+    count of every arc: one walk into plain lists, then the arrays."""
     path, series, shunts, series_signs, shunt_signs, groups, ports, coupling, port = [], [], [], [], [], [], [], [], []
     j, sign, prev = top, 1, True  # prev: the last light child was series, or none came yet
     while j >= 0:
         kind, a, fa, b, fb = joins[j]
-        light, fl, heavy, fh = (b, fb, a, fa) if size[a] >= size[b] else (a, fa, b, fb)
+        if size[a] < size[b]:
+            a, fa, b, fb = b, fb, a, fa  # a the heavy child, b the light one
         path.append(j)
         if kind is Series:
-            if ports:
-                if not prev:
-                    groups.append(len(series))
+            if not prev:
+                groups.append(len(series))
+            if groups:  # below the first shunt
                 coupling.append(len(groups) - 1)
-            series.append(light)
-            series_signs.append(-sign if fl else sign)
+            series.append(b)
+            series_signs.append(-sign if fb else sign)
+            prev = True
         else:
             if prev:
                 ports.append(len(shunts))
+                prev = False
             port.append(len(ports) - 1)
-            shunts.append(light)
-            shunt_signs.append(-sign if fl else sign)
-        prev = kind is Series
-        sign = -sign if fh else sign
-        j = heavy - m
+            shunts.append(b)
+            shunt_signs.append(-sign if fb else sign)
+        if fa:
+            sign = -sign
+        j = a - m
     if prev:
         ports.append(len(shunts))
     port.append(len(ports) - 1)
@@ -380,79 +384,84 @@ def _reduce(tail, head, joins, arcs, nodes, terminals):
     """Series-parallel worklist reduction (Valdes, Tarjan & Lawler 1982) of
     ``arcs`` that never contracts a node of ``terminals``; returns the live arcs.
 
-    Arc aid runs tail[aid] -> head[aid] (node indices). A FIFO holds candidate
-    nodes (non-terminal, degree 2) and endpoint pairs (more than one arc); a
-    dict from unordered endpoint pair to its arcs finds parallel merges in
-    O(1). A contraction re-queues only the pair it lands on and a merge only
-    its two endpoints, so the reduction is O(m) amortized. Each join appends
-    its arc to ``tail``/``head`` and its record (kind, a, a flipped, b, b
-    flipped) to ``joins``: one orientation bit per child, set when the child
-    is used against its stored direction, instead of a flipped copy.
+    Arc aid runs tail[aid] -> head[aid] (node indices below n = len(nodes));
+    its unordered endpoint pair gets the key lo * n + hi once. A FIFO holds
+    candidate nodes (non-terminal, degree 2) and, as negated keys, pairs with
+    more than one arc; a dict from key to the pair's arcs (its bundle) finds
+    parallel merges in O(1). A contraction re-queues only the pair it lands on
+    and a merge only its two endpoints, so the reduction is O(m) amortized.
+    Each join appends its arc to ``tail``/``head`` and its record (kind, a, a
+    flipped, b, b flipped) to ``joins``: one orientation bit per child, set
+    when the child is used against its stored direction, instead of a flipped
+    copy.
 
     Deterministic: reading ``arcs`` in order queues each pair as it gains its
-    second arc (as do new arcs later), then the candidate nodes in ``nodes``
-    order; a merge pushes its endpoints in (tail, head) order of the merged
-    arc; a contraction lets flow run p -> node -> q through its lower-id arc
-    first; bundles merge in ascending arc id. No set of node ids decides any order.
+    second arc (as do new arcs later, and a merge of three or more arcs, whose
+    bundle is two arcs again before its last join), then the candidate nodes
+    in ``nodes`` order; a merge pushes its endpoints in (tail, head) order of
+    the merged arc; a contraction lets flow run p -> node -> q through its
+    lower-id arc first; bundles merge in ascending arc id. No set of node ids
+    decides any order.
     """
-    adj = defaultdict(dict)  # node -> its arcs, in ascending aid (dict as ordered set)
-    bundles = {}  # (lower, higher node) -> its arcs, in ascending aid
+    n = len(nodes)
+    adj = [{} for _ in range(n)]  # node -> its arcs, in ascending aid (dict as ordered set)
+    keys = [None] * len(tail)  # arc -> its pair's key
+    bundles = {}  # pair key -> its arcs, in ascending aid
     queue = deque()
-
-    def pair(aid):
-        u, v = tail[aid], head[aid]
-        return (u, v) if u < v else (v, u)
-
-    def link(aid):
-        adj[tail[aid]][aid] = adj[head[aid]][aid] = None
-        bundle = bundles.setdefault(pair(aid), {})
-        bundle[aid] = None
-        if len(bundle) == 2:
-            queue.append(pair(aid))
-
-    def add(u, v, join):
-        tail.append(u)
-        head.append(v)
-        joins.append(join)
-        link(len(tail) - 1)
-        return len(tail) - 1
-
-    def drop(aid):
-        del adj[tail[aid]][aid], adj[head[aid]][aid]
-        bundle = bundles[pair(aid)]
-        del bundle[aid]
-        if not bundle:
-            del bundles[pair(aid)]
-
     for aid in arcs:
-        link(aid)
-    queue.extend(n for n in nodes if len(adj[n]) == 2)
+        u, v = tail[aid], head[aid]
+        adj[u][aid] = adj[v][aid] = None
+        key = keys[aid] = u * n + v if u < v else v * n + u
+        bundle = bundles.setdefault(key, [])
+        bundle.append(aid)
+        if len(bundle) == 2:
+            queue.append(-key)
+    queue.extend(v for v in nodes if len(adj[v]) == 2)
 
     while queue:
         item = queue.popleft()
-        if isinstance(item, tuple):  # parallel merge of a whole bundle
-            bundle = bundles.get(item, ())
+        if item < 0:  # parallel merge of a whole bundle
+            bundle = bundles.get(-item, ())
             if len(bundle) < 2:
                 continue
-            first, *rest = bundle
-            u, v = tail[first], head[first]
-            merged = first
+            merged, *rest = bundle
+            u, v = tail[merged], head[merged]
+            au, av = adj[u], adj[v]
             for b in rest:
-                drop(merged)
-                drop(b)
-                merged = add(u, v, (Parallel, merged, False, b, tail[b] != u))
-            for node in (u, v):
-                if len(adj[node]) == 2:
-                    queue.append(node)
-        elif item not in terminals and len(adj[item]) == 2:  # series contraction
+                del au[merged], av[merged], au[b], av[b]
+                joins.append((Parallel, merged, False, b, tail[b] != u))
+                merged = len(tail)
+                tail.append(u)
+                head.append(v)
+                keys.append(-item)
+                au[merged] = av[merged] = None
+            bundles[-item] = [merged]
+            if len(rest) > 1:
+                queue.append(item)  # the bundle was two arcs before its last join: queued as a pair's second arc is
+            if len(au) == 2:
+                queue.append(u)
+            if len(av) == 2:
+                queue.append(v)
+        elif len(adj[item]) == 2 and item not in terminals:  # series contraction
             a, b = adj[item]
             p = tail[a] if head[a] == item else head[a]
             q = head[b] if tail[b] == item else tail[b]
             if p == q:
                 continue  # a two-arc bundle; its merge is queued
-            drop(a)
-            drop(b)
-            add(p, q, (Series, a, tail[a] != p, b, tail[b] != item))
+            adj[item].clear()
+            # a and b are alone on their pairs: a second arc on either would be a third at item
+            del adj[p][a], adj[q][b], bundles[keys[a]], bundles[keys[b]]
+            joins.append((Series, a, tail[a] != p, b, tail[b] != item))
+            aid = len(tail)
+            tail.append(p)
+            head.append(q)
+            adj[p][aid] = adj[q][aid] = None
+            key = p * n + q if p < q else q * n + p
+            keys.append(key)
+            bundle = bundles.setdefault(key, [])
+            bundle.append(aid)
+            if len(bundle) == 2:
+                queue.append(-key)
 
     return [aid for bundle in bundles.values() for aid in bundle]
 
