@@ -2,6 +2,7 @@
 
 import csv
 import json
+import operator
 from dataclasses import fields
 
 import numpy as np
@@ -27,14 +28,22 @@ def _load_json(path):
     return data
 
 
-def _matrix(data, k, context):
+def _matrices(raw, k, describe):
+    """The k x k matrices ``raw`` as one (n, k, k) float stack, converted at once; only if
+    that fails are they converted one by one, to name the first bad one as ``describe(i)``."""
     try:
-        m = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GraphValidationError(f"{context}: weight is not a numeric matrix") from exc
-    if m.shape != (k, k):
-        raise GraphValidationError(f"{context}: expected a {k}x{k} matrix, got shape {m.shape}")
-    return m
+        stack = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(raw), k, k):
+        for i, m in enumerate(raw):
+            try:
+                m = np.asarray(m, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix") from exc
+            if m.shape != (k, k):
+                raise GraphValidationError(f"{describe(i)}: expected a {k}x{k} matrix, got shape {m.shape}")
+    return stack.reshape(len(raw), k, k)  # no matrices at all convert to shape (0,)
 
 
 def graph_from_dict(data, context="graph"):
@@ -44,23 +53,27 @@ def graph_from_dict(data, context="graph"):
     k = data["k"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise GraphValidationError(f"{context}: k must be a positive integer")
-    if not isinstance(data["edges"], list) or not all(isinstance(e, dict) for e in data["edges"]):
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise GraphValidationError(f"{context}: 'edges' must be an array of objects")
-    edges = []
-    for n, e in enumerate(data["edges"]):
-        for key in ("id", "tail", "head", "weight"):
-            if key not in e:
-                raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}")
-        if any(isinstance(e[key], (list, dict)) for key in ("id", "tail", "head")):
-            raise GraphValidationError(f"{context}: edge #{n} id, tail and head must be strings or numbers")
-        edges.append((e["id"], e["tail"], e["head"], _matrix(e["weight"], k, f"{context}: edge {e['id']!r}")))
+    # Each rule over every edge at once; a failed one is traced to its first edge.
+    names = ("id", "tail", "head", "weight")
+    try:
+        ids, tails, heads, raw = zip(*map(operator.itemgetter(*names), edges)) if edges else ((),) * 4
+    except KeyError:
+        n, key = next((n, key) for n, e in enumerate(edges) for key in names if key not in e)
+        raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}") from None
+    if any(issubclass(t, (list, dict)) for t in set(map(type, ids + tails + heads))):
+        n = next(n for n, e in enumerate(zip(ids, tails, heads)) if any(isinstance(x, (list, dict)) for x in e))
+        raise GraphValidationError(f"{context}: edge #{n} id, tail and head must be strings or numbers")
+    weights = _matrices(raw, k, lambda j: f"{context}: edge {ids[j]!r}")
     leaders, sources = data.get("leaders", []), data.get("sources")
     listed = {"nodes": data["nodes"], "leaders": leaders, "sources": [] if sources is None else sources}
     for key, value in listed.items():
         if not isinstance(value, list) or any(isinstance(x, (list, dict)) for x in value):
             raise GraphValidationError(f"{context}: {key!r} must be an array of strings or numbers")
     try:
-        return make_graph(k, data["nodes"], edges, leaders=leaders, sources=sources)
+        return make_graph(k, data["nodes"], zip(ids, tails, heads), leaders, sources, weights=weights)
     except ValueError as exc:
         raise GraphValidationError(f"{context}: {exc}") from exc
 
@@ -99,17 +112,17 @@ def load_tree(path, g):
 def config_from_dict(data, k, context="config"):
     if "penalty_h" not in data:
         raise GraphValidationError(f"{context}: missing field 'penalty_h'")
-    bounds, raw = {}, data.get("bounds", {})
+    raw = data.get("bounds", {})
     if not isinstance(raw, dict) or not all(isinstance(pair, dict) for pair in raw.values()):
         raise GraphValidationError(f"{context}: 'bounds' must map each edge id to an object with 'L' and 'U'")
-    for eid, pair in raw.items():
-        for key in ("L", "U"):
-            if key not in pair:
-                raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}")
-        bounds[eid] = (
-            _matrix(pair["L"], k, f"{context}: L bound of edge {eid!r}"),
-            _matrix(pair["U"], k, f"{context}: U bound of edge {eid!r}"),
-        )
+    ids = list(raw)
+    try:
+        sides = {key: [pair[key] for pair in raw.values()] for key in ("L", "U")}
+    except KeyError:
+        eid, key = next((eid, key) for eid, pair in raw.items() for key in ("L", "U") if key not in pair)
+        raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}") from None
+    lo, up = (_matrices(side, k, lambda j: f"{context}: {key} bound of edge {ids[j]!r}") for key, side in sides.items())
+    bounds = dict(zip(ids, zip(lo, up)))
     # Keys the file leaves out keep OptConfig's defaults; unknown keys are ignored.
     settings = {f.name: data[f.name] for f in fields(OptConfig) if f.name != "bounds" and f.name in data}
     try:

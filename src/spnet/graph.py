@@ -8,6 +8,7 @@ source node. The Dirichlet Laplacian is the follower block of the full graph
 Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -49,41 +50,57 @@ class MatrixGraph:
         return replace(self, weights=weights)
 
 
-def make_graph(k, nodes, edges, leaders=(), sources=None):
+def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
     """Assemble and validate a MatrixGraph.
 
-    ``edges`` is an iterable of (id, tail, head, weight) tuples. When
+    ``edges`` is an iterable of (id, tail, head, weight) tuples, or of (id,
+    tail, head) triples when ``weights`` holds their weights: an (m, k, k)
+    float stack, used as it is, or m k x k matrices, stacked once. When
     ``sources`` is None it is inferred as the follower endpoints of the
-    identity-weight leader edges; an explicit list overrides inference.
-    Ids, endpoints and shapes are checked edge by edge, then all weights at
-    once: one symmetry check and one batched definiteness test.
+    identity-weight leader edges; an explicit list overrides inference. Each
+    rule runs once over all edges: unique ids, known endpoints, no self-loop,
+    weight shapes, finite entries, symmetry, strict definiteness. Only a
+    broken rule scans the edges, to name the first one that breaks it.
     """
+    columns = list(zip(*edges, strict=True))
+    if weights is None:
+        ids, tails, heads, weights = columns or [()] * 4
+    else:
+        ids, tails, heads = columns or [()] * 3
     nodes = tuple(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise GraphValidationError("duplicate node ids")
     node_set = set(nodes)
-    seen_ids, ends, weights = set(), [], []
-    for eid, tail, head, w in edges:
-        eid = str(eid)
-        if eid in seen_ids:
-            raise GraphValidationError(f"duplicate edge id {eid!r}")
-        seen_ids.add(eid)
-        if tail not in node_set or head not in node_set:
-            raise GraphValidationError(f"edge {eid!r} references unknown node")
-        if tail == head:
-            raise GraphValidationError(f"edge {eid!r} is a self-loop")
-        d = np.shape(w)
-        if d != (k, k):  # what as_symmetric would reject stays a plain ValueError
-            error = GraphValidationError if len(d) == 2 and d[0] == d[1] <= matlin.MAX_DIM else ValueError
-            raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
-        ends.append((eid, tail, head))
-        weights.append(w)
-    weights = np.array(weights, dtype=float).reshape(len(weights), k, k)
-    weights = matlin.as_symmetric(weights, describe=lambda i: f"edge {ends[i][0]!r} weight")
+    if len(node_set) != len(nodes):
+        raise GraphValidationError("duplicate node ids")
+    ids = list(map(str, ids))
+    if len(set(ids)) != len(ids):
+        seen = set()
+        eid = next(e for e in ids if e in seen or seen.add(e))  # the first repeat
+        raise GraphValidationError(f"duplicate edge id {eid!r}")
+    if not node_set.issuperset(tails) or not node_set.issuperset(heads):
+        j = [t not in node_set or h not in node_set for t, h in zip(tails, heads)].index(True)
+        raise GraphValidationError(f"edge {ids[j]!r} references unknown node")
+    loops = list(map(operator.eq, tails, heads))
+    if any(loops):
+        raise GraphValidationError(f"edge {ids[loops.index(True)]!r} is a self-loop")
+    try:
+        stack = np.asarray(weights, dtype=float)
+    except ValueError:  # ragged: the scan below names the first weight off shape
+        stack = np.empty(0)
+    if stack.shape != (len(ids), k, k):
+        for eid, w in zip(ids, weights):
+            d = np.shape(w)
+            if d != (k, k):  # what as_symmetric would reject stays a plain ValueError
+                error = GraphValidationError if len(d) == 2 and d[0] == d[1] <= matlin.MAX_DIM else ValueError
+                raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
+        stack = np.array(weights, dtype=float).reshape(len(ids), k, k)  # no edges, or entries that are not numbers
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise GraphValidationError(f"edge {ids[int(np.argmin(finite))]!r} weight has a non-finite entry")
+    weights = matlin.as_symmetric(stack, describe=lambda i: f"edge {ids[i]!r} weight")
     spd = matlin.is_spd(weights)
     if not spd.all():
-        raise GraphValidationError(f"edge {ends[int(np.argmin(spd))][0]!r} weight is not strictly SPD")
-    built = tuple(Edge(*end) for end in ends)
+        raise GraphValidationError(f"edge {ids[int(np.argmin(spd))]!r} weight is not strictly SPD")
+    built = tuple(map(Edge, ids, tails, heads))
 
     leaders = frozenset(leaders)
     if not leaders <= node_set:
@@ -103,9 +120,8 @@ def make_graph(k, nodes, edges, leaders=(), sources=None):
 def _attachment_sources(edges, weights, leaders):
     sources = set()
     for j, e in enumerate(edges):
-        for a, b in ((e.tail, e.head), (e.head, e.tail)):
-            if a in leaders and b not in leaders and _is_identity(weights[j]):
-                sources.add(b)
+        if (e.tail in leaders) != (e.head in leaders) and _is_identity(weights[j]):
+            sources.add(e.head if e.tail in leaders else e.tail)
     return sources
 
 

@@ -54,19 +54,25 @@ class OptConfig:
             raise ValueError("max_iters must be a non-negative integer")
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
-        # Every box [L, U]: shapes edge by edge, then L strictly SPD, U symmetric
-        # and min eig(U - L) >= -matlin.BOX_TOL, each rule once over the whole stack.
-        boxes = []
-        for eid, (lo, up) in self.bounds.items():
-            lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
-            shape = boxes[0][1].shape if boxes else lo.shape[:1] * 2
-            if len(shape) != 2 or lo.shape != shape or up.shape != shape:
-                raise ValueError(f"bounds for edge {eid!r} have shapes {lo.shape} and {up.shape}, not {shape}")
-            boxes.append((eid, lo, up))
-        if not boxes:
+        # Every box [L, U]: one stack per side, then shapes, finite entries, L strictly SPD,
+        # U symmetric and min eig(U - L) >= -matlin.BOX_TOL, each rule once over the whole stack.
+        if not self.bounds:
             return
-        ids, lo, up = zip(*boxes)
-        lo = np.array(lo)
+        ids = list(self.bounds)
+        try:
+            lo, up = (np.array(side, dtype=float) for side in zip(*self.bounds.values(), strict=True))
+        except ValueError:  # ragged or not pairs: the scan below names the first bad box
+            lo = up = np.empty(0)
+        if lo.ndim != 3 or lo.shape[1] != lo.shape[2] or up.shape != lo.shape:
+            shape = None
+            for eid, (lo, up) in self.bounds.items():
+                lo, up = np.asarray(lo, dtype=float), np.asarray(up, dtype=float)
+                shape = shape or lo.shape[:1] * 2
+                if len(shape) != 2 or lo.shape != shape or up.shape != shape:
+                    raise ValueError(f"bounds for edge {eid!r} have shapes {lo.shape} and {up.shape}, not {shape}")
+        finite = np.isfinite(lo).all(axis=(1, 2)) & np.isfinite(up).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"bounds for edge {ids[int(np.argmin(finite))]!r} have a non-finite entry")
         bad = np.flatnonzero(~matlin.is_spd(lo))
         if bad.size:
             raise ValueError(f"lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
