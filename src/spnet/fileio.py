@@ -33,13 +33,13 @@ def _matrices(raw, k, describe):
     that fails are they converted one by one, to name the first bad one as ``describe(i)``."""
     try:
         stack = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         stack = None
     if stack is None or stack.shape != (len(raw), k, k):
         for i, m in enumerate(raw):
             try:
                 m = np.asarray(m, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix") from exc
             if m.shape != (k, k):
                 raise GraphValidationError(f"{describe(i)}: expected a {k}x{k} matrix, got shape {m.shape}")

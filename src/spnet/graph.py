@@ -270,11 +270,12 @@ def identify_nodes(g, group, new_id=None):
     return replace(g, nodes=nodes, edges=edges, weights=g.weights[keep], leaders=leaders, sources=sources)
 
 
-def ground_leaders(g, sink_id="l"):
-    """Identify all leaders into a single sink node; return (graph, sink id)."""
+def ground_leaders(g):
+    """Identify all leaders into a single sink node, "l" (prefixed with "_"
+    while that names another node); return (graph, sink id)."""
     if not g.leaders:
         raise GraphValidationError("leader set is empty")
-    sink = sink_id
+    sink = "l"
     taken = set(g.nodes) - g.leaders
     while sink in taken:
         sink = "_" + sink

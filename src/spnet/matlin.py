@@ -21,6 +21,7 @@ MAX_DIM = 16
 
 SYM_RTOL = 1e-12
 BOX_TOL = 1e-12  # a box [L, U] is non-empty iff min eig(U - L) >= -BOX_TOL
+STOP_TOL = 1e-10  # project_box's stop rules: its KKT residual and its Frobenius step
 ANDERSON_DEPTH = 5  # differences of Dykstra-map outputs project_box keeps per row
 ANDERSON_RIDGE = 1e-12  # Tikhonov term of its least-squares problem, relative to the Gram trace
 
@@ -30,14 +31,14 @@ def symmetrize(m):
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def is_symmetric(m, rtol=SYM_RTOL):
-    """True where M is symmetric within ``rtol`` times its own largest entry
+def is_symmetric(m):
+    """True where M is symmetric within ``SYM_RTOL`` times its own largest entry
     magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack."""
     m = np.asarray(m, dtype=float)
-    return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > rtol * np.abs(m).max(axis=(-2, -1)))
+    return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * np.abs(m).max(axis=(-2, -1)))
 
 
-def as_symmetric(m, rtol=SYM_RTOL, describe=None):
+def as_symmetric(m, describe=None):
     """Validate that ``m`` is square, small and symmetric (``is_symmetric``);
     return it symmetrized. ``m`` is one matrix or an (n, k, k) stack; the
     error names the first asymmetric one as ``describe(its index)`` if given."""
@@ -46,7 +47,7 @@ def as_symmetric(m, rtol=SYM_RTOL, describe=None):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
-    ok = is_symmetric(m, rtol)
+    ok = is_symmetric(m)
     if not ok.all():
         what = "matrix" if describe is None else describe(int(np.argmin(ok)))
         raise ValueError(f"{what} is not symmetric within tolerance")
@@ -58,31 +59,29 @@ def _check_same_dim(*ms):
         raise ValueError("dimension mismatch: " + " vs ".join(str(m.shape) for m in ms))
 
 
-def is_spd(m, tol=0.0):
-    """True where M is symmetric (``is_symmetric``) with smallest eigenvalue > tol.
+def is_spd(m):
+    """True where M is symmetric (``is_symmetric``) with smallest eigenvalue > 0.
 
     ``m`` is one square matrix or an (n, k, k) stack, which gets one bool per
     matrix so that a caller can name the first bad one.
     """
     m = np.asarray(m, dtype=float)
-    ok = is_symmetric(m) & (np.linalg.eigvalsh(symmetrize(m)).min(axis=-1) > tol)
+    ok = is_symmetric(m) & (np.linalg.eigvalsh(symmetrize(m)).min(axis=-1) > 0)
     return bool(ok) if m.ndim == 2 else ok
 
 
-def pinv(m, tol=None):
+def pinv(m):
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
-    Computed by eigendecomposition; eigenvalues below ``tol * lambda_max``
-    are treated as exact zeros. The default cutoff is k * eps_machine.
+    Computed by eigendecomposition; eigenvalues at or below k * eps_machine
+    * lambda_max are treated as exact zeros.
     """
     m = as_symmetric(m)
-    if tol is None:
-        tol = m.shape[0] * np.finfo(float).eps
     w, v = np.linalg.eigh(m)
     lam_max = max(float(w.max()), 0.0)
     if lam_max > 0 and float(w.min()) < -1e-8 * lam_max:
         raise ValueError("matrix is not positive semidefinite")
-    cut = tol * lam_max
+    cut = m.shape[0] * np.finfo(float).eps * lam_max
     inv = np.array([1.0 / lam if lam > cut else 0.0 for lam in w])
     return symmetrize((v * inv) @ v.T)
 
@@ -113,7 +112,7 @@ def psd_part(m):
     return symmetrize((v * np.clip(w, 0.0, None)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
-def project_box(x, lower, upper, tol=1e-10, max_iter=500):
+def project_box(x, lower, upper, max_iter=500):
     """Project a symmetric matrix onto the Loewner box {Y : L <= Y <= U}.
 
     Runs Dykstra's alternating projections between the half-cones
@@ -125,11 +124,11 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     Z = L + [X - L]_+, P = X - Z <= 0, Y = U - [U - Z]_+ and Q = Z - Y >= 0,
     so Y <= U, X - Y = P + Q and Q (U - Y) = 0 hold by construction; the
     row is certified when also min eig(Y - L) >= -BOX_TOL and
-    ||P (Y - L)||_F <= ``tol``. For the projection Y* and a feasible Y this
-    bounds ||Y - Y*||_F^2 <= tr(-P (Y - L)) <= sqrt(k) ``tol``, and since
+    ||P (Y - L)||_F <= ``STOP_TOL``. For the projection Y* and a feasible Y this
+    bounds ||Y - Y*||_F^2 <= tr(-P (Y - L)) <= sqrt(k) ``STOP_TOL``, and since
     U - L = (U - Y) + (Y - L), it proves the row's box non-empty under
     ``BOX_TOL``, up to rounding. Any other row stops once the Frobenius
-    change between successive iterates drops below ``tol``.
+    change between successive iterates drops below ``STOP_TOL``.
 
     From the third pass on, the Dykstra map T is Anderson-accelerated
     (Walker & Ni 2011; see ``_Anderson``): a row's next state is an affine
@@ -164,10 +163,10 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     y_out = t[:, 0].copy()
     gap = y_out - lo
     certified = (np.linalg.eigvalsh(gap).min(axis=-1) >= -BOX_TOL) & (
-        np.linalg.norm(t[:, 1] @ gap, axis=(-2, -1)) <= tol
+        np.linalg.norm(t[:, 1] @ gap, axis=(-2, -1)) <= STOP_TOL
     )
     _require_nonempty(lo[~certified], up[~certified])
-    live = ~certified & ~(np.linalg.norm(y_out - x, axis=(-2, -1)) < tol)
+    live = ~certified & ~(np.linalg.norm(y_out - x, axis=(-2, -1)) < STOP_TOL)
     if not live.any():
         return y_out.reshape(shape), True
     rows = np.flatnonzero(live)  # the rows still iterating
@@ -175,7 +174,7 @@ def project_box(x, lower, upper, tol=1e-10, max_iter=500):
     history = None  # made once some row outlives its second pass
     for _ in range(1, max_iter):
         t = _dykstra_map(s, lo, up)
-        live = ~(np.linalg.norm(t[:, 0] - y_out[rows], axis=(-2, -1)) < tol)
+        live = ~(np.linalg.norm(t[:, 0] - y_out[rows], axis=(-2, -1)) < STOP_TOL)
         y_out[rows] = t[:, 0]
         if not live.all():
             if not live.any():

@@ -8,7 +8,7 @@ was decomposed.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +28,21 @@ class Leaf:
 
 @dataclass(frozen=True, eq=False)
 class Series:
+    """Series join: the left child's sink is identified with the right child's source."""
+
     left: object
     right: object
 
 
 @dataclass(frozen=True, eq=False)
 class Parallel:
+    """Parallel join: both terminal pairs are identified."""
+
     left: object
     right: object
+
+
+series, parallel = Series, Parallel  # O(1) joins: ``flatten`` and ``to_json`` check a whole tree once
 
 
 def index_tree(t):
@@ -62,6 +69,7 @@ def flatten(t):
     source, None: the one live arc."""
     entries = index_tree(t)
     leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
+    _check_leaves([entries[i][0] for i in leaves])
     order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
     arc = dict(zip(order, range(len(order))))
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
@@ -74,30 +82,14 @@ def leaves(t):
     return [node for node, li, _ in index_tree(t) if li < 0]
 
 
-def dim(t):
-    return leaves(t)[0].weight.shape[0]
-
-
-def _validate_join(t1, t2):
-    if dim(t1) != dim(t2):
-        raise ValueError(f"dimension mismatch: {dim(t1)} vs {dim(t2)}")
-    ids1 = {lf.edge for lf in leaves(t1)}
-    ids2 = {lf.edge for lf in leaves(t2)}
-    dup = ids1 & ids2
-    if dup:
-        raise ValueError(f"duplicate leaf edge ids {sorted(dup)}")
-
-
-def series(t1, t2):
-    """Series join: t1's sink is identified with t2's source."""
-    _validate_join(t1, t2)
-    return Series(t1, t2)
-
-
-def parallel(t1, t2):
-    """Parallel join: both terminal pairs are identified."""
-    _validate_join(t1, t2)
-    return Parallel(t1, t2)
+def _check_leaves(leaves):
+    """Raise ValueError unless the leaves share one dimension and no edge id repeats."""
+    k, *other = dict.fromkeys(lf.weight.shape[0] for lf in leaves)
+    if other:
+        raise ValueError(f"dimension mismatch: {k} vs {other[0]}")
+    ids = Counter(lf.edge for lf in leaves)
+    if len(ids) < len(leaves):
+        raise ValueError(f"duplicate leaf edge ids {sorted(e for e, n in ids.items() if n > 1)}")
 
 
 def leaf(edge_id, weight, tail=None, head=None):
@@ -155,14 +147,18 @@ def realize(t):
         return a
 
     def name(n):
-        while n in merged:
-            n = merged[n]
-        return n
+        root = n
+        while root in merged:
+            root = merged[root]
+        while n != root:  # path compression: a comb's chains are chased once
+            merged[n], n = root, merged[n]
+        return root
 
     fresh = [(f"v{2 * j}", f"v{2 * j + 1}") for j in range(len(program.edges))]
     src, snk = program.fold(fresh, join)[None]
     edges = [(lf.edge, name(a), name(b), lf.weight) for lf, (a, b) in zip(program.edges, fresh)]
-    return make_graph(dim(t), dict.fromkeys(n for _, a, b, _ in edges for n in (a, b)), edges), src, snk
+    nodes = dict.fromkeys(n for _, a, b, _ in edges for n in (a, b))
+    return make_graph(program.edges[0].weight.shape[0], nodes, edges), src, snk
 
 
 def recognize(g, source, sink):
@@ -502,7 +498,9 @@ _OPS = {kind: op for op, kind in _KINDS.items()}
 def to_json(t):
     """Tree as plain JSON data: its nodes as a flat pre-order list of ops, each
     join followed by its left subtree, then its right; leaves name their edge."""
-    ops = [{"op": "leaf", "edge": node.edge} if li < 0 else {"op": _OPS[type(node)]} for node, li, _ in index_tree(t)]
+    entries = index_tree(t)
+    _check_leaves([node for node, li, _ in entries if li < 0])
+    ops = [{"op": "leaf", "edge": node.edge} if li < 0 else {"op": _OPS[type(node)]} for node, li, _ in entries]
     return {"format": TREE_FORMAT, "ops": ops}
 
 

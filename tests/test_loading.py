@@ -275,3 +275,22 @@ def test_non_finite_weight_is_one_validation_error():
     }
     with pytest.raises(GraphValidationError, match=r"^graph: edge 'ab' weight has a non-finite entry$"):
         graph_from_dict(data)
+
+
+HUGE = int("9" * 400)  # what JSON reads a 400-digit integer literal as: too large for a float
+
+
+def test_huge_integer_weight_is_one_validation_error():
+    data = path_dict(np.random.default_rng(0), 1, 3)
+    data["edges"][1]["weight"] = [[HUGE]]
+    with pytest.raises(GraphValidationError, match=r"^graph: edge 'e0': weight is not a numeric matrix$"):
+        graph_from_dict(data)
+
+
+@pytest.mark.parametrize("side", ["L", "U"])
+def test_huge_integer_bound_is_one_validation_error(side):
+    data = config_dict(np.random.default_rng(0), 1, 3)
+    data["bounds"]["e1"][side] = [[HUGE]]
+    message = rf"^config: {side} bound of edge 'e1': weight is not a numeric matrix$"
+    with pytest.raises(GraphValidationError, match=message):
+        config_from_dict(data, 1)

@@ -1,14 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from helpers import enumerate_sptrees, random_sptree, root_resistance
+from spnet.electrical import solve_tree
 from spnet.errors import NotSeriesParallelError
 from spnet.graph import make_graph
+from spnet.h2 import h2_scalar_bound
 from spnet.sptree import (
     Leaf,
     Parallel,
     Series,
     check_height_bounds,
+    flatten,
     from_json,
     leaf,
     parallel,
@@ -20,6 +25,11 @@ from spnet.sptree import (
 )
 
 I1 = np.eye(1)
+
+# Every whole-tree reader: each checks the tree once, through ``flatten`` or ``to_json``.
+READERS = pytest.mark.parametrize(
+    "reader", [flatten, solve_tree, h2_scalar_bound, stats, realize, to_json], ids=lambda f: f.__name__
+)
 
 
 def unit_leaf(eid):
@@ -37,13 +47,17 @@ class TestConstructors:
         st = stats(t)
         assert (st.leaves, st.series, st.parallel, st.height) == (2, 0, 1, 1)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            series(unit_leaf("a"), leaf("b", np.eye(2)))
+    @READERS
+    def test_dimension_mismatch(self, reader):
+        t = series(unit_leaf("a"), leaf("b", np.eye(2)))  # a join checks nothing
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: 1 vs 2")):
+            reader(t)
 
-    def test_duplicate_edge_id(self):
-        with pytest.raises(ValueError):
-            parallel(unit_leaf("a"), unit_leaf("a"))
+    @READERS
+    def test_duplicate_edge_id(self, reader):
+        t = parallel(unit_leaf("a"), unit_leaf("a"))
+        with pytest.raises(ValueError, match=re.escape("duplicate leaf edge ids ['a']")):
+            reader(t)
 
     def test_non_spd_leaf(self):
         with pytest.raises(ValueError):
@@ -146,6 +160,21 @@ class TestRecognize:
 
         for lf in leaves(t2):
             assert lf.tail in g.nodes and lf.head in g.nodes
+
+
+@pytest.mark.parametrize("join", [series, parallel])
+@pytest.mark.parametrize("lean", ["left", "right"])
+def test_comb(join, lean):
+    """A 2000-leaf comb, the tree of height l - 1, built one join at a time."""
+    n = 2000
+    t = unit_leaf("e0")
+    for i in range(1, n):
+        t = join(t, unit_leaf(f"e{i}")) if lean == "left" else join(unit_leaf(f"e{i}"), t)
+    want = n * I1 if join is series else I1 / n
+    np.testing.assert_allclose(solve_tree(t)[0][0], want, rtol=1e-12, atol=0)
+    g, _, _ = realize(t)
+    assert len(g.edges) == n and len(g.nodes) == (n + 1 if join is series else 2)
+    assert to_json(from_json(to_json(t), g)) == to_json(t)
 
 
 class TestJson:
