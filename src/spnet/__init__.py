@@ -2,7 +2,7 @@
 matrix-weighted series-parallel consensus networks."""
 
 from .errors import GraphValidationError, InfeasibleBoundsError, NotSeriesParallelError
-from .graph import MatrixGraph, Edge, make_graph, ground_leaders, dirichlet_laplacian
+from .graph import MatrixGraph, Edge, make_graph, dirichlet_laplacian
 from .h2 import H2Report, compositional_h2, dense_h2
 from .optimize import OptConfig, OptTrajectory, optimize_weights
 from .sptree import Leaf, Parallel, Series, recognize, realize
@@ -22,7 +22,6 @@ __all__ = [
     "compositional_h2",
     "dense_h2",
     "dirichlet_laplacian",
-    "ground_leaders",
     "make_graph",
     "optimize_weights",
     "realize",

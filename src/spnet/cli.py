@@ -15,10 +15,10 @@ import numpy as np
 from . import electrical
 from .errors import GraphValidationError, NotSeriesParallelError, ProjectionError
 from .fileio import load_config, load_graph, load_tree, weights_to_dict, write_trajectory_csv
-from .graph import ground_leaders, validate_consensus
+from .graph import validate_consensus
 from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
 from .optimize import edge_gradients, optimize_weights
-from .sptree import recognize, to_json
+from .sptree import reduce_sources, to_json
 
 
 def _emit(data, out_path):
@@ -32,12 +32,8 @@ def _emit(data, out_path):
 
 def _cmd_decompose(args):
     g = load_graph(args.graph)
-    if args.sink is None:
-        validate_consensus(g)
-        gg, sink = ground_leaders(g)
-    else:
-        gg, sink = g, args.sink
-    tree = recognize(gg, args.source, sink)
+    ground = validate_consensus(g).leaders if args.sink is None else {args.sink}
+    tree = reduce_sources(g, (args.source,), ground).tree(args.source, g.weights)
     _emit(to_json(tree), args.out)
     return 0
 
@@ -139,7 +135,7 @@ def build_parser():
     d = sub.add_parser("decompose", help="decompose a graph into a series-parallel tree")
     d.add_argument("--graph", required=True)
     d.add_argument("--source", required=True)
-    d.add_argument("--sink", default=None, help="defaults to the grounded leader node")
+    d.add_argument("--sink", default=None, help="defaults to the leaders, grounded as one node")
     d.add_argument("--out", default=None)
     d.set_defaults(func=_cmd_decompose)
 

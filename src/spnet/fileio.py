@@ -4,6 +4,7 @@ import csv
 import json
 import operator
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -28,9 +29,17 @@ def _load_json(path):
     return data
 
 
+def _numeric(matrices):
+    """Whether every entry of the matrices is a JSON number, by one type pass: an int or float
+    (null too, read as NaN for the non-finite rule), not a bool or a string float() would take."""
+    types = set(map(type, chain.from_iterable(chain.from_iterable(matrices))))
+    return all(t is not bool and issubclass(t, (int, float, type(None))) for t in types)
+
+
 def _matrices(raw, k, describe):
     """The k x k matrices ``raw`` as one (n, k, k) float stack, converted at once; only if
-    that fails are they converted one by one, to name the first bad one as ``describe(i)``."""
+    that fails (or ``_numeric`` does) are they taken one by one, to name the first bad one as
+    ``describe(i)``."""
     try:
         stack = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -43,6 +52,9 @@ def _matrices(raw, k, describe):
                 raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix") from exc
             if m.shape != (k, k):
                 raise GraphValidationError(f"{describe(i)}: expected a {k}x{k} matrix, got shape {m.shape}")
+    if not _numeric(raw):
+        i = next(i for i, m in enumerate(raw) if not _numeric([m]))
+        raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix")
     return stack.reshape(len(raw), k, k)  # no matrices at all convert to shape (0,)
 
 

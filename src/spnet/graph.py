@@ -237,47 +237,3 @@ def dirichlet_laplacian(g):
     except np.linalg.LinAlgError:
         raise GraphValidationError("Dirichlet Laplacian is not positive definite") from None
     return dl
-
-
-def identify_nodes(g, group, new_id=None):
-    """Quotient graph: the nodes in ``group`` are merged into one class.
-
-    Edges re-attach to the class representative; intra-group edges become
-    self-loops and are dropped; the edge multiset is otherwise preserved.
-    """
-    group = set(group)
-    if not group:
-        raise GraphValidationError("empty identification group")
-    nodes = set(g.nodes)
-    unknown = group - nodes
-    if unknown:
-        raise GraphValidationError(f"unknown nodes {sorted(unknown)}")
-    rep = new_id if new_id is not None else min(group)
-    if new_id is not None and new_id in nodes - group:
-        raise GraphValidationError(f"new node id {new_id!r} collides with an existing node")
-
-    def relabel(n):
-        return rep if n in group else n
-
-    # Intra-group edges and their weight rows are dropped; an edge touching no grouped node is kept, not copied.
-    keep = [j for j, e in enumerate(g.edges) if e.tail not in group or e.head not in group]
-    edges = tuple(
-        e if e.tail not in group and e.head not in group else Edge(e.id, relabel(e.tail), relabel(e.head))
-        for e in (g.edges[j] for j in keep)
-    )
-    nodes, sources = (tuple(dict.fromkeys(map(relabel, ns))) for ns in (g.nodes, g.sources))
-    leaders = frozenset(map(relabel, g.leaders))
-    return replace(g, nodes=nodes, edges=edges, weights=g.weights[keep], leaders=leaders, sources=sources)
-
-
-def ground_leaders(g):
-    """Identify all leaders into a single sink node, "l" (prefixed with "_"
-    while that names another node); return (graph, sink id)."""
-    if not g.leaders:
-        raise GraphValidationError("leader set is empty")
-    sink = "l"
-    taken = set(g.nodes) - g.leaders
-    while sink in taken:
-        sink = "_" + sink
-    gg = identify_nodes(g, g.leaders, new_id=sink)
-    return gg, sink

@@ -15,6 +15,7 @@ edge ``g.edges[j]`` in its stored orientation under the c-th source of
 ``h2``'s keys. ``CompositionalProvider`` sweeps one shared series-parallel
 reduction and solves the terminal skeleton it leaves, SP or not, once for
 all sources; ``dense_provider`` solves the whole Dirichlet system once for all.
+Both ground the leaders by index, on ``g`` itself: no grounded copy is built.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import electrical
 from .errors import GraphValidationError
-from .graph import dirichlet_laplacian, ground_leaders, reached
+from .graph import dirichlet_laplacian, reached
 from .sptree import Series, flatten, reduce_sources
 
 
@@ -80,29 +81,28 @@ def h2_scalar_bound(t):
 
 
 def _reduced(g):
-    """(grounded graph, sink id, its ``ArcProgram`` from every source to the
-    sink); a GraphValidationError names the first skeleton node cut off from the
-    sink, an edgeless node included (the skeleton keeps it, with no arc)."""
-    gg, sink = ground_leaders(g)
-    if not gg.sources:
+    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded
+    as one sink; a GraphValidationError names the first skeleton node cut off
+    from the sink, an edgeless node included (the skeleton keeps it, with no arc)."""
+    if not g.leaders:
+        raise GraphValidationError("leader set is empty")
+    if not g.sources:
         raise GraphValidationError("graph has no source nodes")
-    program = reduce_sources(gg, gg.sources, sink)
+    program = reduce_sources(g, g.sources, g.leaders)
     linked = reached(program.ends.tolist(), len(program.nodes) - 1)  # the sink is the last node
     cut = [n for c, n in enumerate(program.nodes) if c not in linked]
     if cut:
         raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
-    return gg, sink, program
+    return program
 
 
 def source_trees(g):
-    """Ground the leaders and decompose the quotient from every source.
-
-    Returns (trees keyed by source id, grounded graph, sink id), all from one
-    shared reduction. Raises NotSeriesParallelError if the grounded graph is
-    not TTSP from some source.
+    """Every source's tree to the grounded leaders, keyed by source id, all
+    from one shared reduction; leaves name the leaders as endpoints. Raises
+    NotSeriesParallelError if the network is not TTSP from some source.
     """
-    gg, sink, program = _reduced(g)
-    return {s: program.tree(s, gg.weights) for s in gg.sources}, gg, sink
+    program = _reduced(g)
+    return {s: program.tree(s, g.weights) for s in g.sources}
 
 
 def compositional_h2(g, method="exact"):
@@ -111,8 +111,8 @@ def compositional_h2(g, method="exact"):
     takes; bound the scalar rules folded over the reduction and each source's finish."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
-    gg, _, program = _reduced(g)
-    leaf_r = electrical.leaf_resistances(gg.weights)
+    program = _reduced(g)
+    leaf_r = electrical.leaf_resistances(g.weights)
     if method == "bound":
         per_source = _scalar_bounds(program, leaf_r)
         return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
@@ -168,31 +168,26 @@ class CompositionalProvider:
     """Voltage provider backed by one shared series-parallel reduction, made
     here; each call takes the weights from a graph with the same edges in the
     same order (a ValueError otherwise) and runs ``electrical.solve_sources``.
-    No source's reduction is finished, so it solves any grounded network whose
-    skeleton reaches the sink and whose every node has an edge (a
+    No source's reduction is finished, so it solves any network whose skeleton
+    reaches the grounded leaders and whose every node has an edge (a
     GraphValidationError otherwise): a core that is not series-parallel is
-    only a bigger skeleton. Edges that grounding drops (leader-leader edges)
-    get Q = 0.
+    only a bigger skeleton. A leader-leader edge, which no join takes, gets Q = 0.
     """
 
     def __init__(self, g):
-        gg, _, self.program = _reduced(g)
-        self.k, self.edge_ids = g.k, tuple(e.id for e in g.edges)
-        rows = {eid: i for i, eid in enumerate(self.edge_ids)}
-        self.rows = [rows[e.id] for e in gg.edges]  # g.edges row of each grounded edge
+        self.program = _reduced(g)
+        self.edge_ids = tuple(e.id for e in g.edges)
 
     def solutions(self, g):
         """``electrical.SourceSweeps`` of every source under ``g``'s weights."""
         if tuple(e.id for e in g.edges) != self.edge_ids:
             raise ValueError("graph edges differ from the ones the reduction was made for")
-        return electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights[self.rows]))
+        return electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights))
 
     def read(self, solutions):
-        """(h2, q) from the sweeps: leaf voltages scattered into ``g.edges`` order."""
+        """(h2, q) from the sweeps: q is the leaf-voltage stack, source axis first."""
         h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, solutions.roots)}
-        q = np.zeros((len(h2), len(self.edge_ids), self.k, self.k))
-        q.swapaxes(0, 1)[self.rows] = solutions.voltage
-        return h2, q
+        return h2, solutions.voltage.swapaxes(0, 1)
 
     def __call__(self, g):
         return self.read(self.solutions(g))

@@ -166,7 +166,7 @@ def recognize(g, source, sink):
     reduction engine with ``source`` and ``sink`` as its only terminals, then
     one explicit-stack pass that builds the tree, in which every leaf's tail
     -> head follows the flow from source to sink."""
-    return reduce_sources(g, (source,), sink).tree(source, g.weights)
+    return reduce_sources(g, (source,), {sink}).tree(source, g.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +176,9 @@ class ArcProgram:
     every tree walk runs on (``flatten`` makes it of a tree), evaluated by ``fold``.
 
     Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); shared
-    join i is arc m + i, so creation order is bottom-up. Graph edges carry no
-    weights; ``tree`` takes them.
+    join i is arc m + i, so creation order is bottom-up; an edge with both ends
+    grounded is neither joined nor live. Graph edges carry no weights; ``tree``
+    takes them.
 
     The terminal skeleton is what the shared joins leave: the ``live`` arcs
     between the skeleton's nodes, numbered with source c (``sources[c]``) as
@@ -240,27 +241,37 @@ class ArcProgram:
         return _build(self.edges, weights, self.joins + joins, root, reversed_)
 
 
-def reduce_sources(g, sources, sink):
+def reduce_sources(g, sources, ground):
     """Reduce a multigraph once for several sources into an ``ArcProgram``:
-    one run with every source and the sink as terminals, valid for each source
-    alone since series-parallel reduction is confluent (Duffin 1965), and the
-    terminal skeleton it leaves. Nothing here needs the graph to be
-    series-parallel; ``ArcProgram.finish`` checks it per source."""
-    index = {n: i for i, n in enumerate(g.nodes)}
-    if sink not in index or any(s not in index for s in sources):
+    one run with every source and the sink, every node of ``ground`` as one
+    index, as terminals, valid for each source alone since series-parallel
+    reduction is confluent (Duffin 1965), and the terminal skeleton it leaves.
+    The sink is named "l" ("_"-prefixed while that names a node outside the
+    ground), or after its one node unless the ground is the leader set.
+    Nothing here needs the graph to be series-parallel; ``ArcProgram.finish``
+    checks it per source."""
+    ground, known = set(ground), set(g.nodes)
+    if not ground or not ground <= known or not known.issuperset(sources):
         raise GraphValidationError("terminal is not a node of the graph")
-    if sink in sources:
+    if ground.intersection(sources):
         raise GraphValidationError("source and sink must differ")
+    sink = next(iter(ground)) if len(ground) == 1 and ground != g.leaders else "l"
+    while sink in known and sink not in ground:
+        sink = "_" + sink
+    names = list(dict.fromkeys(sink if v in ground else v for v in g.nodes))  # the sink where a ground node first is
+    index = {v: i for i, v in enumerate(names)}
+    index.update(dict.fromkeys(ground, index[sink]))
     tail = [index[e.tail] for e in g.edges]
     head = [index[e.head] for e in g.edges]
-    edgeless = set(range(len(g.nodes))).difference(tail, head)  # skeleton nodes with no arc
+    arcs = [aid for aid, (u, v) in enumerate(zip(tail, head)) if u != v]  # both ends grounded: no join takes it
+    edgeless = set(range(len(names))).difference(tail, head)  # skeleton nodes with no arc
     joins = []
     protected = {index[s] for s in sources} | {index[sink]}
-    live = sorted(_reduce(tail, head, joins, range(len(g.edges)), range(len(g.nodes)), protected))
+    live = sorted(_reduce(tail, head, joins, arcs, range(len(names)), protected))
     hubs = sorted(({n for aid in live for n in (tail[aid], head[aid])} | edgeless) - protected)
     number = {n: c for c, n in enumerate([index[s] for s in sources] + hubs + [index[sink]])}
     ends = np.array([[number[tail[aid]], number[head[aid]]] for aid in live], dtype=int).reshape(-1, 2)
-    nodes, order = tuple(g.nodes[n] for n in number), tuple(number[n] for n in sorted(number))
+    nodes, order = tuple(names[n] for n in number), tuple(number[n] for n in sorted(number))
     plan = chain_plan(len(g.edges), joins, live, g.k)
     return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, order, plan)
 

@@ -105,6 +105,23 @@ def random_aittsp(rng, k, n_sources, leaves_per_link=4, lo=0.5, hi=2.0):
     return make_graph(k, nodes, edges, leaders=[f"r{i}" for i in range(n_sources)])
 
 
+def grounded(g):
+    """(quotient graph, sink id): ``g`` with its leaders identified into one
+    sink, "l" ("_"-prefixed while that names a follower), and leader-leader
+    edges dropped; rebuilt from relabelled edge tuples, a reference for what
+    grounding the leaders by index does."""
+    sink = "l"
+    while sink in g.followers:
+        sink = "_" + sink
+
+    def name(n):
+        return sink if n in g.leaders else n
+
+    edges = [(e.id, name(e.tail), name(e.head), w) for e, w in zip(g.edges, g.weights) if name(e.tail) != name(e.head)]
+    nodes = dict.fromkeys(map(name, g.nodes))
+    return make_graph(g.k, nodes, edges, leaders=[sink], sources=g.sources), sink
+
+
 def fd_gradient_direction(g, edge_id, direction, step=1e-5):
     """Central finite difference of the dense squared H2 norm along one
     symmetric weight perturbation direction."""

@@ -149,7 +149,7 @@ def test_criterion_5_voltage_current_consistency():
     for _ in range(20):
         k = int(rng.integers(1, 4))
         g = random_aittsp(rng, k, int(rng.integers(2, 5)))
-        trees, gg, sink = source_trees(g)
+        trees = source_trees(g)
         for s, t in trees.items():
             _, cur, vol = solve_tree(t)
             for i, (node, li, ri) in enumerate(index_tree(t)):
@@ -160,7 +160,7 @@ def test_criterion_5_voltage_current_consistency():
                     np.testing.assert_allclose(cur[ri], cur[i], atol=1e-12)
                 else:
                     np.testing.assert_allclose(cur[li] + cur[ri], cur[i], atol=1e-12)
-            y = dense_voltages(gg, s)
+            y = dense_voltages(g, s)  # zero at every leader, where the trees' leaves end
             rows = leaf_rows(t)
             for lf in leaves(t):
                 # Compare in the leaf's own orientation: recognition may

@@ -57,9 +57,9 @@ def assert_matches_sequential(g):
     of the same program: every leaf voltage and every light child's current
     to 1e-12 relative, each chain top's R to 1e-13; a chain's other joins get
     no R. Returns the program."""
-    provider = CompositionalProvider(g)
-    program, m = provider.program, len(provider.program.edges)
-    leaf_r = electrical.leaf_resistances(g.weights[provider.rows])
+    program = CompositionalProvider(g).program
+    m = len(program.edges)
+    leaf_r = electrical.leaf_resistances(g.weights)
     cr = electrical.solve_sources(program, leaf_r)
     seq = electrical.solve_sources(replace(program, plan=None), leaf_r)
     assert rel_err(cr.roots, seq.roots) <= 1e-12
@@ -157,7 +157,7 @@ def test_exact_h2_reads_the_chain_top(rng, k):
     g = ladder(rng, k, 70)
     program = CompositionalProvider(g).program
     assert chains(program)
-    leaf_r = electrical.leaf_resistances(g.weights[CompositionalProvider(g).rows])
+    leaf_r = electrical.leaf_resistances(g.weights)
     *_, y_cr = electrical.skeleton_solve(program, leaf_r)
     *_, y_seq = electrical.skeleton_solve(replace(program, plan=None), leaf_r)
     assert rel_err(y_cr, y_seq) <= 1e-12

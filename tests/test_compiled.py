@@ -14,7 +14,6 @@ from helpers import leaf_rows, random_aittsp, random_sptree, tree_h2
 from spnet import electrical, sptree
 from spnet import h2 as h2_module
 from spnet.cli import _emit, run
-from spnet.graph import ground_leaders
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
@@ -80,17 +79,15 @@ class TestQStack:
                 assert q.shape == (len(g.sources), len(g.edges), k, k)
             _, comp_q = provider.read(solutions)
             _, dense_q = dense_provider(g)
-            gg, _ = ground_leaders(g)
-            arc = {e.id: a for a, e in enumerate(gg.edges)}
             column = {e.id: j for j, e in enumerate(g.edges)}
             for c, s in enumerate(g.sources):
-                y = dense_voltages(gg, s)
-                for lf in leaves(provider.program.tree(s, gg.weights)):
+                y = dense_voltages(g, s)  # zero at every leader, where the tree's leaves end
+                for lf in leaves(provider.program.tree(s, g.weights)):
                     j = column[lf.edge]
                     # Net sign of the arc in the source's tree: +1 where the flow runs tail -> head.
-                    sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
+                    sign = 1.0 if lf.tail == g.edges[j].tail else -1.0
                     signs.add(sign)
-                    np.testing.assert_array_equal(comp_q[c, j], solutions.voltage[arc[lf.edge], c])
+                    np.testing.assert_array_equal(comp_q[c, j], solutions.voltage[j, c])
                     np.testing.assert_allclose(sign * dense_q[c, j], y[lf.tail] - y[lf.head], rtol=1e-12, atol=1e-15)
                     # No sign freedom between the providers.
                     assert rel_err(comp_q[c, j], dense_q[c, j]) <= 1e-9
@@ -147,16 +144,14 @@ class TestCompiledProvider:
         g = random_aittsp(rng, 2, 4)
         provider = CompositionalProvider(g)
         sweeps = provider.solutions(g)
-        gg, _ = ground_leaders(g)
-        assert [g.edges[j].id for j in provider.rows] == [e.id for e in gg.edges]
-        arc = {e.id: a for a, e in enumerate(gg.edges)}
+        arc = {e.id: a for a, e in enumerate(g.edges)}
         signs = set()
         for c, s in enumerate(provider.program.sources):
-            tree = provider.program.tree(s, gg.weights)
+            tree = provider.program.tree(s, g.weights)
             _, cur, _ = electrical.solve_tree(tree)
             rows = leaf_rows(tree)
             for lf in leaves(tree):
-                sign = 1.0 if lf.tail == gg.edges[arc[lf.edge]].tail else -1.0
+                sign = 1.0 if lf.tail == g.edges[arc[lf.edge]].tail else -1.0
                 np.testing.assert_allclose(
                     sweeps.current[arc[lf.edge], c], sign * cur[rows[lf.edge]], rtol=1e-12, atol=1e-15
                 )

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,16 +7,14 @@ from helpers import random_aittsp, random_spd, random_sptree
 from spnet import graph
 from spnet.errors import GraphValidationError
 from spnet.graph import (
-    ground_leaders,
-    identify_nodes,
     incidence,
     dirichlet_laplacian,
     grounded_laplacian,
     make_graph,
     validate_consensus,
 )
-from spnet.h2 import CompositionalProvider
-from spnet.sptree import realize
+from spnet.h2 import CompositionalProvider, compositional_h2
+from spnet.sptree import realize, reduce_sources
 
 I1 = np.eye(1)
 
@@ -157,109 +155,37 @@ class TestGroundedLaplacian:
             assert np.array_equal(dl.matrix, dl.matrix.T)
 
 
-class TestIdentifyNodes:
-    def test_singleton_noop(self):
-        g = grounded_path3()
-        g2 = identify_nodes(g, ["b"])
-        assert g2.nodes == g.nodes
-        assert len(g2.edges) == len(g.edges)
-
-    def test_leader_pair_identified(self):
-        g = make_graph(
-            1,
-            ["r1", "r2", "s1", "s2", "m"],
-            [
-                ("a1", "r1", "s1", I1),
-                ("a2", "r2", "s2", I1),
-                ("e", "s1", "s2", 2 * I1),
-            ],
-            leaders=["r1", "r2"],
-        )
-        g2 = identify_nodes(g, ["r1", "r2"], new_id="l")
-        assert "l" in g2.nodes
-        ids = {(e.id, frozenset((e.tail, e.head))) for e in g2.edges}
-        assert ("a1", frozenset(("l", "s1"))) in ids
-        assert ("a2", frozenset(("l", "s2"))) in ids
-
-    def test_self_loop_dropped(self):
-        g = grounded_path3()
-        g2 = identify_nodes(g, ["a", "b"])
-        assert all(e.id != "e" for e in g2.edges)
-
-    def test_weight_multiset_preserved(self, rng):
-        g = random_aittsp(rng, 2, 3)
-        g2 = identify_nodes(g, list(g.leaders))
-        assert sorted(e.id for e in g2.edges) == sorted(e.id for e in g.edges)
-
-    def test_unknown_node(self):
-        with pytest.raises(GraphValidationError):
-            identify_nodes(grounded_path3(), ["nope"])
-
-    @staticmethod
-    def reference(g, group, new_id=None):
-        """The quadratic version this one replaced: list dedupe, every edge copied."""
-        group = set(group)
-        rep = new_id if new_id is not None else min(group)
-
-        def relabel(n):
-            return rep if n in group else n
-
-        nodes, sources = [], []
-        for n in g.nodes:
-            if relabel(n) not in nodes:
-                nodes.append(relabel(n))
-        for n in g.sources:
-            if relabel(n) not in sources:
-                sources.append(relabel(n))
-        kept = [(e, w) for e, w in zip(g.edges, g.weights) if relabel(e.tail) != relabel(e.head)]
-        edges = tuple(replace(e, tail=relabel(e.tail), head=relabel(e.head)) for e, _ in kept)
-        weights = np.array([w for _, w in kept]).reshape(-1, g.k, g.k)
-        leaders = frozenset(relabel(n) for n in g.leaders)
-        return replace(g, nodes=tuple(nodes), edges=edges, weights=weights, leaders=leaders, sources=tuple(sources))
-
-    def test_matches_reference(self, rng):
-        for _ in range(30):
-            g = random_aittsp(rng, int(rng.integers(1, 3)), int(rng.integers(1, 6)))
-            nodes = list(g.nodes)
-            size = int(rng.integers(1, min(5, len(nodes)) + 1))
-            groups = [list(g.leaders), [nodes[i] for i in rng.choice(len(nodes), size, replace=False)]]
-            for group in groups:
-                for new_id in (None, "l"):
-                    if new_id in set(g.nodes) - set(group):
-                        continue
-                    got, want = identify_nodes(g, group, new_id), self.reference(g, group, new_id)
-                    assert (got.nodes, got.leaders, got.sources) == (want.nodes, want.leaders, want.sources)
-                    assert [(e.id, e.tail, e.head) for e in got.edges] == [(e.id, e.tail, e.head) for e in want.edges]
-                    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
-                    untouched = [e for e in g.edges if not {e.tail, e.head} & set(group)]
-                    assert all(e in got.edges for e in untouched)  # kept, not copied
-
-
 class TestGroundLeaders:
+    """The reduction grounds the leaders by index, as one sink node of ``g`` itself."""
+
     def test_single_leader_relabel(self):
-        g = unit_path()
-        gg, sink = ground_leaders(g)
-        assert sink == "l"
-        assert gg.leaders == frozenset({"l"})
-        assert set(gg.nodes) == {"l", "s"}
+        assert CompositionalProvider(unit_path()).program.nodes == ("s", "l")
+        g = make_graph(1, ["r", "s", "l"], [("a", "r", "s", I1), ("b", "s", "l", I1)], leaders=["r"])
+        assert CompositionalProvider(g).program.nodes == ("s", "l", "_l")  # "l" names a follower
 
     def test_three_leaders_three_identity_edges(self, rng):
         g = random_aittsp(rng, 2, 3)
-        gg, sink = ground_leaders(g)
-        attached = [w for e, w in zip(gg.edges, gg.weights) if sink in (e.tail, e.head)]
-        assert len(attached) == 3
-        for w in attached:
-            np.testing.assert_allclose(w, np.eye(2))
+        program = CompositionalProvider(g).program
+        sink = len(program.nodes) - 1
+        attached = [a for a, ends in zip(program.live, program.ends) if sink in ends]
+        assert len(attached) == 3 and max(attached) < len(g.edges)  # three edges, no join
+        for a in attached:
+            assert g.edges[a].tail in g.leaders
+            np.testing.assert_allclose(g.weights[a], np.eye(2))
 
     def test_node_count(self, rng):
+        # With every follower a terminal nothing contracts, so the skeleton
+        # lists every node of the grounded network: the leaders as one.
         g = random_aittsp(rng, 1, 4)
-        gg, _ = ground_leaders(g)
-        assert len(gg.nodes) == len(g.nodes) - len(g.leaders) + 1
+        program = reduce_sources(g, g.followers, g.leaders)
+        assert len(program.nodes) == len(g.nodes) - len(g.leaders) + 1
+        assert program.nodes == (*g.followers, "l")
 
     def test_empty_leader_set(self):
-        g = make_graph(1, ["a", "b"], [("e", "a", "b", I1)])
-        with pytest.raises(GraphValidationError):
-            ground_leaders(g)
+        g = make_graph(1, ["a", "b"], [("e", "a", "b", I1)], sources=["a"])
+        for build in (compositional_h2, CompositionalProvider):
+            with pytest.raises(GraphValidationError, match="^leader set is empty$"):
+                build(g)
 
 
 class TestValidation:
@@ -318,18 +244,6 @@ class TestWeightStack:
         g = random_aittsp(rng, 2, 3)
         assert [f.name for f in fields(graph.Edge)] == ["id", "tail", "head"]
         assert g.weights.shape == (len(g.edges), 2, 2)
-
-    def test_quotients_keep_each_edge_row(self, rng):
-        dropped = 0
-        for _ in range(20):
-            g = random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-            group = [g.nodes[i] for i in rng.choice(len(g.nodes), min(3, len(g.nodes)), replace=False)]
-            for quotient in (ground_leaders(g)[0], identify_nodes(g, group)):
-                assert len(quotient.weights) == len(quotient.edges)
-                kept, before = rows_by_id(quotient), rows_by_id(g)
-                assert kept == {eid: before[eid] for eid in kept}
-                dropped += len(g.edges) - len(quotient.edges)
-        assert dropped  # some groups hold both ends of an edge, so later rows shift
 
     def test_with_weights_replaces_only_the_named_rows(self, rng):
         g = random_aittsp(rng, 3, 4)

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_aittsp, random_spd, random_sptree, root_resistance, tree_h2
 from spnet import matlin
 from spnet.errors import GraphValidationError
-from spnet.graph import dirichlet_laplacian, ground_leaders, make_graph
+from spnet.graph import dirichlet_laplacian, make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
@@ -173,12 +173,11 @@ class TestVoltageProviders:
             g = random_aittsp(rng, k, int(rng.integers(2, 5)))
             oracle = dense_h2(g).per_source
             comp = CompositionalProvider(g)
-            gg, _ = ground_leaders(g)
-            tails = {e.id: e.tail for e in gg.edges}
+            tails = {e.id: e.tail for e in g.edges}
             reversed_leaves += sum(
                 lf.tail != tails[lf.edge]
                 for s in comp.program.sources
-                for lf in leaves(comp.program.tree(s, gg.weights))
+                for lf in leaves(comp.program.tree(s, g.weights))
             )
             comp_h2, comp_q = comp(g)
             dense_h2_sq, dense_q = dense_provider(g)

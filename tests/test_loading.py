@@ -294,3 +294,31 @@ def test_huge_integer_bound_is_one_validation_error(side):
     message = rf"^config: {side} bound of edge 'e1': weight is not a numeric matrix$"
     with pytest.raises(GraphValidationError, match=message):
         config_from_dict(data, 1)
+
+
+# What float() converts but JSON does not write as a number: each is rejected as it loads.
+NOT_NUMBERS = {
+    "bool": [[True, False], [False, True]],
+    "string": [["2", "0"], ["0", "2"]],
+    "mixed": [[2.0, 0.0], [0.0, True]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_bool_or_string_weight_is_one_validation_error(case):
+    data = path_dict(np.random.default_rng(0), 2, 3)
+    data["edges"][1]["weight"] = NOT_NUMBERS[case]
+    with pytest.raises(GraphValidationError, match=r"^graph: edge 'e0': weight is not a numeric matrix$"):
+        graph_from_dict(data)
+    data["edges"][1]["weight"] = [[2, 0], [0, 2]]  # JSON integers are numbers
+    assert graph_from_dict(data).weights[1].tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
+
+@pytest.mark.parametrize("side", ["L", "U"])
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_bool_or_string_bound_is_one_validation_error(case, side):
+    data = config_dict(np.random.default_rng(0), 2, 3)
+    data["bounds"]["e1"][side] = NOT_NUMBERS[case]
+    message = rf"^config: {side} bound of edge 'e1': weight is not a numeric matrix$"
+    with pytest.raises(GraphValidationError, match=message):
+        config_from_dict(data, 2)

@@ -29,7 +29,7 @@ def test_reduction_matches_the_pinned_records(name):
     spec = want["graph"]
     eye = np.eye(spec["k"])
     g = make_graph(spec["k"], spec["nodes"], [(*edge, eye) for edge in spec["edges"]], sources=spec["sources"])
-    program = reduce_sources(g, tuple(spec["sources"]), spec["sink"])
+    program = reduce_sources(g, tuple(spec["sources"]), {spec["sink"]})
     assert records(program.joins) == want["joins"]
     assert program.live.tolist() == want["live"]
     assert program.ends.tolist() == want["ends"]
@@ -59,7 +59,7 @@ def test_partial_merge_requeues_its_pair():
     pairs = [("e0", "s", "y"), ("e1", "y", "s"), ("e2", "s", "y"), ("sz", "s", "z"), ("zy", "z", "y")]
     pairs += [("yw", "y", "w"), ("wt", "w", "t"), ("yt", "y", "t")]
     g = make_graph(1, ["s", "y", "w", "z", "t"], [(eid, u, v, np.eye(1)) for eid, u, v in pairs])
-    program = reduce_sources(g, ("s",), "t")
+    program = reduce_sources(g, ("s",), {"t"})
     assert records(program.joins) == [
         ["Parallel", 0, False, 1, True],
         ["Parallel", 8, False, 2, False],

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_aittsp, random_spd, random_sptree, tree_h2
+from helpers import grounded, random_aittsp, random_spd, random_sptree, tree_h2
 from spnet import electrical, sptree
 from spnet.cli import run
 from spnet.errors import GraphValidationError, NotSeriesParallelError
 from spnet.fileio import save_graph
-from spnet.graph import ground_leaders, make_graph
+from spnet.graph import make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
@@ -57,7 +57,7 @@ def test_provider_matches_dense_on_scrambled_networks(seed, k, n_sources):
     rng = np.random.default_rng(seed)
     g = scrambled_ids(rng, random_aittsp(rng, k, n_sources, leaves_per_link=int(rng.integers(1, 7))))
     provider = CompositionalProvider(g)
-    check_skeleton(provider.program, *ground_leaders(g))
+    check_skeleton(provider.program, *grounded(g))
     comp_h2, comp_q = provider(g)
     dense_h2, dense_q = dense_provider(g)
     assert list(comp_h2) == list(dense_h2) == list(g.sources)
@@ -74,7 +74,7 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
     monkeypatch.setattr(sptree, "_build", lambda *a: builds.append(a) or build(*a))
     for _ in range(40):
         g = scrambled_ids(rng, random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 6))
-        gg, sink = ground_leaders(g)
+        gg, sink = grounded(g)
         per_source = {s: tree_h2(recognize(gg, s, sink)) for s in gg.sources}
         shared = compositional_h2(g).per_source
         assert list(shared) == list(per_source)
@@ -83,18 +83,20 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
         builds.clear()
         bound = compositional_h2(g, "bound").per_source
         assert builds == []  # the bound folds over the shared reduction and builds no tree
-        trees, _, _ = source_trees(g)
+        trees = source_trees(g)
         assert list(bound) == list(trees)
         for s, t in trees.items():
             assert tree_h2(t) == pytest.approx(per_source[s], rel=1e-12)
             assert bound[s] == h2_scalar_bound(t)
 
 
-def arc_ends(program):
-    """(tail, head) node name of every arc, replayed from the join records: a
-    series join runs from its oriented left child's tail to its oriented right
-    child's head, a parallel join as its oriented left child."""
-    ends = [(e.tail, e.head) for e in program.edges]
+def arc_ends(program, gg):
+    """(tail, head) node name in the quotient ``gg`` of every arc, replayed
+    from the join records: a series join runs from its oriented left child's
+    tail to its oriented right child's head, a parallel join as its oriented
+    left child. An edge the quotient drops gets None and must stay unjoined."""
+    quotient = {e.id: (e.tail, e.head) for e in gg.edges}
+    ends = [quotient.get(e.id) for e in program.edges]
     for kind, a, fa, b, fb in program.joins:
         (p, q), (u, v) = (ends[a][::-1] if fa else ends[a]), (ends[b][::-1] if fb else ends[b])
         assert q == u if kind is Series else (p, q) == (u, v)
@@ -103,29 +105,69 @@ def arc_ends(program):
 
 
 def check_skeleton(program, gg, sink):
-    """The skeleton record: the live arcs are exactly the arcs no shared join
-    consumes, at most one per node pair; their ends number source c as node
-    c and the sink last, each number naming one node of the graph."""
+    """The skeleton record against the quotient ``gg`` that identifies the
+    leaders into ``sink``: the live arcs are exactly the arcs no shared join
+    consumes, bar the edges ``gg`` drops, at most one per node pair; their ends
+    number source c as node c and the sink last, each number naming one node
+    of ``gg``, and the sink's name is ``sink``."""
+    ends = arc_ends(program, gg)
     consumed = {arc for _, a, _, b, _ in program.joins for arc in (a, b)}
-    assert list(program.live) == sorted(set(range(len(program.edges) + len(program.joins))) - consumed)
+    idle = {arc for arc, pair in enumerate(ends) if pair is None}
+    assert list(program.live) == sorted(set(range(len(ends))) - consumed - idle)
     assert program.sources == tuple(gg.sources)
     names = {}
-    for (u, v), (tail, head) in zip(program.ends, (arc_ends(program)[a] for a in program.live)):
+    for (u, v), (tail, head) in zip(program.ends, (ends[a] for a in program.live)):
         assert u != v
         assert names.setdefault(u, tail) == tail and names.setdefault(v, head) == head
     n = len(names)
     assert sorted(names) == list(range(n)) and len(set(names.values())) == n
     assert [names[c] for c in range(len(gg.sources))] == list(gg.sources) and names[n - 1] == sink
+    assert program.nodes[-1] == sink
     assert len({frozenset(pair) for pair in program.ends.tolist()}) == len(program.live)
+
+
+def plan_steps(program):
+    """The chain plan as plain data: each join index, or each chain's joins."""
+    return [step if type(step) is int else step.joins for step in program.plan or ()]
+
+
+def test_grounding_by_index_matches_the_grounded_copy(rng):
+    # The reduction of ``g`` with its leaders as the ground set is the one of
+    # the quotient graph that identifies them: same records, skeleton and finishes.
+    for _ in range(30):
+        g = scrambled_ids(rng, random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 6))
+        gg, sink = grounded(g)
+        got, want = CompositionalProvider(g).program, sptree.reduce_sources(gg, gg.sources, {sink})
+        assert got.edges is g.edges
+        assert got.joins == want.joins and plan_steps(got) == plan_steps(want)
+        assert got.live.tolist() == want.live.tolist() and got.ends.tolist() == want.ends.tolist()
+        assert (got.sources, got.nodes, got.order) == (want.sources, want.nodes, want.order)
+        assert [got.finish(s) for s in g.sources] == [want.finish(s) for s in g.sources]
+
+
+def test_leader_leader_edge_is_an_idle_arc(rng):
+    # ``make_graph`` runs no ``validate_consensus``, so two leaders may share an
+    # edge. Both its ends are grounded: no join takes it, it carries no
+    # current, and every other edge keeps its row.
+    k = 2
+    edges = [("a1", "r1", "s1", np.eye(k)), ("a2", "r2", "s2", np.eye(k)), ("rr", "r1", "r2", random_spd(rng, k))]
+    edges += [(e, u, v, random_spd(rng, k)) for e, u, v in (("e", "s1", "s2"), ("f", "s2", "m"), ("h", "m", "r1"))]
+    g = make_graph(k, ["r1", "r2", "s1", "s2", "m"], edges, leaders=["r1", "r2"])
+    provider = CompositionalProvider(g)
+    check_skeleton(provider.program, *grounded(g))
+    assert 2 not in provider.program.live and all(2 not in (a, b) for _, a, _, b, _ in provider.program.joins)
+    _, q = provider(g)
+    assert not q[:, 2].any()
+    assert_matches_dense(g)  # Q edge by edge, no sign forgiven, and exact H2 against dense_h2
+    assert all("rr" not in {lf.edge for lf in sptree.leaves(t)} for t in source_trees(g).values())
 
 
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("n_sources", [8, 16, 32])
 def test_skeleton_solve_matches_dense_on_long_chains(k, n_sources):
     g = random_aittsp(np.random.default_rng(7), k, n_sources, leaves_per_link=12)
-    gg, sink = ground_leaders(g)
     program = CompositionalProvider(g).program
-    check_skeleton(program, gg, sink)
+    check_skeleton(program, *grounded(g))
     assert len(program.live) > n_sources  # the skeleton is more than the attachment edges
     assert_matches_dense(g)
 
@@ -138,10 +180,9 @@ def test_skeleton_with_a_non_terminal_hub_matches_dense(rng):
     edges += [("p1", "s1", "c"), ("p2", "c", "m"), ("p3", "m", "r3")]  # shared joins on two arms
     nodes, weighted = ["r1", "r2", "r3", "s1", "s2", "c", "m"], [(e, u, v, random_spd(rng, k)) for e, u, v in edges]
     g = make_graph(k, nodes, weighted, leaders=["r1", "r2", "r3"], sources=["s1", "s2"])
-    gg, sink = ground_leaders(g)
     program = CompositionalProvider(g).program
-    check_skeleton(program, gg, sink)
-    hub = range(len(gg.sources), int(program.ends.max()))  # skeleton nodes between the sources and the sink
+    check_skeleton(program, *grounded(g))
+    hub = range(len(g.sources), int(program.ends.max()))  # skeleton nodes between the sources and the sink
     assert len(hub) == 1 and np.count_nonzero(program.ends == hub[0]) == 3
     assert len(program.joins) == 3
     assert_matches_dense(g)
@@ -203,7 +244,7 @@ def test_edgeless_node_is_a_skeleton_node_with_no_arc():
     # The reduction keeps a node no edge touches in its skeleton, where the
     # reach check finds it cut off; the other skeleton nodes keep their arcs.
     g = make_graph(1, ["l", "x", "s", "t"], [("a", "s", "l", I1), ("b", "s", "t", I1), ("c", "t", "l", 2 * I1)])
-    program = sptree.reduce_sources(g, ("s",), "l")
+    program = sptree.reduce_sources(g, ("s",), {"l"})
     assert program.nodes == ("s", "x", "l")
     assert program.ends.tolist() == [[0, 2]]
     with pytest.raises(GraphValidationError, match="node 'x' is not connected to a leader"):
@@ -222,7 +263,7 @@ def test_k4_core_is_solved_but_has_no_tree(capsys, tmp_path):
     # The provider, exact H2 and `check` solve the core as a bigger skeleton;
     # what needs a source's own reduction rejects it with the same message as before.
     message = "reduction stalled with 9 edges; graph is not series-parallel between 'a' and 'l'"
-    check_skeleton(CompositionalProvider(k4_core()).program, *ground_leaders(k4_core()))
+    check_skeleton(CompositionalProvider(k4_core()).program, *grounded(k4_core()))
     assert_matches_dense(k4_core())
     for build in (lambda g: compositional_h2(g, "bound"), source_trees):
         with pytest.raises(NotSeriesParallelError) as info:
@@ -266,7 +307,7 @@ def k4_subdivision(rng, k, n_sources):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 16]), st.integers(1, 3))
 def test_provider_solves_k4_subdivisions(seed, k, n_sources):
     g = k4_subdivision(np.random.default_rng(seed), k, n_sources)
-    check_skeleton(CompositionalProvider(g).program, *ground_leaders(g))
+    check_skeleton(CompositionalProvider(g).program, *grounded(g))
     # With one leader the K4 hangs off it and its edges carry roundoff only,
     # so Q is judged over each source's whole stack.
     assert_matches_dense(g, per_edge=False)
