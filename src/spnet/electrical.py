@@ -46,15 +46,15 @@ def _split(r1, r2):
     return np.linalg.solve(r1 + r2, np.concatenate((r2, r1), axis=1)).reshape(k, 2, k).swapaxes(0, 1)
 
 
-def resistance_sweep(joins, leaf_r, plan=None):
+def resistance_sweep(joins, leaf_r, plan):
     """Bottom-up from the leaves' R (an (m, k, k) stack): (R of every arc,
     each join's split X, None at series joins), the joins (``joins[i]`` is arc
-    m + i) in ``plan`` order (``ArcProgram.plan``; None: every join in turn).
-    A ``Chain`` is solved at its top, which gets its R and CR factors
-    (``_chain_resistance``); its other joins get None in both lists."""
+    m + i) in ``plan`` order (``ArcProgram.plan``). A ``Chain`` is solved at
+    its top, which gets its R and CR factors (``_chain_resistance``); its
+    other joins get None in both lists."""
     base, splits = len(leaf_r), [None] * len(joins)
     res = list(leaf_r) + [None] * len(joins)
-    for step in range(len(joins)) if plan is None else plan:
+    for step in plan:
         if type(step) is Chain:
             res[base + step.top], splits[step.top] = _chain_resistance(step, res, leaf_r)
             continue
@@ -67,13 +67,13 @@ def resistance_sweep(joins, leaf_r, plan=None):
     return res, splits
 
 
-def current_sweep(joins, splits, cur, base, plan=None):
+def current_sweep(joins, splits, cur, base, plan):
     """Top-down, in reversed ``plan`` order: from the current of each join
     (``joins[i]`` is arc base + i) to its children, each in its stored
     direction; a ``Chain`` sets all its light children at once
     (``_chain_currents``). ``cur`` is an (arcs, S, k, k) array holding the
     roots' currents; S columns at once."""
-    for step in reversed(range(len(joins)) if plan is None else plan):
+    for step in reversed(plan):
         if type(step) is Chain:
             _chain_currents(step, splits[step.top], cur, base)
             continue
@@ -204,8 +204,7 @@ def solve_sources(program, leaf_r):
     cur = np.zeros((len(res), n_src, k, k))
     cur[program.live] = cond[:, None] @ (y[program.ends[:, 0]] - y[program.ends[:, 1]])
     current_sweep(program.joins, splits, cur, m, program.plan)
-    swept = range(len(splits)) if program.plan is None else [j for j in program.plan if type(j) is int]
-    par = [i for i in swept if splits[i] is not None]  # a chain's joins skip the guard
+    par = [i for i in program.plan if type(i) is int and splits[i] is not None]  # a chain's joins skip the guard
     if par:
         x = np.array([splits[i] for i in par])
         ra, rb = (np.array([res[program.joins[i][side]] for i in par]) for side in (1, 3))

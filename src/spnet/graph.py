@@ -11,6 +11,7 @@ Laplacian and is what both the dense oracle and the gradient are built on.
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .errors import GraphValidationError
 IDENTITY_ATOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: str
     head: str

@@ -142,17 +142,6 @@ def dense_solve(g, sources):
     return ys
 
 
-def dense_voltages(g, source):
-    """Voltage drop Y_i^s of every node to the grounded leader set, {node: Y}.
-
-    Solves A(W) x = e_s (x) I_k and extracts the k x k blocks; leader
-    nodes get a zero block.
-    """
-    if source in g.leaders:
-        raise GraphValidationError(f"source {source!r} is a leader node")
-    return dict(zip(g.nodes, dense_solve(g, [source])[0]))
-
-
 def dense_provider(g):
     """Voltage provider backed by one Dirichlet solve for every source."""
     if not g.sources:
@@ -166,31 +155,24 @@ def dense_provider(g):
 
 class CompositionalProvider:
     """Voltage provider backed by one shared series-parallel reduction, made
-    here; each call takes the weights from a graph with the same edges in the
-    same order (a ValueError otherwise) and runs ``electrical.solve_sources``.
-    No source's reduction is finished, so it solves any network whose skeleton
-    reaches the grounded leaders and whose every node has an edge (a
-    GraphValidationError otherwise): a core that is not series-parallel is
-    only a bigger skeleton. A leader-leader edge, which no join takes, gets Q = 0.
+    here; each call takes the weights from a graph with the same edges (ids
+    and ends) in the same order (a ValueError otherwise) and runs
+    ``electrical.solve_sources``. No source's reduction is finished, so it
+    solves any network whose skeleton reaches the grounded leaders and whose
+    every node has an edge (a GraphValidationError otherwise): a core that is
+    not series-parallel is only a bigger skeleton. A leader-leader edge, which
+    no join takes, gets Q = 0.
     """
 
     def __init__(self, g):
         self.program = _reduced(g)
-        self.edge_ids = tuple(e.id for e in g.edges)
-
-    def solutions(self, g):
-        """``electrical.SourceSweeps`` of every source under ``g``'s weights."""
-        if tuple(e.id for e in g.edges) != self.edge_ids:
-            raise ValueError("graph edges differ from the ones the reduction was made for")
-        return electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights))
-
-    def read(self, solutions):
-        """(h2, q) from the sweeps: q is the leaf-voltage stack, source axis first."""
-        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, solutions.roots)}
-        return h2, solutions.voltage.swapaxes(0, 1)
 
     def __call__(self, g):
-        return self.read(self.solutions(g))
+        if g.edges != self.program.edges:
+            raise ValueError("graph edges differ from the ones the reduction was made for")
+        sweeps = electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights))
+        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, sweeps.roots)}
+        return h2, sweeps.voltage.swapaxes(0, 1)
 
 
 def lyapunov_residual(g):

@@ -19,7 +19,7 @@ whose expansion is the shrinkage form (1 - 1/sqrt(t)) W
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def optimize_weights(g, cfg):
     w = g.weights[rows]
 
     provider = _provider(g, cfg.voltage_mode)
-    current = g
+    current = replace(g, weights=g.weights.copy())  # the run's own stack; each step writes its free rows
     traj = OptTrajectory()
 
     def record(iteration):
@@ -188,7 +188,7 @@ def optimize_weights(g, cfg):
         if gnorm < cfg.grad_tol:
             break
         w = pgd_step(w, grad, t, cfg.penalty_h, lower, upper)
-        current = current.with_weights(dict(zip(free, w)))
+        current.weights[rows] = w  # project_box returns exactly symmetric blocks
         grad, gnorm = record(t)
     traj.converged = gnorm < cfg.grad_tol
     return traj

@@ -65,8 +65,8 @@ def index_tree(t):
 def flatten(t):
     """(``ArcProgram``, pre-order index of each arc) of a tree. The leaves in
     pre-order are its edges, the joins in reversed pre-order (bottom-up) its
-    records, with no flipped child, and the last arc the root of its one
-    source, None: the one live arc."""
+    records, with no flipped child, swept in turn, and the last arc the root
+    of its one source, None: the one live arc."""
     entries = index_tree(t)
     leaves = [i for i, (_, li, _) in enumerate(entries) if li < 0]
     _check_leaves([entries[i][0] for i in leaves])
@@ -74,7 +74,8 @@ def flatten(t):
     arc = dict(zip(order, range(len(order))))
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
     edges, root = tuple(entries[i][0] for i in leaves), len(order) - 1
-    return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), (0, 1)), order
+    plan = tuple(range(len(joins)))
+    return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), (0, 1), plan), order
 
 
 def leaves(t):
@@ -187,8 +188,8 @@ class ArcProgram:
     when a fold or a tree asks.
 
     ``plan`` is the order the electrical sweeps take the shared joins in, each
-    long heavy path of them one ``Chain`` (``chain_plan``); None sweeps every
-    join in turn, as for a flattened tree.
+    long heavy path of them one ``Chain`` (``chain_plan``); a flattened tree's
+    sweeps every join in turn.
     """
 
     edges: tuple
@@ -198,7 +199,7 @@ class ArcProgram:
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
     nodes: tuple  # name of each skeleton node, by number
     order: tuple  # the skeleton node numbers in graph node order, as the reduction queued them
-    plan: tuple = None  # sweep order with long chains (``chain_plan``), or None: every join in turn
+    plan: tuple  # sweep steps: join indices, bottom-up, and ``Chain``s in their tops' places
 
     def finish(self, s):
         """(joins, root arc, whether it runs sink -> s) that end the reduction
@@ -313,12 +314,12 @@ def chain_plan(m, joins, live, k):
     """The shared joins' sweep order with every heavy path of at least
     CHAIN_MIN_JOINS joins (leaf counts decide the heavy child, Sleator &
     Tarjan 1983) made one ``Chain`` at its top's place and its other joins
-    left out; None when no path qualifies, k exceeds CHAIN_MAX_K or there are
-    too few joins. One pass counts leaves and path lengths; the chains are
-    built from the tops it finds."""
-    least = CHAIN_MIN_JOINS
+    left out; every join in turn when no path qualifies, k exceeds
+    CHAIN_MAX_K or there are too few joins. One pass counts leaves and path
+    lengths; the chains are built from the tops it finds."""
+    least, steps = CHAIN_MIN_JOINS, range(len(joins))
     if k > CHAIN_MAX_K or len(joins) < least:
-        return None
+        return tuple(steps)
     size, depth, tops = [1] * m, [0] * m, []  # depth: joins on the heavy path from an arc down
     for _, a, _, b, _ in joins:
         sa, sb = size[a], size[b]
@@ -328,11 +329,9 @@ def chain_plan(m, joins, live, k):
         if depth[light] >= least:
             tops.append(light - m)
     tops += [aid - m for aid in live if depth[aid] >= least]
-    if not tops:
-        return None
     chains = {top: _chain(m, joins, size, top) for top in tops}
     inner = {j for chain in chains.values() for j in chain.joins[1:]}
-    return tuple(chains.get(j, j) for j in sorted(set(range(len(joins))) - inner))
+    return tuple(chains.get(j, j) for j in steps if j not in inner)
 
 
 def _chain(m, joins, size, top):

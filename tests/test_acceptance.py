@@ -29,7 +29,7 @@ from spnet.h2 import (
     compositional_h2,
     dense_h2,
     dense_provider,
-    dense_voltages,
+    dense_solve,
     h2_parallel_compose,
     h2_scalar_bound,
     lyapunov_residual,
@@ -160,7 +160,7 @@ def test_criterion_5_voltage_current_consistency():
                     np.testing.assert_allclose(cur[ri], cur[i], atol=1e-12)
                 else:
                     np.testing.assert_allclose(cur[li] + cur[ri], cur[i], atol=1e-12)
-            y = dense_voltages(g, s)  # zero at every leader, where the trees' leaves end
+            y = dict(zip(g.nodes, dense_solve(g, [s])[0]))  # zero at every leader, where the trees' leaves end
             rows = leaf_rows(t)
             for lf in leaves(t):
                 # Compare in the leaf's own orientation: recognition may

@@ -33,7 +33,12 @@ def forced(mp):
 
 
 def chains(program):
-    return [step for step in program.plan or () if type(step) is sptree.Chain]
+    return [step for step in program.plan if type(step) is sptree.Chain]
+
+
+def per_join(program):
+    """The program with every join swept in turn, no chain."""
+    return replace(program, plan=tuple(range(len(program.joins))))
 
 
 def sp_ladder(rng, k, rungs):
@@ -61,7 +66,7 @@ def assert_matches_sequential(g):
     m = len(program.edges)
     leaf_r = electrical.leaf_resistances(g.weights)
     cr = electrical.solve_sources(program, leaf_r)
-    seq = electrical.solve_sources(replace(program, plan=None), leaf_r)
+    seq = electrical.solve_sources(per_join(program), leaf_r)
     assert rel_err(cr.roots, seq.roots) <= 1e-12
     for got, want in zip(cr.voltage, seq.voltage):
         assert rel_err(got, want) <= 1e-12
@@ -129,11 +134,12 @@ def test_rule_picks_long_chains_at_small_k(rng):
         assert len(chains(CompositionalProvider(ladder(rng, 3, rungs)).program)) == 1
     assert len(chains(CompositionalProvider(path(rng, 8, 300)).program)) == 1
     for g in (ladder(rng, 3, 15), ladder(rng, 16, 100), path(rng, 16, 300), load_graph(DEMO)):
-        assert CompositionalProvider(g).program.plan is None
+        program = CompositionalProvider(g).program
+        assert program.plan == tuple(range(len(program.joins)))
     for k in (1, 4, 16):
         for n_sources in (2, 8, 32):
             program = CompositionalProvider(random_aittsp(rng, k, n_sources, leaves_per_link=12)).program
-            assert program.plan is None
+            assert program.plan == tuple(range(len(program.joins)))
 
 
 def test_chain_joins_skip_the_parallel_guard(rng, monkeypatch):
@@ -159,7 +165,7 @@ def test_exact_h2_reads_the_chain_top(rng, k):
     assert chains(program)
     leaf_r = electrical.leaf_resistances(g.weights)
     *_, y_cr = electrical.skeleton_solve(program, leaf_r)
-    *_, y_seq = electrical.skeleton_solve(replace(program, plan=None), leaf_r)
+    *_, y_seq = electrical.skeleton_solve(per_join(program), leaf_r)
     assert rel_err(y_cr, y_seq) <= 1e-12
     exact = compositional_h2(g).per_source
     assert [exact[s] for s in program.sources] == [0.5 * float(np.trace(y_cr[c, c])) for c in range(len(exact))]

@@ -205,14 +205,14 @@ class TestCheckCommand:
     def test_negated_leaf_voltage_fails(self, capsys, monkeypatch):
         # Leaf voltages are compared in one orientation, so a single sign
         # flip in the compositional provider must fail the check.
-        read = CompositionalProvider.read
+        call = CompositionalProvider.__call__
 
-        def negate_one(self, solutions):
-            h2, q = read(self, solutions)
+        def negate_one(self, g):
+            h2, q = call(self, g)
             q[0, 0] = -q[0, 0]
             return h2, q
 
-        monkeypatch.setattr(CompositionalProvider, "read", negate_one)
+        monkeypatch.setattr(CompositionalProvider, "__call__", negate_one)
         code, data = run_json(capsys, ["check", "--graph", DEMO])
         assert code == 1
         assert data["errors"]["leaf_voltages"] == pytest.approx(2.0)

@@ -14,12 +14,13 @@ from helpers import leaf_rows, random_aittsp, random_sptree, tree_h2
 from spnet import electrical, sptree
 from spnet import h2 as h2_module
 from spnet.cli import _emit, run
+from spnet.graph import make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
     dense_h2,
     dense_provider,
-    dense_voltages,
+    dense_solve,
     h2_scalar_bound,
 )
 from spnet.optimize import edge_gradients
@@ -73,15 +74,15 @@ class TestQStack:
         for k in (1, 2, 3) * 2:
             g = random_aittsp(rng, k, 3)
             provider = CompositionalProvider(g)
-            solutions = provider.solutions(g)
-            for h2, q in (provider.read(solutions), dense_provider(g)):
+            solutions = electrical.solve_sources(provider.program, electrical.leaf_resistances(g.weights))
+            for h2, q in (provider(g), dense_provider(g)):
                 assert list(h2) == list(g.sources)
                 assert q.shape == (len(g.sources), len(g.edges), k, k)
-            _, comp_q = provider.read(solutions)
+            _, comp_q = provider(g)
             _, dense_q = dense_provider(g)
             column = {e.id: j for j, e in enumerate(g.edges)}
             for c, s in enumerate(g.sources):
-                y = dense_voltages(g, s)  # zero at every leader, where the tree's leaves end
+                y = dict(zip(g.nodes, dense_solve(g, [s])[0]))  # zero at every leader, where the tree's leaves end
                 for lf in leaves(provider.program.tree(s, g.weights)):
                     j = column[lf.edge]
                     # Net sign of the arc in the source's tree: +1 where the flow runs tail -> head.
@@ -138,12 +139,27 @@ class TestCompiledProvider:
             with pytest.raises(ValueError, match="edges differ"):
                 provider(replace(g, edges=edges))
 
+    def test_rewired_edges_are_refused(self):
+        # The same ids with moved ends are another network: solved with the
+        # old reduction, e2 s1-s2 (3) and e3 a-s2 (5) would read H2^2 0.27
+        # per source where the dense oracle reads 0.278846.
+        def graph(ends):
+            edges = [("l1", "L1", "s1"), ("l2", "L2", "s2"), *((f"e{j + 1}", *e) for j, e in enumerate(ends))]
+            w = np.array([1.0, 1.0, 1.0, 3.0, 5.0]).reshape(-1, 1, 1)
+            return make_graph(1, ["L1", "L2", "s1", "s2", "a"], edges, leaders=["L1", "L2"], weights=w)
+
+        provider = CompositionalProvider(graph([("s1", "a"), ("a", "s2"), ("s1", "s2")]))
+        rewired = graph([("s1", "a"), ("s1", "s2"), ("a", "s2")])
+        assert dense_h2(rewired).per_source == pytest.approx({"s1": 0.278846, "s2": 0.278846}, rel=1e-5)
+        with pytest.raises(ValueError, match="edges differ"):
+            provider(rewired)
+
     def test_leaf_signs_follow_stored_orientation(self, rng):
         # Each source's arc currents, in stored orientation, are its tree's
         # leaf currents times the leaf's net sign.
         g = random_aittsp(rng, 2, 4)
         provider = CompositionalProvider(g)
-        sweeps = provider.solutions(g)
+        sweeps = electrical.solve_sources(provider.program, electrical.leaf_resistances(g.weights))
         arc = {e.id: a for a, e in enumerate(g.edges)}
         signs = set()
         for c, s in enumerate(provider.program.sources):

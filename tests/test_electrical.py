@@ -10,7 +10,7 @@ from helpers import leaf_rows, random_psd, random_spd, random_sptree, root_resis
 from spnet import electrical, matlin, sptree
 from spnet.electrical import solve_tree
 from spnet.graph import grounded_laplacian
-from spnet.h2 import dense_voltages
+from spnet.h2 import dense_solve
 from spnet.sptree import Leaf, Parallel, Series, index_tree, leaf, parallel, realize, recognize, series
 
 I1 = np.eye(1)
@@ -203,7 +203,7 @@ class TestVoltageDrops:
             t = recognize(g, src, snk)
             _, _, vol = solve_tree(t)
             rows = leaf_rows(t)
-            y = dense_voltages(replace(g, leaders=frozenset({snk})), src)
+            y = dict(zip(g.nodes, dense_solve(replace(g, leaders=frozenset({snk})), [src])[0]))
             for e in g.edges:
                 np.testing.assert_allclose(vol[rows[e.id]], y[e.tail] - y[e.head], rtol=1e-9, atol=1e-11)
 

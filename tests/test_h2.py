@@ -3,14 +3,13 @@ import pytest
 
 from helpers import random_aittsp, random_spd, random_sptree, root_resistance, tree_h2
 from spnet import matlin
-from spnet.errors import GraphValidationError
 from spnet.graph import dirichlet_laplacian, make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
     dense_h2,
     dense_provider,
-    dense_voltages,
+    dense_solve,
     h2_parallel_compose,
     h2_scalar_bound,
     h2_series_compose,
@@ -151,14 +150,9 @@ class TestDenseOracle:
 class TestDenseVoltages:
     def test_unit_path_self_voltage(self):
         g = make_graph(1, ["r", "s"], [("a", "r", "s", I1)], leaders=["r"])
-        y = dense_voltages(g, "s")
+        y = dict(zip(g.nodes, dense_solve(g, ["s"])[0]))
         np.testing.assert_allclose(y["s"], [[1.0]])
         np.testing.assert_allclose(y["r"], [[0.0]])
-
-    def test_source_must_be_follower(self):
-        g = make_graph(1, ["r", "s"], [("a", "r", "s", I1)], leaders=["r"])
-        with pytest.raises(GraphValidationError):
-            dense_voltages(g, "r")
 
 
 class TestVoltageProviders:

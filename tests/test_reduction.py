@@ -35,7 +35,7 @@ def test_reduction_matches_the_pinned_records(name):
     assert program.ends.tolist() == want["ends"]
     assert list(program.nodes) == want["nodes"]
     assert list(program.order) == want["order"]
-    chains = [step for step in program.plan or () if type(step) is Chain]
+    chains = [step for step in program.plan if type(step) is Chain]
     assert len(chains) == len(want["chains"])
     for chain, pinned in zip(chains, want["chains"]):
         assert chain.top == pinned["top"]

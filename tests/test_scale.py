@@ -74,7 +74,7 @@ def test_provider_matches_dense(rng, build, edges, chained):
     g = build(rng)
     assert len(g.edges) == edges
     provider = CompositionalProvider(g)
-    assert any(type(step) is sptree.Chain for step in provider.program.plan or ()) == chained
+    assert any(type(step) is sptree.Chain for step in provider.program.plan) == chained
     comp_h2, comp_q = provider(g)
     dense_h2, dense_q = dense_provider(g)
     assert comp_h2.keys() == dense_h2.keys() == set(g.sources)

@@ -128,7 +128,7 @@ def check_skeleton(program, gg, sink):
 
 def plan_steps(program):
     """The chain plan as plain data: each join index, or each chain's joins."""
-    return [step if type(step) is int else step.joins for step in program.plan or ()]
+    return [step if type(step) is int else step.joins for step in program.plan]
 
 
 def test_grounding_by_index_matches_the_grounded_copy(rng):
