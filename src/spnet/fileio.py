@@ -128,13 +128,13 @@ def config_from_dict(data, k, context="config"):
     if not isinstance(raw, dict) or not all(isinstance(pair, dict) for pair in raw.values()):
         raise GraphValidationError(f"{context}: 'bounds' must map each edge id to an object with 'L' and 'U'")
     ids = list(raw)
-    try:
-        sides = {key: [pair[key] for pair in raw.values()] for key in ("L", "U")}
+    try:  # L and U interleaved, box by box, so a failure names the first bad matrix in file order
+        sides = [pair[key] for pair in raw.values() for key in ("L", "U")]
     except KeyError:
         eid, key = next((eid, key) for eid, pair in raw.items() for key in ("L", "U") if key not in pair)
         raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}") from None
-    lo, up = (_matrices(side, k, lambda j: f"{context}: {key} bound of edge {ids[j]!r}") for key, side in sides.items())
-    bounds = dict(zip(ids, zip(lo, up)))
+    stack = _matrices(sides, k, lambda j: f"{context}: {'LU'[j % 2]} bound of edge {ids[j // 2]!r}")
+    bounds = dict(zip(ids, zip(stack[0::2], stack[1::2])))
     # Keys the file leaves out keep OptConfig's defaults; unknown keys are ignored.
     settings = {f.name: data[f.name] for f in fields(OptConfig) if f.name != "bounds" and f.name in data}
     try:

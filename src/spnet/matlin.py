@@ -6,11 +6,13 @@ and ``project_box`` also take (n, k, k) stacks, matrix by matrix. All
 returned matrices are explicitly symmetrized so that roundoff asymmetry
 cannot accumulate in callers.
 
-``project_box`` stops a row after its first Dykstra pass when that pass
+``project_box`` iterates Dykstra's pass on its dual iterate Q alone, one
+k x k matrix per row. It stops a row after its first pass when that pass
 certifies the KKT conditions of the projection, which bounds the distance
-to the true projection by the complementarity residual. A box is proven
-non-empty either by that certificate or, for the rows it does not stop, by
-one ``eigvalsh`` of U - L.
+to the true projection by the complementarity residual; any other row stops
+once its step is small and its Y is above L within ``STOP_TOL``. A box is
+proven non-empty either by that certificate or, for the rows it does not
+stop, by one ``eigvalsh`` of U - L.
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ MAX_DIM = 16
 
 SYM_RTOL = 1e-12
 BOX_TOL = 1e-12  # a box [L, U] is non-empty iff min eig(U - L) >= -BOX_TOL
-STOP_TOL = 1e-10  # project_box's stop rules: its KKT residual and its Frobenius step
-ANDERSON_DEPTH = 5  # differences of Dykstra-map outputs project_box keeps per row
+STOP_TOL = 1e-10  # project_box's stop rules: its KKT residual, its Frobenius step and Y - L's floor
+ANDERSON_DEPTH = 5  # differences of dual iterates Q (Dykstra-map outputs) project_box keeps per row
 ANDERSON_RIDGE = 1e-12  # Tikhonov term of its least-squares problem, relative to the Gram trace
 
 
@@ -109,35 +111,37 @@ def loewner_leq(a, b, tol=BOX_TOL):
 def psd_part(m):
     """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues."""
     w, v = np.linalg.eigh(symmetrize(m))
-    return symmetrize((v * np.clip(w, 0.0, None)[..., None, :]) @ v.swapaxes(-1, -2))
+    return symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def project_box(x, lower, upper, max_iter=500):
     """Project a symmetric matrix onto the Loewner box {Y : L <= Y <= U}.
 
     Runs Dykstra's alternating projections between the half-cones
-    {Y >= L} and {Y <= U}, each realized by eigenvalue clipping, on states
-    s = (y, p, q) that keep Dykstra's invariant y + p + q = X.
+    {Y >= L} and {Y <= U}, each realized by eigenvalue clipping. A pass
+    depends only on the dual iterate Q carried at {Y <= U} (Boyle & Dykstra
+    1986), so Q, from Q = 0, is each row's whole state: the pass T makes
+    Z = L + [X - Q - L]_+ and Y = U - [U - Z - Q]_+, and T(Q) = Z + Q - Y.
 
-    A row stops after its first pass from (X, 0, 0) when that pass meets the
-    KKT conditions of the projection (Birgin & Raydan 2005). The pass makes
-    Z = L + [X - L]_+, P = X - Z <= 0, Y = U - [U - Z]_+ and Q = Z - Y >= 0,
-    so Y <= U, X - Y = P + Q and Q (U - Y) = 0 hold by construction; the
+    A row stops after its first pass when that pass meets the KKT conditions
+    of the projection (Birgin & Raydan 2005). With P = X - Z <= 0, the pass
+    has Y <= U, X - Y = P + T(0) and T(0) (U - Y) = 0 by construction; the
     row is certified when also min eig(Y - L) >= -BOX_TOL and
     ||P (Y - L)||_F <= ``STOP_TOL``. For the projection Y* and a feasible Y this
     bounds ||Y - Y*||_F^2 <= tr(-P (Y - L)) <= sqrt(k) ``STOP_TOL``, and since
     U - L = (U - Y) + (Y - L), it proves the row's box non-empty under
-    ``BOX_TOL``, up to rounding. Any other row stops once the Frobenius
-    change between successive iterates drops below ``STOP_TOL``.
+    ``BOX_TOL``, up to rounding. Any other row stops at the first pass whose
+    Y moved by less than ``STOP_TOL`` in Frobenius norm and has
+    min eig(Y - L) >= -``STOP_TOL``; a row whose Y moved that little but sits
+    further below L iterates on.
 
-    From the third pass on, the Dykstra map T is Anderson-accelerated
-    (Walker & Ni 2011; see ``_Anderson``): a row's next state is an affine
-    combination of its last outputs of T, not the newest one alone. Every
-    output of T keeps Dykstra's invariant, so the combination does too, and
-    any fixed point is the Frobenius projection onto the box. Y is always
-    the y of an output of T, so Y <= U holds exactly. A row that the first
-    pass does not certify but that stops within two passes returns exactly
-    what plain Dykstra returns.
+    From the third pass on, T is Anderson-accelerated (Walker & Ni 2011; see
+    ``_Anderson``): a row's next Q is an affine combination of its last
+    outputs of T, not the newest one alone. Any fixed point of T gives the
+    Frobenius projection onto the box. Y is always the Y of a pass, so Y <= U
+    holds exactly, and it is exactly symmetric. A row that the first pass
+    does not certify but that stops within two passes returns plain
+    Dykstra's Y up to rounding.
 
     An (n, k, k) stack is projected row by row in one batched loop; each row
     stops at the pass its one-matrix call would. Returns ``(Y, converged)``:
@@ -157,50 +161,37 @@ def project_box(x, lower, upper, max_iter=500):
     if max_iter < 1:
         _require_nonempty(lo, up)
         return x.reshape(shape), False
-    s = np.zeros((len(x), 3, *shape[-2:]))  # the states (y, p, q), first (X, 0, 0)
-    s[:, 0] = x
-    t = _dykstra_map(s, lo, up)
-    y_out = t[:, 0].copy()
+    z = lo + psd_part(x - lo)  # the first pass, from Q = 0
+    y_out = up - psd_part(up - z)
     gap = y_out - lo
-    certified = (np.linalg.eigvalsh(gap).min(axis=-1) >= -BOX_TOL) & (
-        np.linalg.norm(t[:, 1] @ gap, axis=(-2, -1)) <= STOP_TOL
-    )
+    low = np.linalg.eigvalsh(gap).min(axis=-1)
+    certified = (low >= -BOX_TOL) & (np.linalg.norm((x - z) @ gap, axis=(-2, -1)) <= STOP_TOL)
     _require_nonempty(lo[~certified], up[~certified])
-    live = ~certified & ~(np.linalg.norm(y_out - x, axis=(-2, -1)) < STOP_TOL)
+    live = ~certified & ~((np.linalg.norm(y_out - x, axis=(-2, -1)) < STOP_TOL) & (low >= -STOP_TOL))
     if not live.any():
         return y_out.reshape(shape), True
     rows = np.flatnonzero(live)  # the rows still iterating
-    lo, up, s = lo[live], up[live], t[live]
+    lo, up, q = lo[live], up[live], (z - y_out)[live]
+    x_lo = x[rows] - lo
     history = None  # made once some row outlives its second pass
     for _ in range(1, max_iter):
-        t = _dykstra_map(s, lo, up)
-        live = ~(np.linalg.norm(t[:, 0] - y_out[rows], axis=(-2, -1)) < STOP_TOL)
-        y_out[rows] = t[:, 0]
-        if not live.all():
-            if not live.any():
+        z = lo + psd_part(x_lo - q)
+        y = up - psd_part(up - (z + q))
+        t = z + q - y
+        done = np.linalg.norm(y - y_out[rows], axis=(-2, -1)) < STOP_TOL
+        y_out[rows] = y
+        if done.any():
+            done[done] = np.linalg.eigvalsh(y[done] - lo[done]).min(axis=-1) >= -STOP_TOL
+            if done.all():
                 return y_out.reshape(shape), True
-            rows, lo, up, s, t = rows[live], lo[live], up[live], s[live], t[live]
+            live = ~done
+            rows, lo, up, x_lo, q, t = rows[live], lo[live], up[live], x_lo[live], q[live], t[live]
             if history is not None:
                 history.keep(live)
-        n = len(t)
-        if history is None:  # T's first output is s; its residual is s - (X, 0, 0)
-            f = s.copy()
-            f[:, 0] -= x[rows]
-            history = _Anderson(s.reshape(n, -1), f.reshape(n, -1))
-        s = history.extrapolate(t.reshape(n, -1), (t - s).reshape(n, -1)).reshape(t.shape)
+        if history is None:
+            history = _Anderson(q)
+        q = history.extrapolate(t, t - q)
     return y_out.reshape(shape), False
-
-
-def _dykstra_map(s, lo, up):
-    """One Dykstra pass T(s) on a stack of states s = (y, p, q): clip y + p
-    onto {Y >= L}, then that plus q onto {Y <= U}."""
-    y, p, q = s[:, 0], s[:, 1], s[:, 2]
-    t = np.empty_like(s)
-    z = lo + psd_part(y + p - lo)
-    t[:, 1] = y + p - z
-    t[:, 0] = y_t = up - psd_part(up - (z + q))
-    t[:, 2] = z + q - y_t
-    return t
 
 
 def _require_nonempty(lo, up):
@@ -215,19 +206,20 @@ class _Anderson:
     O'Donoghue & Boyd 2020).
 
     Each row keeps the differences between its successive outputs t of the
-    Dykstra map and between their residuals f = t - s, ``ANDERSON_DEPTH`` of
-    each in a ring shared by all rows, with their Gram matrix. A row uses
+    Dykstra map on q and between their residuals f = t - q, ``ANDERSON_DEPTH``
+    of each in a ring shared by all rows, with their Gram matrix. A row uses
     only its ``valid`` newest slots: when its residual norm grows, it drops
     them all and takes the plain Dykstra step once.
     """
 
-    def __init__(self, t, f):
-        n, size = f.shape
-        self.t, self.f, self.f_norm = t, f, np.linalg.norm(f, axis=1)
-        self.dt = np.zeros((n, ANDERSON_DEPTH, size))
+    def __init__(self, t):
+        """Start from T's first output t = T(0), whose residual is t itself."""
+        self.t = self.f = t
+        self.f_norm = np.sqrt(np.einsum("nij,nij->n", t, t))
+        self.dt = np.zeros((len(t), ANDERSON_DEPTH, *t.shape[1:]))
         self.df = np.zeros_like(self.dt)
-        self.gram = np.zeros((n, ANDERSON_DEPTH, ANDERSON_DEPTH))
-        self.valid = np.zeros(n, dtype=int)
+        self.gram = np.zeros((len(t), ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.valid = np.zeros(len(t), dtype=int)
         self.taken = 0  # differences taken; the newest sits in slot (taken - 1) % depth
 
     def keep(self, live):
@@ -236,18 +228,18 @@ class _Anderson:
             setattr(self, name, getattr(self, name)[live])
 
     def extrapolate(self, t, f):
-        """Record outputs ``t`` of T with residuals ``f`` (one flat row each)
-        and return the next states: t minus the combination of T-output
-        differences whose residual differences best cancel f."""
+        """Record outputs ``t`` of T with residuals ``f`` (one k x k matrix
+        per row) and return the next iterates: t minus the combination of
+        T-output differences whose residual differences best cancel f."""
         j = self.taken % ANDERSON_DEPTH
         self.taken += 1
-        f_norm = np.linalg.norm(f, axis=1)
+        f_norm = np.sqrt(np.einsum("nij,nij->n", f, f))
         self.dt[:, j] = t - self.t
         self.df[:, j] = f - self.f
         self.valid = np.where(f_norm > self.f_norm, 0, np.minimum(self.valid + 1, ANDERSON_DEPTH))
         self.t, self.f, self.f_norm = t, f, f_norm
-        self.gram[:, j] = self.gram[:, :, j] = (self.df @ self.df[:, j, :, None])[..., 0]
-        rhs = (self.df @ f[..., None])[..., 0]
+        self.gram[:, j] = self.gram[:, :, j] = np.einsum("nmij,nij->nm", self.df, self.df[:, j])
+        rhs = np.einsum("nmij,nij->nm", self.df, f)
 
         slots = np.arange(ANDERSON_DEPTH)
         use = (j - slots) % ANDERSON_DEPTH < self.valid[:, None]
@@ -255,5 +247,5 @@ class _Anderson:
         # tiny keeps the solve regular when every used difference is zero
         ridge = ANDERSON_RIDGE * np.einsum("nii->n", a) + np.finfo(float).tiny
         a[:, slots, slots] += np.where(use, ridge[:, None], 1.0)  # unused slots get weight 0
-        gamma = np.linalg.solve(a, np.where(use, rhs, 0.0)[..., None])
-        return t - (gamma.swapaxes(1, 2) @ self.dt)[:, 0]
+        gamma = np.linalg.solve(a, np.where(use, rhs, 0.0)[..., None])[..., 0]
+        return t - np.einsum("nm,nmij->nij", gamma, self.dt)

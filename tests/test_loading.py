@@ -287,6 +287,17 @@ def test_huge_integer_weight_is_one_validation_error():
         graph_from_dict(data)
 
 
+@pytest.mark.parametrize("bad", [[["x", 0.0], [0.0, 1.0]], np.eye(3).tolist()], ids=["not a number", "wrong k"])
+def test_first_bad_bound_in_file_order_is_named(bad):
+    # e1's U comes before e2's L in the file, so it is the one named.
+    data = config_dict(np.random.default_rng(0), 2, 3)
+    data["bounds"]["e1"]["U"] = bad
+    data["bounds"]["e2"]["L"] = bad
+    new, ref = outcome(config_from_dict, data, 2), outcome(ref_bounds, data, 2)
+    assert new[1] == ref[1]
+    assert ref[1][1].startswith("config: U bound of edge 'e1': ")
+
+
 @pytest.mark.parametrize("side", ["L", "U"])
 def test_huge_integer_bound_is_one_validation_error(side):
     data = config_dict(np.random.default_rng(0), 1, 3)

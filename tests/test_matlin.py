@@ -311,6 +311,25 @@ class TestAcceleratedProjection:
         accelerated = sum(TestProjectBoxStack.iterations(monkeypatch, *args) for args in zip(x, lo, up))
         assert accelerated < 0.5 * plain
 
+    @pytest.mark.parametrize("k, n", [(4, 200), (16, 40)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_converged_rows_are_feasible(self, seed, k, n):
+        # The step rule alone stops rows up to ~1e-9 below L; the stop also
+        # asks min eig(Y - L) >= -STOP_TOL, and Y <= U holds by construction.
+        x, lo, up = tight_boxes(np.random.default_rng(seed), n, k)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok is True
+        assert np.linalg.eigvalsh(y - lo).min() >= -matlin.STOP_TOL
+        assert np.linalg.eigvalsh(up - y).min() >= -1e-14 * np.abs(up).max()
+
+    @pytest.mark.parametrize("stack", [tight_boxes, box_stack])
+    def test_rows_are_exactly_symmetric(self, rng, stack):
+        # optimize_weights writes the rows into its weight stack as they are.
+        x, lo, up = stack(rng, 9, 16)
+        y, ok = matlin.project_box(x, lo, up)
+        assert ok
+        np.testing.assert_array_equal(y, y.swapaxes(-1, -2))
+
     @pytest.mark.parametrize("k", [4, 16])
     def test_rows_stopping_within_two_iterations_are_plain_dykstra(self, rng, k):
         # Wide boxes holding X stop after one iteration; wide boxes with X
