@@ -144,6 +144,19 @@ def reached(pairs, start):
     return seen
 
 
+def check_leaders(g):
+    if not g.leaders:
+        raise GraphValidationError("leader set is empty")
+
+
+def check_reach(pairs, names, ground):
+    """Raise a GraphValidationError naming the first node (``names[i]`` is node i) that no path over the
+    index ``pairs`` joins to node ``ground``, the grounded leaders. With SPD weights, A is definite iff none is cut."""
+    cut = sorted(set(range(len(names))) - reached(pairs, ground))
+    if cut:
+        raise GraphValidationError(f"node {names[cut[0]]!r} is not connected to a leader")
+
+
 def validate_consensus(g):
     """Check the strict leader-follower structure of an input network.
 
@@ -151,8 +164,7 @@ def validate_consensus(g):
     identity-weight edge, each to a distinct source node; leader-leader
     edges are rejected; the graph must be connected.
     """
-    if not g.leaders:
-        raise GraphValidationError("leader set is empty")
+    check_leaders(g)
     if not g.nodes or len(reached(((e.tail, e.head) for e in g.edges), g.nodes[0])) < len(g.nodes):
         raise GraphValidationError("graph is not connected")
     attached = {}
@@ -204,20 +216,20 @@ class DirichletLaplacian:
 def grounded_laplacian(g, ground):
     """Laplacian of ``g`` with the ``ground`` node set removed, assembled in one scatter.
 
-    The ground set is one merged node, numbered n. Each edge adds +W to its two
-    diagonal blocks and -W to its two off-diagonal ones; blocks in the ground's
-    row or column are dropped (the boundary condition pinning its voltage to
-    zero) and one ``np.bincount`` sums the rest in edge order, parallel edges
-    in either orientation too, so the matrix is exactly symmetric.
+    The ground set is one merged node, numbered n. Each edge adds +W to its two diagonal blocks and -W
+    to its two off-diagonal ones; blocks in the ground's row or column are dropped (the boundary condition
+    pinning its voltage to zero) and one ``np.bincount`` sums the rest in edge order, parallel edges in
+    either orientation too, so the matrix is exactly symmetric. ``check_reach`` runs first, on the same
+    index pairs, so it is positive definite too.
     """
     ground = set(ground)
     order = tuple(sorted(n for n in g.nodes if n not in ground))
     if not order:
         raise GraphValidationError("grounding removes every node")
     n, k = len(order), g.k
-    idx = dict.fromkeys(ground, n)
-    idx.update((v, i) for i, v in enumerate(order))
+    idx = dict.fromkeys(ground, n) | {v: i for i, v in enumerate(order)}
     ends = np.array([(idx[e.tail], idx[e.head]) for e in g.edges], dtype=np.intp).reshape(-1, 2)
+    check_reach(ends.tolist(), order, n)
     rows, cols = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]  # blocks (t, t), (h, h), (t, h), (h, t)
     keep = (rows < n) & (cols < n)
     r = np.arange(k)
@@ -228,12 +240,7 @@ def grounded_laplacian(g, ground):
 
 
 def dirichlet_laplacian(g):
-    """Follower-block Dirichlet Laplacian A(W) with respect to the leaders. It is positive
-    definite iff every follower reaches a leader: one Cholesky factorization checks it (a
-    GraphValidationError otherwise); callers factor the matrix again to solve."""
-    dl = grounded_laplacian(g, g.leaders)
-    try:
-        np.linalg.cholesky(dl.matrix)
-    except np.linalg.LinAlgError:
-        raise GraphValidationError("Dirichlet Laplacian is not positive definite") from None
-    return dl
+    """Follower-block Dirichlet Laplacian A(W) with respect to the leaders, positive definite as every follower
+    reaches a leader (``check_reach``). Nothing factors it here; ``dense_solve`` solves with it once."""
+    check_leaders(g)
+    return grounded_laplacian(g, g.leaders)

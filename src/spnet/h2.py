@@ -1,12 +1,12 @@
 """H2 performance of leader-follower consensus networks.
 
-Three routes to the squared norm: the exact compositional value, half the
-trace of each source's root resistance from one shared reduction and one
-terminal-skeleton solve (``electrical.skeleton_solve``); a scalar upper bound
-folded over that reduction and each source's finish, so it rejects a graph not
-series-parallel from a source; and a dense oracle on any connected graph. Of a
-hand-built tree, ``h2_scalar_bound`` folds the bound; its exact value is half
-the trace of the root resistance ``electrical.solve_tree`` returns.
+Three routes to the squared norm: the exact compositional value, half the trace of each source's
+root resistance from one shared reduction and one terminal-skeleton solve (``electrical.skeleton_solve``);
+a scalar upper bound folded over that reduction and each source's finish, so it rejects a graph not
+series-parallel from a source; and a dense oracle, one solve of the Dirichlet Laplacian, which nothing
+else factors. All three reject a graph with no leader or with a node that reaches none, by one rule
+(``graph.check_leaders``, ``graph.check_reach``). Of a hand-built tree, ``h2_scalar_bound`` folds the
+bound; its exact value is half the trace of the root resistance ``electrical.solve_tree`` returns.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import electrical
 from .errors import GraphValidationError
-from .graph import dirichlet_laplacian, reached
+from .graph import check_leaders, check_reach, dirichlet_laplacian
 from .sptree import Series, flatten, reduce_sources
 
 
@@ -81,18 +81,13 @@ def h2_scalar_bound(t):
 
 
 def _reduced(g):
-    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded
-    as one sink; a GraphValidationError names the first skeleton node cut off
-    from the sink, an edgeless node included (the skeleton keeps it, with no arc)."""
-    if not g.leaders:
-        raise GraphValidationError("leader set is empty")
+    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded as one sink; a GraphValidationError
+    names the first skeleton node cut off from the sink, an edgeless node included (kept, with no arc)."""
+    check_leaders(g)
     if not g.sources:
         raise GraphValidationError("graph has no source nodes")
     program = reduce_sources(g, g.sources, g.leaders)
-    linked = reached(program.ends.tolist(), len(program.nodes) - 1)  # the sink is the last node
-    cut = [n for c, n in enumerate(program.nodes) if c not in linked]
-    if cut:
-        raise GraphValidationError(f"node {cut[0]!r} is not connected to a leader")
+    check_reach(program.ends.tolist(), program.nodes, len(program.nodes) - 1)  # the sink is the last node
     return program
 
 
@@ -128,13 +123,13 @@ def dense_h2(g):
 
 
 def dense_solve(g, sources):
-    """Y_i^s of every node for several sources from one Dirichlet build and
-    one multi-column solve: an (S, len(g.nodes), k, k) stack over ``g.nodes``,
-    zero at the leaders (their drop vanishes by construction)."""
+    """Y_i^s of every node for several sources from one Dirichlet build and one multi-column solve: an
+    (S, len(g.nodes), k, k) stack over ``g.nodes``, zero at the leaders (their drop vanishes by construction)."""
     dl = dirichlet_laplacian(g)
     k, f, n = g.k, len(dl.follower_order), len(sources)
     rhs = np.zeros((f, k, n, k))
-    rhs[[dl.follower_order.index(s) for s in sources], :, range(n)] = np.eye(k)
+    row = {node: i for i, node in enumerate(dl.follower_order)}
+    rhs[[row[s] for s in sources], :, range(n)] = np.eye(k)
     x = np.linalg.solve(dl.matrix, rhs.reshape(f * k, n * k)).reshape(f, k, n, k)
     pos = {node: i for i, node in enumerate(g.nodes)}
     ys = np.zeros((n, len(g.nodes), k, k))
@@ -181,8 +176,6 @@ def lyapunov_residual(g):
     The squared norm equals Tr(B^T P B) with P solving
     -A P - P A^T + I = 0; this evaluates that equation's residual directly.
     """
-    dl = dirichlet_laplacian(g)
-    a = dl.matrix
+    a = dirichlet_laplacian(g).matrix
     p = 0.5 * np.linalg.inv(a)
-    n = a.shape[0]
-    return float(np.linalg.norm(-a @ p - p @ a.T + np.eye(n), "fro"))
+    return float(np.linalg.norm(-a @ p - p @ a.T + np.eye(len(a)), "fro"))

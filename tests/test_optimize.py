@@ -416,6 +416,5 @@ class TestNonSeriesParallelCore:
         for nodes, edges, cut in cases:
             g = make_graph(1, nodes, [("a", "r", "s", I1), *edges], leaders=["r"])
             cfg = OptConfig(penalty_h=0.5, bounds=wide_bounds(g), max_iters=2, voltage_mode=mode)
-            message = "not positive definite" if mode == "dense" else f"node '{cut}' is not connected to a leader"
-            with pytest.raises(GraphValidationError, match=message):
+            with pytest.raises(GraphValidationError, match=f"node '{cut}' is not connected to a leader"):
                 optimize_weights(g, cfg)

@@ -17,12 +17,14 @@ from spnet import electrical, sptree
 from spnet.cli import run
 from spnet.errors import GraphValidationError, NotSeriesParallelError
 from spnet.fileio import save_graph
-from spnet.graph import make_graph
+from spnet.graph import dirichlet_laplacian, make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
+    dense_h2,
     dense_provider,
     h2_scalar_bound,
+    lyapunov_residual,
     source_trees,
 )
 from spnet.optimize import OptConfig, optimize_weights
@@ -226,17 +228,44 @@ def test_exact_h2_is_one_sweep_and_one_skeleton_solve(rng, monkeypatch, n_source
     assert list(report.per_source) == list(program.sources)
 
 
-@pytest.mark.parametrize("build", [compositional_h2, lambda g: compositional_h2(g, "bound"), source_trees])
+def random_weight(rng, k):
+    return rng.uniform(0.1, 3.0, (1, 1)) if k == 1 else random_spd(rng, k, 0.1, 3.0)
+
+
+def unreached_graphs():
+    """(graph, message) pairs that no H2 route may solve, its A singular: r - s, two s - t edges
+    and u - v with no leader; r - s, s - t and a follower x that no edge touches; r - s, two s - t
+    edges and a triangle u - v - x with no leader, seeded random weights at k = 1 and 3 (a
+    reduction may contract any one of u, v, x, so a route names one of them); four followers,
+    no leader and an explicit source. Some of these draws pass a Cholesky factorization of A, as
+    roundoff leaves its last pivot positive, and a dense solve of them returns H2^2 of 0.5 to 1.5
+    with the triangle and near 1e15 with no leader."""
+    cut = "node '{}' is not connected to a leader"
+    uv = [("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)]
+    yield make_graph(1, ["r", "s", "t", "u", "v"], [("a", "r", "s", I1), *uv], leaders=["r"]), cut.format("u")
+    yield make_graph(1, ["r", "s", "t", "x"], [("a", "r", "s", I1), ("b", "s", "t", I1)], leaders=["r"]), cut.format("x")
+    for k, seed in itertools.product([1, 3], range(24)):
+        rng = np.random.default_rng(seed)
+        pairs = [("s", "t"), ("s", "t"), ("u", "v"), ("v", "x"), ("x", "u")]
+        edges = [("a", "r", "s", np.eye(k))] + [(f"e{i}", p, q, random_weight(rng, k)) for i, (p, q) in enumerate(pairs)]
+        yield make_graph(k, ["r", "s", "t", "u", "v", "x"], edges, leaders=["r"]), cut.format("[uvx]")
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
+        edges = [(f"e{i}", p, q, random_weight(rng, 1)) for i, (p, q) in enumerate(pairs)]
+        yield make_graph(1, ["a", "b", "c", "d"], edges, sources=["a"]), "^leader set is empty$"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [compositional_h2, lambda g: compositional_h2(g, "bound"), source_trees, CompositionalProvider,
+     dense_h2, dense_provider, dirichlet_laplacian, lyapunov_residual],
+)
 def test_every_compositional_route_rejects_an_unreached_node(build):
-    # The provider's check guards exact H2, the bound and the trees alike: a
-    # component u - v with no leader, and a follower x that no edge touches.
-    cases = [
-        (["r", "s", "t", "u", "v"], [("b", "s", "t", I1), ("c", "s", "t", I1), ("d", "u", "v", I1)], "u"),
-        (["r", "s", "t", "x"], [("b", "s", "t", I1)], "x"),
-    ]
-    for nodes, edges, cut in cases:
-        g = make_graph(1, nodes, [("a", "r", "s", I1), *edges], leaders=["r"])
-        with pytest.raises(GraphValidationError, match=f"node '{cut}' is not connected to a leader"):
+    # One reach rule guards every route: exact H2, the bound, the trees, both
+    # providers and the dense oracle reject the same graphs with the same messages.
+    for g, message in unreached_graphs():
+        with pytest.raises(GraphValidationError, match=message):
             build(g)
 
 
