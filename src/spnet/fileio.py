@@ -36,26 +36,25 @@ def _numeric(matrices):
     return all(t is not bool and issubclass(t, (int, float, type(None))) for t in types)
 
 
-def _matrices(raw, k, describe):
-    """The k x k matrices ``raw`` as one (n, k, k) float stack, converted at once; only if
-    that fails (or ``_numeric`` does) are they taken one by one, to name the first bad one as
-    ``describe(i)``."""
+def _matrices(raw, k):
+    """The k x k matrices ``raw`` as one (n, k, k) float stack, converted at once; None if any is refused."""
     try:
         stack = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        stack = None
-    if stack is None or stack.shape != (len(raw), k, k):
-        for i, m in enumerate(raw):
-            try:
-                m = np.asarray(m, dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix") from exc
-            if m.shape != (k, k):
-                raise GraphValidationError(f"{describe(i)}: expected a {k}x{k} matrix, got shape {m.shape}")
-    if not _numeric(raw):
-        i = next(i for i, m in enumerate(raw) if not _numeric([m]))
-        raise GraphValidationError(f"{describe(i)}: weight is not a numeric matrix")
-    return stack.reshape(len(raw), k, k)  # no matrices at all convert to shape (0,)
+        return None
+    ok = (not raw or stack.shape == (len(raw), k, k)) and _numeric(raw)  # no matrices at all convert to shape (0,)
+    return stack.reshape(len(raw), k, k) if ok else None
+
+
+def _matrix_fault(m, k):
+    """Why one matrix is not a k x k array of JSON numbers, or None."""
+    try:
+        shape = np.asarray(m, dtype=float).shape
+    except (TypeError, ValueError, OverflowError):
+        return "weight is not a numeric matrix"
+    if shape != (k, k):
+        return f"expected a {k}x{k} matrix, got shape {shape}"
+    return None if _numeric([m]) else "weight is not a numeric matrix"
 
 
 def graph_from_dict(data, context="graph"):
@@ -68,17 +67,23 @@ def graph_from_dict(data, context="graph"):
     edges = data["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise GraphValidationError(f"{context}: 'edges' must be an array of objects")
-    # Each rule over every edge at once; a failed one is traced to its first edge.
+    # Each rule over every edge at once; if one fails, one scan in file order names the first edge at fault.
     names = ("id", "tail", "head", "weight")
     try:
         ids, tails, heads, raw = zip(*map(operator.itemgetter(*names), edges)) if edges else ((),) * 4
     except KeyError:
-        n, key = next((n, key) for n, e in enumerate(edges) for key in names if key not in e)
-        raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}") from None
-    if any(issubclass(t, (list, dict)) for t in set(map(type, ids + tails + heads))):
-        n = next(n for n, e in enumerate(zip(ids, tails, heads)) if any(isinstance(x, (list, dict)) for x in e))
-        raise GraphValidationError(f"{context}: edge #{n} id, tail and head must be strings or numbers")
-    weights = _matrices(raw, k, lambda j: f"{context}: edge {ids[j]!r}")
+        weights = None
+    else:
+        plain = not any(issubclass(t, (list, dict)) for t in set(map(type, ids + tails + heads)))
+        weights = _matrices(raw, k) if plain else None
+    for n, e in enumerate(edges if weights is None else ()):
+        key = next((key for key in names if key not in e), None)
+        if key is not None:
+            raise GraphValidationError(f"{context}: edge #{n} is missing field {key!r}")
+        if any(isinstance(e[key], (list, dict)) for key in names[:3]):
+            raise GraphValidationError(f"{context}: edge #{n} id, tail and head must be strings or numbers")
+        if fault := _matrix_fault(e["weight"], k):
+            raise GraphValidationError(f"{context}: edge {e['id']!r}: {fault}")
     leaders, sources = data.get("leaders", []), data.get("sources")
     listed = {"nodes": data["nodes"], "leaders": leaders, "sources": [] if sources is None else sources}
     for key, value in listed.items():
@@ -127,14 +132,18 @@ def config_from_dict(data, k, context="config"):
     raw = data.get("bounds", {})
     if not isinstance(raw, dict) or not all(isinstance(pair, dict) for pair in raw.values()):
         raise GraphValidationError(f"{context}: 'bounds' must map each edge id to an object with 'L' and 'U'")
-    ids = list(raw)
-    try:  # L and U interleaved, box by box, so a failure names the first bad matrix in file order
-        sides = [pair[key] for pair in raw.values() for key in ("L", "U")]
+    try:  # L and U interleaved, box by box; if that fails, one scan in file order names the first box at fault
+        stack = _matrices([pair[key] for pair in raw.values() for key in ("L", "U")], k)
     except KeyError:
-        eid, key = next((eid, key) for eid, pair in raw.items() for key in ("L", "U") if key not in pair)
-        raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}") from None
-    stack = _matrices(sides, k, lambda j: f"{context}: {'LU'[j % 2]} bound of edge {ids[j // 2]!r}")
-    bounds = dict(zip(ids, zip(stack[0::2], stack[1::2])))
+        stack = None
+    for eid, pair in raw.items() if stack is None else ():
+        for key in ("L", "U"):
+            if key not in pair:
+                raise GraphValidationError(f"{context}: bounds for edge {eid!r} miss {key!r}")
+        for key in ("L", "U"):
+            if fault := _matrix_fault(pair[key], k):
+                raise GraphValidationError(f"{context}: {key} bound of edge {eid!r}: {fault}")
+    bounds = dict(zip(raw, zip(stack[0::2], stack[1::2])))
     # Keys the file leaves out keep OptConfig's defaults; unknown keys are ignored.
     settings = {f.name: data[f.name] for f in fields(OptConfig) if f.name != "bounds" and f.name in data}
     try:

@@ -9,7 +9,6 @@ Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -129,17 +128,19 @@ def _is_identity(w):
     return np.abs(w - np.eye(w.shape[0])).max() <= IDENTITY_ATOL
 
 
-def reached(pairs, start):
-    """The nodes that a path over the node ``pairs`` (edges, either way) joins to ``start``."""
-    adj = defaultdict(list)
+def reached(pairs, n, start):
+    """Seen flags (a bytearray) of nodes 0..n-1: whether a path over the index ``pairs`` (edges, either way)
+    joins each to node ``start``. One walk over integer adjacency lists."""
+    adj = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    seen, stack = {start}, [start]
+    seen, stack = bytearray(n), [start]
+    seen[start] = 1
     while stack:
         for m in adj[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
+            if not seen[m]:
+                seen[m] = 1
                 stack.append(m)
     return seen
 
@@ -152,9 +153,9 @@ def check_leaders(g):
 def check_reach(pairs, names, ground):
     """Raise a GraphValidationError naming the first node (``names[i]`` is node i) that no path over the
     index ``pairs`` joins to node ``ground``, the grounded leaders. With SPD weights, A is definite iff none is cut."""
-    cut = sorted(set(range(len(names))) - reached(pairs, ground))
-    if cut:
-        raise GraphValidationError(f"node {names[cut[0]]!r} is not connected to a leader")
+    cut = reached(pairs, len(names) + 1, ground).find(0, 0, len(names))  # ``ground`` is at most len(names)
+    if cut >= 0:
+        raise GraphValidationError(f"node {names[cut]!r} is not connected to a leader")
 
 
 def validate_consensus(g):
@@ -165,7 +166,8 @@ def validate_consensus(g):
     edges are rejected; the graph must be connected.
     """
     check_leaders(g)
-    if not g.nodes or len(reached(((e.tail, e.head) for e in g.edges), g.nodes[0])) < len(g.nodes):
+    index = {v: i for i, v in enumerate(g.nodes)}
+    if not g.nodes or 0 in reached(((index[e.tail], index[e.head]) for e in g.edges), len(g.nodes), 0):
         raise GraphValidationError("graph is not connected")
     attached = {}
     for j, e in enumerate(g.edges):

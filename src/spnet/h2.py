@@ -80,12 +80,17 @@ def h2_scalar_bound(t):
     return _scalar_bounds(program, electrical.leaf_resistances([lf.weight for lf in program.edges]))[None]
 
 
-def _reduced(g):
-    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded as one sink; a GraphValidationError
-    names the first skeleton node cut off from the sink, an edgeless node included (kept, with no arc)."""
+def _check_terminals(g):
+    """Refuse a graph with no leader, then one with no source: every H2 route checks in this order."""
     check_leaders(g)
     if not g.sources:
         raise GraphValidationError("graph has no source nodes")
+
+
+def _reduced(g):
+    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded as one sink; a GraphValidationError
+    names the first skeleton node cut off from the sink, an edgeless node included (kept, with no arc)."""
+    _check_terminals(g)
     program = reduce_sources(g, g.sources, g.leaders)
     check_reach(program.ends.tolist(), program.nodes, len(program.nodes) - 1)  # the sink is the last node
     return program
@@ -139,8 +144,7 @@ def dense_solve(g, sources):
 
 def dense_provider(g):
     """Voltage provider backed by one Dirichlet solve for every source."""
-    if not g.sources:
-        raise GraphValidationError("graph has no source nodes")
+    _check_terminals(g)
     ys = dense_solve(g, g.sources)
     pos = {node: i for i, node in enumerate(g.nodes)}
     h2 = {s: 0.5 * float(np.trace(y[pos[s]])) for s, y in zip(g.sources, ys)}

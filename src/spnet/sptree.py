@@ -132,34 +132,23 @@ def check_height_bounds(t):
 def realize(t):
     """Build the two-terminal multigraph a tree encodes.
 
-    Returns (graph, source id, sink id). The j-th leaf from the left gets
-    fresh terminals v{2j} -> v{2j+1}; a series join identifies the left sink
-    with the right source, a parallel join both terminal pairs, and each
-    identified node keeps its name from the left side.
+    Returns (graph, source id, sink id). The j-th leaf from the left gets fresh terminals v{2j} -> v{2j+1};
+    a series join identifies the left sink with the right source, a parallel join both terminal pairs, and
+    each identified node keeps its name from the left side: two passes over ``flatten``'s joins, bottom-up
+    as the left side names them, then top-down.
     """
     program, _ = flatten(t)
-    merged = {}  # node name -> the name it was identified with
-
-    def join(kind, a, b):
-        if kind is Series:
-            merged[b[0]] = a[1]
-            return a[0], b[1]
-        merged[b[0]], merged[b[1]] = a
-        return a
-
-    def name(n):
-        root = n
-        while root in merged:
-            root = merged[root]
-        while n != root:  # path compression: a comb's chains are chased once
-            merged[n], n = root, merged[n]
-        return root
-
-    fresh = [(f"v{2 * j}", f"v{2 * j + 1}") for j in range(len(program.edges))]
-    src, snk = program.fold(fresh, join)[None]
-    edges = [(lf.edge, name(a), name(b), lf.weight) for lf, (a, b) in zip(program.edges, fresh)]
-    nodes = dict.fromkeys(n for _, a, b, _ in edges for n in (a, b))
-    return make_graph(program.edges[0].weight.shape[0], nodes, edges), src, snk
+    m = len(program.edges)
+    ends = [(f"v{2 * j}", f"v{2 * j + 1}") for j in range(m)]
+    for kind, a, _, b, _ in program.joins:
+        ends.append((ends[a][0], ends[b][1]) if kind is Series else ends[a])
+    for i in range(len(program.joins) - 1, -1, -1):  # a child's ends stay its own until its parent's turn
+        kind, a, _, b, _ = program.joins[i]
+        (s, t), mid = ends[m + i], ends[a][1]  # mid: the left child's sink, where a series join meets
+        ends[a], ends[b] = ((s, mid), (mid, t)) if kind is Series else ((s, t), (s, t))
+    edges = [(lf.edge, a, b, lf.weight) for lf, (a, b) in zip(program.edges, ends)]
+    nodes = dict.fromkeys(n for pair in ends[:m] for n in pair)
+    return make_graph(program.edges[0].weight.shape[0], nodes, edges), *ends[-1]
 
 
 def recognize(g, source, sink):
@@ -224,7 +213,7 @@ class ArcProgram:
         """{source: root value} from ``values`` of the edges: ``join(kind, a,
         b)`` once per shared join, then once per join ``finish`` makes for each
         source. Flip bits are ignored, which suits orientation-free values
-        (the bound, ``stats``, ``realize``); order-sensitive walks fold ``flatten`` of a tree."""
+        (the bound, ``stats``); order-sensitive walks sweep ``flatten`` of a tree."""
         finished, vals = [self.finish(s) for s in self.sources], list(values)  # every source checked before any join
         for kind, a, _, b, _ in self.joins:
             vals.append(join(kind, vals[a], vals[b]))
@@ -473,31 +462,32 @@ def _reduce(tail, head, joins, arcs, nodes, terminals):
 
 
 def _build(edges, weights, joins, root, flipped):
-    """Tree of arc ``root`` (reversed if ``flipped``) with ``weights[j]`` on edge j, built without recursion.
+    """Tree of arc ``root`` (reversed if ``flipped``) with ``weights[j]`` on edge j: one pre-order walk with
+    an explicit stack, then ``_assemble``.
 
     A reversed Series swaps and reverses its children, a reversed Parallel
     reverses both, and a reversed Leaf swaps its tail and head.
     """
-    m = len(edges)
-    order = []  # pre-order (aid, flipped, left child aid, right child aid)
-    stack = [(root, flipped)]
+    m, preorder, stack = len(edges), [], [(root, flipped)]
     while stack:
         aid, f = stack.pop()
         if aid < m:
-            order.append((aid, f, None, None))
+            e, w = edges[aid], weights[aid]
+            preorder.append(Leaf(e.id, w, e.head, e.tail) if f else Leaf(e.id, w, e.tail, e.head))
             continue
         cls, a, fa, b, fb = joins[aid - m]
-        left, right = ((b, not fb), (a, not fa)) if f and cls is Series else ((a, fa != f), (b, fb != f))
-        order.append((aid, f, left[0], right[0]))
-        stack += [right, left]
-    built = {}
-    for aid, f, left, right in reversed(order):
-        if aid < m:
-            e, w = edges[aid], weights[aid]
-            built[aid] = Leaf(e.id, w, e.head, e.tail) if f else Leaf(e.id, w, e.tail, e.head)
-        else:
-            built[aid] = joins[aid - m][0](built.pop(left), built.pop(right))
-    return built[root]
+        preorder.append(cls)
+        stack += [(a, fa != f), (b, fb != f)] if f and cls is Series else [(b, fb != f), (a, fa != f)]
+    return _assemble(preorder)
+
+
+def _assemble(preorder):
+    """The tree of a pre-order list of ``Leaf`` objects and join classes: one stack, filled by walking the list
+    in reverse, where each join takes the two subtrees on top, its left child first."""
+    built = []
+    for item in reversed(preorder):
+        built.append(item if isinstance(item, Leaf) else item(built.pop(), built.pop()))
+    return built[0]
 
 
 TREE_FORMAT = "spnet-tree/2"
@@ -515,14 +505,12 @@ def to_json(t):
 
 
 def from_json(data, g):
-    """Rebuild a tree from ``to_json`` data, taking leaf weights from ``g.weights``.
-
-    One forward pass checks every op in pre-order, counting the subtrees still
-    owed to the joins before it; then one reversed stack pass builds the tree.
-    """
+    """Rebuild a tree from ``to_json`` data, taking leaf weights from ``g.weights``: one forward pass checks
+    every op in pre-order, counting the subtrees still owed to the joins before it, then ``_assemble``."""
     if not isinstance(data, dict) or data.get("format") != TREE_FORMAT or not isinstance(data.get("ops"), list):
         raise GraphValidationError(f"not a {TREE_FORMAT} tree file; write it again with `spnet decompose`")
-    emap, used, owed = {e.id: (e, w) for e, w in zip(g.edges, g.weights)}, set(), 1
+    emap = {e.id: Leaf(e.id, w, e.tail, e.head) for e, w in zip(g.edges, g.weights)}
+    used, owed, preorder = set(), 1, []
     for n, d in enumerate(data["ops"]):
         if not owed:
             raise GraphValidationError(f"tree op #{n} follows the end of the tree")
@@ -535,17 +523,12 @@ def from_json(data, g):
                 raise GraphValidationError(f"tree op #{n} uses edge {edge!r} twice")
             used.add(edge)
             owed -= 1
+            preorder.append(emap[edge])
         elif op in ("series", "parallel"):  # a tuple: ``op`` may be unhashable
             owed += 1
+            preorder.append(_KINDS[op])
         else:
             raise GraphValidationError(f"tree op #{n}: unknown op {op!r}")
     if owed:
         raise GraphValidationError(f"tree ops end with {owed} subtree(s) missing")
-    built = []
-    for d in reversed(data["ops"]):
-        if d["op"] == "leaf":
-            e, w = emap[d["edge"]]
-            built.append(Leaf(e.id, w, e.tail, e.head))
-        else:
-            built.append(_KINDS[d["op"]](built.pop(), built.pop()))
-    return built[0]
+    return _assemble(preorder)

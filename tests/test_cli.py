@@ -17,6 +17,40 @@ UNIT = str(DATA / "unit_path.json")
 K4 = str(DATA / "k4.json")
 GOLDEN = Path(__file__).parent / "data" / "demo_trajectory.csv"
 DUP = {"tail": "s1", "head": "m1", "weight": [[1.0, 0.0], [0.0, 1.0]]}  # a demo graph edge, less its id
+MISSING = object()  # a field the file leaves out
+
+
+def k1_graph(nodes, pairs, leaders, **fields):
+    """A k = 1 graph file's data: identity-weight edges e0, e1, ... on the node ``pairs``."""
+    edges = [{"id": f"e{i}", "tail": u, "head": v, "weight": [[1.0]]} for i, (u, v) in enumerate(pairs)]
+    return {"k": 1, "nodes": nodes, "edges": edges, "leaders": leaders, **fields}
+
+
+RA = k1_graph(["r", "a"], [("r", "a")], ["r"])
+# case -> (command, graph file, error message), for the rules a graph file meets past its field and type checks
+GRAPH_RULES = {
+    "disconnected": (["h2"], k1_graph(["r", "a", "b"], [("r", "a")], ["r"]), "graph is not connected"),
+    "two leader edges": (
+        ["h2"],
+        k1_graph(["r", "a", "b"], [("r", "a"), ("r", "b")], ["r"]),
+        "leader 'r' has more than one edge",
+    ),
+    "no leader edge": (["h2"], k1_graph(["r"], [], ["r"]), "leaders with no attachment edge: ['r']"),
+    "shared source": (
+        ["h2"],
+        k1_graph(["r1", "r2", "a"], [("r1", "a"), ("r2", "a")], ["r1", "r2"]),
+        "two leaders share a source node",
+    ),
+    "no source": (["h2"], dict(RA, sources=[]), "graph has no source nodes"),
+    "no source, oracle": (["h2", "--method", "oracle"], dict(RA, sources=[]), "graph has no source nodes"),
+    "unknown sink": (["decompose", "--source", "a", "--sink", "b"], RA, "terminal is not a node of the graph"),
+    "sink is source": (["decompose", "--source", "a", "--sink", "a"], RA, "source and sink must differ"),
+    "k = 17": (
+        ["h2"],
+        dict(RA, k=17, edges=[dict(RA["edges"][0], weight=np.eye(17).tolist())]),
+        "dimension 17 exceeds supported maximum 16",
+    ),
+}
 
 
 def run_json(capsys, argv):
@@ -314,6 +348,12 @@ class TestFileErrors:
             ("config", "penalty_h", float("nan"), "penalty_h must be finite and positive"),
             ("config", "penalty_h", float("inf"), "penalty_h must be finite and positive"),
             ("config", "grad_tol", float("nan"), "grad_tol must be a number, not NaN"),
+            ("graph", "k", MISSING, "missing field 'k'"),
+            ("config", "penalty_h", MISSING, "missing field 'penalty_h'"),
+            ("graph", "nodes", ["r1", "r2", "r3", "s1", "s2", "s3", "m1", "m2", "m1"], "duplicate node ids"),
+            ("graph", "leaders", ["r1", "nowhere"], "leader set contains unknown nodes"),
+            ("graph", "sources", ["s1", "nowhere"], "unknown source nodes ['nowhere']"),
+            ("graph", "sources", ["s1", "r2"], "a source node cannot be a leader"),
         ],
     )
     def test_wrongly_typed_field_is_one_error_line(self, capsys, tmp_path, kind, field, value, msg):
@@ -323,6 +363,8 @@ class TestFileErrors:
         }
         if field.startswith("edge "):
             data[kind]["edges"][0][field.split()[1]] = value
+        elif value is MISSING:
+            del data[kind][field]
         else:
             data[kind][field] = value
         paths = {name: tmp_path / f"{name}.json" for name in data}
@@ -332,6 +374,15 @@ class TestFileErrors:
         assert run(argv + ["--out", str(tmp_path / "t.csv"), "--weights-out", str(tmp_path / "w.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[kind]}: ") and msg in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", list(GRAPH_RULES))
+    def test_rule_a_graph_file_breaks_is_one_error_line(self, capsys, tmp_path, case):
+        argv, graph, msg = GRAPH_RULES[case]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        assert run([argv[0], "--graph", str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{msg}\n") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         assert run(["h2", "--graph", "/no/such/file.json"]) == 1

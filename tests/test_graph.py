@@ -100,6 +100,11 @@ class TestDirichletLaplacian:
         with pytest.raises(GraphValidationError):
             dirichlet_laplacian(g)
 
+    def test_every_node_grounded_rejected(self):
+        g = make_graph(1, ["r1", "r2"], [("a", "r1", "r2", I1)], leaders=["r1", "r2"])
+        with pytest.raises(GraphValidationError, match="^grounding removes every node$"):
+            dirichlet_laplacian(g)
+
 
 def loop_laplacian(g, ground):
     """Per-edge reference assembly: four k x k slice updates per edge, in edge order."""

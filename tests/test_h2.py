@@ -89,6 +89,11 @@ class TestComposeRules:
         with pytest.raises(ValueError):
             h2_series_compose(-1.0, 1.0)
 
+    def test_unknown_method_rejected(self):
+        g = make_graph(1, ["r", "s"], [("a", "r", "s", I1)], leaders=["r"])
+        with pytest.raises(ValueError, match="^unknown compositional method 'dense'$"):
+            compositional_h2(g, "dense")
+
     def test_series_split_exactness(self, rng):
         for _ in range(20):
             t = series(random_sptree(rng, 2, 4, prefix="l"), random_sptree(rng, 2, 4, prefix="r"))

@@ -5,7 +5,8 @@ and id checks, one ``np.asarray`` per matrix, ids and ends checked per edge,
 then the stacked symmetry, definiteness and box checks. The only rule added
 since, non-finite entries, is checked where the stacked loader checks it. On
 inputs with one fault at a random position the two raise the same exception
-with the same message; on valid inputs they store the same bits.
+with the same message, and on inputs with several the loader names the first
+in file order as the reference does; on valid inputs they store the same bits.
 """
 
 import numpy as np
@@ -287,15 +288,67 @@ def test_huge_integer_weight_is_one_validation_error():
         graph_from_dict(data)
 
 
-@pytest.mark.parametrize("bad", [[["x", 0.0], [0.0, 1.0]], np.eye(3).tolist()], ids=["not a number", "wrong k"])
-def test_first_bad_bound_in_file_order_is_named(bad):
-    # e1's U comes before e2's L in the file, so it is the one named.
+NOT_A_NUMBER, EYE3 = [["x", 0.0], [0.0, 1.0]], np.eye(3).tolist()
+
+
+@pytest.mark.parametrize(
+    "u1, l2", [(NOT_A_NUMBER, NOT_A_NUMBER), (EYE3, EYE3), (EYE3, None)], ids=["not a number", "wrong k", "then missing"]
+)
+def test_first_bad_bound_in_file_order_is_named(u1, l2):
+    # e1's U comes before e2's L in the file, so it is the one named, also when e2's L is missing (None).
     data = config_dict(np.random.default_rng(0), 2, 3)
-    data["bounds"]["e1"]["U"] = bad
-    data["bounds"]["e2"]["L"] = bad
+    data["bounds"]["e1"]["U"] = u1
+    data["bounds"]["e2"]["L"] = l2
+    if l2 is None:
+        del data["bounds"]["e2"]["L"]
     new, ref = outcome(config_from_dict, data, 2), outcome(ref_bounds, data, 2)
     assert new[1] == ref[1]
     assert ref[1][1].startswith("config: U bound of edge 'e1': ")
+
+
+@pytest.mark.parametrize("field", ["head", "id"])
+def test_first_bad_edge_in_file_order_is_named(field):
+    # Edge e0's weight comes before edge #2's missing field in the file, so it is the one named.
+    data = path_dict(np.random.default_rng(0), 2, 4)  # edge #0 is the attachment, #1 is e0
+    data["edges"][1]["weight"] = EYE3
+    del data["edges"][2][field]
+    new, ref = outcome(graph_from_dict, data), outcome(ref_graph, data)
+    assert new[1] == ref[1]
+    assert ref[1][1] == "graph: edge 'e0': expected a 2x2 matrix, got shape (3, 3)"
+
+
+# The faults the loader itself finds, edge by edge. ``make_graph``'s rules (unique ids, known ends, no
+# self-loop, finite entries, symmetry, definiteness) each run over every edge, so the first rule broken names
+# its first edge, not the first faulty edge: of those faults, one per input is drawn.
+LOADER_FAULTS = (
+    "missing field", "array id", "object head", "non-numeric entry", "ragged row", "short row", "wrong k"
+)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_several_graph_faults_name_the_first_in_file_order(k):
+    faults = [f for f in sorted(GRAPH_FAULTS) if k > 1 or f not in NEEDS_K2]
+    for seed in range(40):
+        rng = np.random.default_rng([seed, k, 2])
+        data = path_dict(rng, k, 7)
+        picks = rng.choice(len(data["edges"]), size=int(rng.integers(2, 5)), replace=False)
+        for n, j in enumerate(picks):  # the first, drawn from every fault, reads the ids while all are there
+            pool = faults if n == 0 else LOADER_FAULTS
+            GRAPH_FAULTS[pool[rng.integers(len(pool))]](rng, data, data["edges"][j])
+        new, ref = outcome(graph_from_dict, data), outcome(ref_graph, data)
+        assert new[1] is not None and new[1] == ref[1], seed
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_several_box_faults_name_the_first_in_file_order(k):
+    faults = [f for f in sorted(BOX_FAULTS) if k > 1 or f not in NEEDS_K2]
+    for seed in range(40):
+        rng = np.random.default_rng([seed, k, 2])
+        data = config_dict(rng, k, 6)
+        for j in rng.choice(6, size=int(rng.integers(2, 5)), replace=False):
+            BOX_FAULTS[faults[rng.integers(len(faults))]](rng, data["bounds"][f"e{j}"])
+        new, ref = outcome(config_from_dict, data, k), outcome(ref_bounds, data, k)
+        assert new[1] is not None and new[1] == ref[1], seed
 
 
 @pytest.mark.parametrize("side", ["L", "U"])

@@ -131,6 +131,11 @@ class TestProjectBox:
         with pytest.raises(InfeasibleBoundsError):
             matlin.project_box(np.eye(2), 2 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2, 2)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="^expected a square matrix or a stack of them"):
+            matlin.project_box(*np.ones((3, *shape)))
+
     def test_output_satisfies_bounds(self, rng):
         for _ in range(10):
             lo = random_spd(rng, 3, lo=0.2, hi=0.5)

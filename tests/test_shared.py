@@ -237,7 +237,8 @@ def unreached_graphs():
     and u - v with no leader; r - s, s - t and a follower x that no edge touches; r - s, two s - t
     edges and a triangle u - v - x with no leader, seeded random weights at k = 1 and 3 (a
     reduction may contract any one of u, v, x, so a route names one of them); four followers,
-    no leader and an explicit source. Some of these draws pass a Cholesky factorization of A, as
+    no leader and an explicit source; a - b with no leader and no source, where the leaders are
+    checked first. Some of these draws pass a Cholesky factorization of A, as
     roundoff leaves its last pivot positive, and a dense solve of them returns H2^2 of 0.5 to 1.5
     with the triangle and near 1e15 with no leader."""
     cut = "node '{}' is not connected to a leader"
@@ -254,6 +255,7 @@ def unreached_graphs():
         pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
         edges = [(f"e{i}", p, q, random_weight(rng, 1)) for i, (p, q) in enumerate(pairs)]
         yield make_graph(1, ["a", "b", "c", "d"], edges, sources=["a"]), "^leader set is empty$"
+    yield make_graph(1, ["a", "b"], [("e", "a", "b", I1)]), "^leader set is empty$"
 
 
 @pytest.mark.parametrize(
