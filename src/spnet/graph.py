@@ -9,7 +9,8 @@ Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -39,89 +40,80 @@ class MatrixGraph:
     def followers(self):
         return tuple(n for n in self.nodes if n not in self.leaders)
 
-    def with_weights(self, new_weights):
-        """Copy of the graph with some edge weights replaced (by edge id), checked as one stack; same ``edges``."""
-        rows = [j for j, e in enumerate(self.edges) if e.id in new_weights]
-        if not rows:
-            return self
-        weights = self.weights.copy()
-        weights[rows] = matlin.as_symmetric([new_weights[self.edges[j].id] for j in rows])
-        return replace(self, weights=weights)
-
 
 def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
-    """Assemble and validate a MatrixGraph.
+    """Assemble and validate a MatrixGraph; the one place a graph is built.
 
     ``edges`` is an iterable of (id, tail, head, weight) tuples, or of (id,
     tail, head) triples when ``weights`` holds their weights: an (m, k, k)
-    float stack, used as it is, or m k x k matrices, stacked once. When
-    ``sources`` is None it is inferred as the follower endpoints of the
+    float stack, used as it is, or m k x k matrices, stacked once. Every id,
+    of a node or an edge, is stored as its string: ``1`` and ``"1"`` are one.
+    When ``sources`` is None it is inferred as the follower endpoints of the
     identity-weight leader edges; an explicit list overrides inference. Each
     rule runs once over all edges: unique ids, known endpoints, no self-loop,
-    weight shapes, finite entries, symmetry, strict definiteness. Only a
-    broken rule scans the edges, to name the first one that breaks it.
+    weight shapes, finite entries, then symmetry and strict definiteness. If
+    one of the first five breaks, ``_first_faulty_edge`` names the edge.
     """
     columns = list(zip(*edges, strict=True))
     if weights is None:
         ids, tails, heads, weights = columns or [()] * 4
     else:
         ids, tails, heads = columns or [()] * 3
-    nodes = tuple(nodes)
+    nodes = tuple(map(str, nodes))
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise GraphValidationError("duplicate node ids")
-    ids = list(map(str, ids))
-    if len(set(ids)) != len(ids):
-        seen = set()
-        eid = next(e for e in ids if e in seen or seen.add(e))  # the first repeat
-        raise GraphValidationError(f"duplicate edge id {eid!r}")
-    if not node_set.issuperset(tails) or not node_set.issuperset(heads):
-        j = [t not in node_set or h not in node_set for t, h in zip(tails, heads)].index(True)
-        raise GraphValidationError(f"edge {ids[j]!r} references unknown node")
-    loops = list(map(operator.eq, tails, heads))
-    if any(loops):
-        raise GraphValidationError(f"edge {ids[loops.index(True)]!r} is a self-loop")
+    ids, tails, heads = list(map(str, ids)), list(map(str, tails)), list(map(str, heads))
     try:
         stack = np.asarray(weights, dtype=float)
-    except ValueError:  # ragged: the scan below names the first weight off shape
+    except ValueError:  # ragged, or entries that are not numbers: the scan names the first such edge
         stack = np.empty(0)
-    if stack.shape != (len(ids), k, k):
-        for eid, w in zip(ids, weights):
-            d = np.shape(w)
-            if d != (k, k):  # what as_symmetric would reject stays a plain ValueError
-                error = GraphValidationError if len(d) == 2 and d[0] == d[1] <= matlin.MAX_DIM else ValueError
-                raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
-        stack = np.array(weights, dtype=float).reshape(len(ids), k, k)  # no edges, or entries that are not numbers
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise GraphValidationError(f"edge {ids[int(np.argmin(finite))]!r} weight has a non-finite entry")
+    fine = len(set(ids)) == len(ids) and node_set.issuperset(tails + heads) and not any(map(operator.eq, tails, heads))
+    if not fine or stack.shape != (len(ids), k, k) or not np.isfinite(stack).all():
+        _first_faulty_edge(k, node_set, ids, tails, heads, weights)
+        stack = np.array(weights, dtype=float).reshape(len(ids), k, k)  # no fault: no edges, so shape (0,)
     weights = matlin.as_symmetric(stack, describe=lambda i: f"edge {ids[i]!r} weight")
     spd = matlin.is_spd(weights)
     if not spd.all():
         raise GraphValidationError(f"edge {ids[int(np.argmin(spd))]!r} weight is not strictly SPD")
-    built = tuple(map(Edge, ids, tails, heads))
 
-    leaders = frozenset(leaders)
+    leaders = frozenset(map(str, leaders))
     if not leaders <= node_set:
         raise GraphValidationError("leader set contains unknown nodes")
     if sources is None:
-        sources = tuple(sorted(_attachment_sources(built, weights, leaders)))
+        crossing = [j for j, (t, h) in enumerate(zip(tails, heads)) if (t in leaders) != (h in leaders)]
+        found = {heads[j] if tails[j] in leaders else tails[j] for j in crossing if _is_identity(weights[j])}
+        sources = tuple(sorted(found))  # the follower end of each identity-weight edge with one leader end
     else:
-        sources = tuple(sources)
+        sources = tuple(map(str, sources))
         unknown = set(sources) - node_set
         if unknown:
             raise GraphValidationError(f"unknown source nodes {sorted(unknown)}")
         if set(sources) & leaders:
             raise GraphValidationError("a source node cannot be a leader")
+    built = tuple(map(tuple.__new__, repeat(Edge), zip(ids, tails, heads)))  # as Edge._make, without its checks
     return MatrixGraph(k=k, nodes=nodes, edges=built, weights=weights, leaders=leaders, sources=sources)
 
 
-def _attachment_sources(edges, weights, leaders):
-    sources = set()
-    for j, e in enumerate(edges):
-        if (e.tail in leaders) != (e.head in leaders) and _is_identity(weights[j]):
-            sources.add(e.head if e.tail in leaders else e.tail)
-    return sources
+def _first_faulty_edge(k, node_set, ids, tails, heads, weights):
+    """Raise for the first edge, in edge order, that breaks a per-edge rule, checking each edge's rules in
+    this order: its id repeats an earlier one, it names an unknown node, it is a self-loop, its weight is not
+    k x k, that weight has a non-finite entry."""
+    seen = set()
+    for eid, tail, head, w in zip(ids, tails, heads, weights):
+        if eid in seen:
+            raise GraphValidationError(f"duplicate edge id {eid!r}")
+        seen.add(eid)
+        if tail not in node_set or head not in node_set:
+            raise GraphValidationError(f"edge {eid!r} references unknown node")
+        if tail == head:
+            raise GraphValidationError(f"edge {eid!r} is a self-loop")
+        d = np.shape(w)
+        if d != (k, k):  # what as_symmetric would reject stays a plain ValueError
+            error = GraphValidationError if len(d) == 2 and d[0] == d[1] <= matlin.MAX_DIM else ValueError
+            raise error(f"edge {eid!r} weight has shape {d}, not {k}x{k}")
+        if not np.isfinite(np.asarray(w, dtype=float)).all():
+            raise GraphValidationError(f"edge {eid!r} weight has a non-finite entry")
 
 
 def _is_identity(w):

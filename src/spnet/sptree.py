@@ -241,8 +241,11 @@ def reduce_sources(g, sources, ground):
     Nothing here needs the graph to be series-parallel; ``ArcProgram.finish``
     checks it per source."""
     ground, known = set(ground), set(g.nodes)
-    if not ground or not ground <= known or not known.issuperset(sources):
-        raise GraphValidationError("terminal is not a node of the graph")
+    missing = [v for v in (*sources, *sorted(ground, key=str)) if v not in known]
+    if missing:
+        raise GraphValidationError(f"terminal {missing[0]!r} is not a node of the graph")
+    if not ground:
+        raise GraphValidationError("no sink: the ground set is empty")
     if ground.intersection(sources):
         raise GraphValidationError("source and sink must differ")
     sink = next(iter(ground)) if len(ground) == 1 and ground != g.leaders else "l"
@@ -516,14 +519,15 @@ def from_json(data, g):
             raise GraphValidationError(f"tree op #{n} follows the end of the tree")
         op = d.get("op") if isinstance(d, dict) else None
         if op == "leaf":
-            edge = d.get("edge")
-            if isinstance(edge, (list, dict)) or edge not in emap:  # JSON arrays and objects are unhashable
+            edge = d.get("edge")  # a scalar names the edge whose id is its string, as in graph files
+            eid = None if isinstance(edge, (list, dict, type(None))) else str(edge)
+            if eid not in emap:
                 raise GraphValidationError(f"tree op #{n} references unknown edge {edge!r}")
-            if edge in used:
+            if eid in used:
                 raise GraphValidationError(f"tree op #{n} uses edge {edge!r} twice")
-            used.add(edge)
+            used.add(eid)
             owed -= 1
-            preorder.append(emap[edge])
+            preorder.append(emap[eid])
         elif op in ("series", "parallel"):  # a tuple: ``op`` may be unhashable
             owed += 1
             preorder.append(_KINDS[op])

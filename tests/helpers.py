@@ -126,9 +126,15 @@ def fd_gradient_direction(g, edge_id, direction, step=1e-5):
     """Central finite difference of the dense squared H2 norm along one
     symmetric weight perturbation direction."""
     base = g.weights[[e.id for e in g.edges].index(edge_id)]
-    plus = dense_h2(g.with_weights({edge_id: base + step * direction})).total
-    minus = dense_h2(g.with_weights({edge_id: base - step * direction})).total
+    plus = dense_h2(reweighted(g, {edge_id: base + step * direction})).total
+    minus = dense_h2(reweighted(g, {edge_id: base - step * direction})).total
     return (plus - minus) / (2.0 * step)
+
+
+def reweighted(g, new):
+    """``g`` built again by ``make_graph`` with the weights ``new`` (edge id -> k x k) in place of those it names."""
+    weights = np.array([new.get(e.id, w) for e, w in zip(g.edges, g.weights)])
+    return make_graph(g.k, g.nodes, g.edges, g.leaders, g.sources, weights=weights)
 
 
 def random_symmetric(rng, k):

@@ -43,7 +43,7 @@ GRAPH_RULES = {
     ),
     "no source": (["h2"], dict(RA, sources=[]), "graph has no source nodes"),
     "no source, oracle": (["h2", "--method", "oracle"], dict(RA, sources=[]), "graph has no source nodes"),
-    "unknown sink": (["decompose", "--source", "a", "--sink", "b"], RA, "terminal is not a node of the graph"),
+    "unknown sink": (["decompose", "--source", "a", "--sink", "b"], RA, "terminal 'b' is not a node of the graph"),
     "sink is source": (["decompose", "--source", "a", "--sink", "a"], RA, "source and sink must differ"),
     "k = 17": (
         ["h2"],

@@ -223,6 +223,20 @@ def realize_reference(t):
     return rec(t)
 
 
+MIXED_IDS = {
+    "k": 1,
+    "nodes": ["L0", "L1", 1, "b", "c"],
+    "leaders": ["L0", "L1"],
+    "edges": [
+        {"id": "a0", "tail": "L0", "head": 1, "weight": [[1.0]]},
+        {"id": "a1", "tail": "c", "head": "L1", "weight": [[1.0]]},
+        {"id": "e1", "tail": 1, "head": "b", "weight": [[2.0]]},
+        {"id": "e2", "tail": "b", "head": "c", "weight": [[0.5]]},
+        {"id": "e3", "tail": 1, "head": "c", "weight": [[1.5]]},
+    ],
+}
+
+
 class TestDeepTrees:
     def test_walkers_on_deep_comb(self):
         t = comb(5000)
@@ -256,6 +270,7 @@ class TestDeepTrees:
             ([par, a], "1 subtree"),
             ([par, a, b, a], "op #3 follows the end of the tree"),
             ([ser, {"op": "leaf", "edge": ["a"]}, b], "unknown edge \\['a'\\]"),
+            ([ser, {"op": "leaf"}, b], "op #1 references unknown edge None$"),
             ([ser, [a], b], "op #1: unknown op None"),
         ]
         for ops, message in cases:
@@ -267,16 +282,32 @@ class TestDeepTrees:
                 from_json(data, g)
         assert [lf.edge for lf in leaves(from_json({"format": "spnet-tree/2", "ops": [par, b, a]}, g))] == ["b", "a"]
 
+    def test_from_json_reads_an_edge_number_as_its_string(self):
+        g = make_graph(1, ["s", "m", "t"], [(1, "s", "m", [[1.0]]), (2, "m", "t", [[2.0]])])
+        ser, par = {"op": "series"}, {"op": "parallel"}
+        one, two = {"op": "leaf", "edge": 1}, {"op": "leaf", "edge": "2"}
+        assert [lf.edge for lf in leaves(from_json({"format": "spnet-tree/2", "ops": [ser, one, two]}, g))] == ["1", "2"]
+        with pytest.raises(spnet.GraphValidationError, match="^tree op #2 uses edge '1' twice$"):
+            from_json({"format": "spnet-tree/2", "ops": [par, one, {"op": "leaf", "edge": "1"}]}, g)
+
     def test_integer_node_ids_emit_valid_json(self, tmp_path):
-        # Per-source results are keyed by node id, which need not be a string.
+        # A file may write node ids as numbers; each is stored as its string, which is how a command names it.
         w = [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
         edges = [{"id": f"e{i}", "tail": i, "head": i + 1, "weight": w[i]} for i in range(3)]
         graph = tmp_path / "int.json"
         graph.write_text(json.dumps({"k": 2, "nodes": [0, 1, 2, 3], "edges": edges, "leaders": [0, 3]}))
-        out = tmp_path / "out.json"
+        out, tree = tmp_path / "out.json", tmp_path / "tree.json"
         for method in ("exact", "bound", "oracle"):
             assert run(["h2", "--graph", str(graph), "--method", method, "--out", str(out)]) == 0
             assert sorted(json.loads(out.read_text())["per_source"]) == ["1", "2"]
+        assert run(["decompose", "--graph", str(graph), "--source", "1", "--out", str(tree)]) == 0
+        assert run(["resistance", "--graph", str(graph), "--tree", str(tree), "--out", str(out)]) == 0
+        # One number among string ids: the nodes sort as strings.
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(MIXED_IDS))
+        for argv in (["h2", "--method", "exact"], ["h2", "--method", "bound"], ["h2", "--method", "oracle"], ["check"]):
+            assert run([argv[0], "--graph", str(mixed), *argv[1:], "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
 
     def test_unencodable_output_writes_no_file(self, tmp_path):
         out = tmp_path / "out.json"

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_aittsp, random_spd, random_sptree
+from helpers import random_aittsp, random_spd, random_sptree, reweighted
 from spnet import graph
 from spnet.errors import GraphValidationError
 from spnet.graph import (
@@ -227,9 +227,14 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="duplicate edge id '1'"):
             make_graph(1, ["a", "b"], [(1, "a", "b", I1), ("1", "a", "b", I1)])
 
-
-def rows_by_id(g):
-    return {e.id: w.tobytes() for e, w in zip(g.edges, g.weights)}
+    def test_every_id_is_stored_as_its_string(self):
+        edges = [(0, 0, 1, I1), (1, 1, "2", I1)]
+        for sources, want in ((None, ("1",)), ([2], ("2",))):
+            g = make_graph(1, [0, 1, "2"], edges, leaders=[0], sources=sources)
+            assert (g.nodes, g.leaders, g.sources) == (("0", "1", "2"), {"0"}, want)
+            assert g.edges == (("0", "0", "1"), ("1", "1", "2"))
+        with pytest.raises(GraphValidationError, match="^duplicate node ids$"):
+            make_graph(1, [1, "1"], [])
 
 
 class TestWeightStack:
@@ -240,22 +245,12 @@ class TestWeightStack:
         assert graph.Edge._fields == ("id", "tail", "head")
         assert g.weights.shape == (len(g.edges), 2, 2)
 
-    def test_with_weights_replaces_only_the_named_rows(self, rng):
-        g = random_aittsp(rng, 3, 4)
-        named = {g.edges[j].id: random_spd(rng, 3) for j in rng.choice(len(g.edges), 3, replace=False)}
-        before = rows_by_id(g)
-        g2 = g.with_weights(named)
-        assert g2.edges is g.edges and g2.weights is not g.weights
-        for eid, row in rows_by_id(g2).items():
-            assert row == (named[eid].tobytes() if eid in named else before[eid])
-        assert rows_by_id(g) == before  # the input graph is untouched
-
     def test_provider_follows_new_weights_bitwise(self, rng):
         for _ in range(10):
             g = random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
             provider = CompositionalProvider(g)
             free = [e.id for e in g.edges if e.id not in graph.attachment_edge_ids(g)]
-            moved = g.with_weights({eid: random_spd(rng, g.k) for eid in free if rng.random() < 0.5})
+            moved = reweighted(g, {eid: random_spd(rng, g.k) for eid in free if rng.random() < 0.5})
             edges = [(e.id, e.tail, e.head, w) for e, w in zip(g.edges, moved.weights)]
             fresh = make_graph(g.k, g.nodes, edges, leaders=g.leaders, sources=g.sources)
             (h2_a, q_a), (h2_b, q_b) = provider(moved), CompositionalProvider(fresh)(fresh)

@@ -317,23 +317,22 @@ def test_first_bad_edge_in_file_order_is_named(field):
     assert ref[1][1] == "graph: edge 'e0': expected a 2x2 matrix, got shape (3, 3)"
 
 
-# The faults the loader itself finds, edge by edge. ``make_graph``'s rules (unique ids, known ends, no
-# self-loop, finite entries, symmetry, definiteness) each run over every edge, so the first rule broken names
-# its first edge, not the first faulty edge: of those faults, one per input is drawn.
-LOADER_FAULTS = (
-    "missing field", "array id", "object head", "non-numeric entry", "ragged row", "short row", "wrong k"
-)
+# Every fault but "duplicate id", which copies another edge's id and so is drawn only first, while every id
+# is there. The loader and ``make_graph`` each take an edge's rules in turn (the loader's fields, types and
+# matrix; then unique id, known ends, no self-loop, finite entries), so the first faulty edge is named.
+LATER_FAULTS = tuple(f for f in sorted(GRAPH_FAULTS) if f != "duplicate id")
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_several_graph_faults_name_the_first_in_file_order(k):
     faults = [f for f in sorted(GRAPH_FAULTS) if k > 1 or f not in NEEDS_K2]
+    later = [f for f in LATER_FAULTS if f in faults]
     for seed in range(40):
         rng = np.random.default_rng([seed, k, 2])
         data = path_dict(rng, k, 7)
         picks = rng.choice(len(data["edges"]), size=int(rng.integers(2, 5)), replace=False)
-        for n, j in enumerate(picks):  # the first, drawn from every fault, reads the ids while all are there
-            pool = faults if n == 0 else LOADER_FAULTS
+        for n, j in enumerate(picks):
+            pool = faults if n == 0 else later
             GRAPH_FAULTS[pool[rng.integers(len(pool))]](rng, data, data["edges"][j])
         new, ref = outcome(graph_from_dict, data), outcome(ref_graph, data)
         assert new[1] is not None and new[1] == ref[1], seed

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import fd_gradient_direction, random_aittsp, random_spd, random_symmetric
+from helpers import fd_gradient_direction, random_aittsp, random_spd, random_symmetric, reweighted
 from spnet import electrical, h2, matlin, optimize
 from spnet.errors import GraphValidationError, InfeasibleBoundsError
 from spnet.fileio import config_from_dict, load_config
@@ -318,7 +318,7 @@ def reference_descent(g, cfg):
                 new[eid], ok = matlin.project_box(w - eta * (grads[eid] + h * w), *cfg.bounds[eid])
                 assert ok
             weights = new
-            current = current.with_weights(weights)
+            current = reweighted(g, weights)
         per_source, q = provider(current)
         grads = dict(zip((e.id for e in g.edges), edge_gradients(q)))
         reg = np.array([grads[eid] + h * w for eid, w in weights.items()])

@@ -146,15 +146,6 @@ def check_make_graph(seed, k, n, fault, at):
         return
     g = make_graph(k, nodes, edges)
     assert [w.tobytes() for w in g.weights] == [w.tobytes() for w in stored]
-    # Replacing every weight is checked and stored the same way.
-    new = {f"e{i}": WEIGHT_FAULTS[fault](rng, k) for i in range(n)}
-    assert [w.tobytes() for w in g.with_weights(new).weights] == [
-        ref_as_symmetric(new[e.id]).tobytes() for e in g.edges
-    ]
-    if k > 1:
-        new[f"e{at}"] = nudge(new[f"e{at}"], 2.0)
-        with pytest.raises(ValueError, match="not symmetric"):
-            g.with_weights(new)
 
 
 @pytest.mark.parametrize(
@@ -234,12 +225,10 @@ def test_one_symmetric_check_per_call(monkeypatch, rng, n):
     bounds = {f"e{i}": (0.5 * w, 2.0 * w) for i, w in enumerate(weights)}
     sym = count_calls(monkeypatch, matlin, "as_symmetric")
     spd = count_calls(monkeypatch, matlin, "is_spd")
-    g = make_graph(3, [f"v{i}" for i in range(n + 1)], path_edges(weights))
+    make_graph(3, [f"v{i}" for i in range(n + 1)], path_edges(weights))
     assert (len(sym), len(spd)) == (1, 1)
     OptConfig(penalty_h=1.0, bounds=bounds)
     assert (len(sym), len(spd)) == (2, 2)
-    g.with_weights({f"e{i}": 1.5 * w for i, w in enumerate(weights)})
-    assert (len(sym), len(spd)) == (3, 2)
 
 
 class TestOneSymmetryRule:
