@@ -87,13 +87,12 @@ def _kirchhoff(g, q):
     """(Net current sum_e +-W_e Q_e leaving each follower along its edges,
     what Kirchhoff's current law asks there: +I at the source, 0 elsewhere),
     each (S, followers, k, k), from a provider's Q stack."""
-    pos = {node: i for i, node in enumerate(g.nodes)}
     flows = g.weights @ q
     net, want = np.zeros((2, len(q), len(g.nodes), g.k, g.k))
-    np.add.at(net, (slice(None), [pos[e.tail] for e in g.edges]), flows)
-    np.subtract.at(net, (slice(None), [pos[e.head] for e in g.edges]), flows)
-    want[range(len(q)), [pos[s] for s in g.sources]] = np.eye(g.k)
-    followers = [pos[node] for node in g.nodes if node not in g.leaders]
+    np.add.at(net, (slice(None), g.ends[:, 0]), flows)
+    np.subtract.at(net, (slice(None), g.ends[:, 1]), flows)
+    want[range(len(q)), [g.index[s] for s in g.sources]] = np.eye(g.k)
+    followers = [g.index[node] for node in g.followers]
     return net[:, followers], want[:, followers]
 
 

@@ -9,8 +9,8 @@ Laplacian and is what both the dense oracle and the gradient are built on.
 """
 
 import operator
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +35,8 @@ class MatrixGraph:
     weights: np.ndarray  # (m, k, k) strictly SPD conductances; row j is edges[j]'s
     leaders: frozenset = frozenset()
     sources: tuple = ()
+    index: dict = field(repr=False, kw_only=True)  # node id -> its position in ``nodes``
+    ends: np.ndarray = field(repr=False, kw_only=True)  # (m, 2) intp, C order: edges[j]'s tail and head positions
 
     @property
     def followers(self):
@@ -53,6 +55,7 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
     rule runs once over all edges: unique ids, known endpoints, no self-loop,
     weight shapes, finite entries, then symmetry and strict definiteness. If
     one of the first five breaks, ``_first_faulty_edge`` names the edge.
+    The graph is numbered here, once, in ``index`` and ``ends``, which the solvers gather through.
     """
     columns = list(zip(*edges, strict=True))
     if weights is None:
@@ -60,17 +63,17 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
     else:
         ids, tails, heads = columns or [()] * 3
     nodes = tuple(map(str, nodes))
-    node_set = set(nodes)
-    if len(node_set) != len(nodes):
+    index = {v: i for i, v in enumerate(nodes)}
+    if len(index) != len(nodes):
         raise GraphValidationError("duplicate node ids")
     ids, tails, heads = list(map(str, ids)), list(map(str, tails)), list(map(str, heads))
     try:
         stack = np.asarray(weights, dtype=float)
     except ValueError:  # ragged, or entries that are not numbers: the scan names the first such edge
         stack = np.empty(0)
-    fine = len(set(ids)) == len(ids) and node_set.issuperset(tails + heads) and not any(map(operator.eq, tails, heads))
+    fine = len(set(ids)) == len(ids) and index.keys() >= {*tails, *heads} and not any(map(operator.eq, tails, heads))
     if not fine or stack.shape != (len(ids), k, k) or not np.isfinite(stack).all():
-        _first_faulty_edge(k, node_set, ids, tails, heads, weights)
+        _first_faulty_edge(k, index, ids, tails, heads, weights)
         stack = np.array(weights, dtype=float).reshape(len(ids), k, k)  # no fault: no edges, so shape (0,)
     weights = matlin.as_symmetric(stack, describe=lambda i: f"edge {ids[i]!r} weight")
     spd = matlin.is_spd(weights)
@@ -78,7 +81,7 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
         raise GraphValidationError(f"edge {ids[int(np.argmin(spd))]!r} weight is not strictly SPD")
 
     leaders = frozenset(map(str, leaders))
-    if not leaders <= node_set:
+    if not leaders <= index.keys():
         raise GraphValidationError("leader set contains unknown nodes")
     if sources is None:
         crossing = [j for j, (t, h) in enumerate(zip(tails, heads)) if (t in leaders) != (h in leaders)]
@@ -86,16 +89,17 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
         sources = tuple(sorted(found))  # the follower end of each identity-weight edge with one leader end
     else:
         sources = tuple(map(str, sources))
-        unknown = set(sources) - node_set
+        unknown = set(sources) - index.keys()
         if unknown:
             raise GraphValidationError(f"unknown source nodes {sorted(unknown)}")
         if set(sources) & leaders:
             raise GraphValidationError("a source node cannot be a leader")
     built = tuple(map(tuple.__new__, repeat(Edge), zip(ids, tails, heads)))  # as Edge._make, without its checks
-    return MatrixGraph(k=k, nodes=nodes, edges=built, weights=weights, leaders=leaders, sources=sources)
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(zip(tails, heads))), np.intp, 2 * len(ids))
+    return MatrixGraph(k, nodes, built, weights, leaders, sources, index=index, ends=ends.reshape(-1, 2))
 
 
-def _first_faulty_edge(k, node_set, ids, tails, heads, weights):
+def _first_faulty_edge(k, index, ids, tails, heads, weights):
     """Raise for the first edge, in edge order, that breaks a per-edge rule, checking each edge's rules in
     this order: its id repeats an earlier one, it names an unknown node, it is a self-loop, its weight is not
     k x k, that weight has a non-finite entry."""
@@ -104,7 +108,7 @@ def _first_faulty_edge(k, node_set, ids, tails, heads, weights):
         if eid in seen:
             raise GraphValidationError(f"duplicate edge id {eid!r}")
         seen.add(eid)
-        if tail not in node_set or head not in node_set:
+        if tail not in index or head not in index:
             raise GraphValidationError(f"edge {eid!r} references unknown node")
         if tail == head:
             raise GraphValidationError(f"edge {eid!r} is a self-loop")
@@ -158,8 +162,7 @@ def validate_consensus(g):
     edges are rejected; the graph must be connected.
     """
     check_leaders(g)
-    index = {v: i for i, v in enumerate(g.nodes)}
-    if not g.nodes or 0 in reached(((index[e.tail], index[e.head]) for e in g.edges), len(g.nodes), 0):
+    if not g.nodes or 0 in reached(g.ends.tolist(), len(g.nodes), 0):
         raise GraphValidationError("graph is not connected")
     attached = {}
     for j, e in enumerate(g.edges):
@@ -221,8 +224,9 @@ def grounded_laplacian(g, ground):
     if not order:
         raise GraphValidationError("grounding removes every node")
     n, k = len(order), g.k
-    idx = dict.fromkeys(ground, n) | {v: i for i, v in enumerate(order)}
-    ends = np.array([(idx[e.tail], idx[e.head]) for e in g.edges], dtype=np.intp).reshape(-1, 2)
+    slot = np.full(len(g.nodes), n, dtype=np.intp)  # each node's block row, n for the ground
+    slot[[g.index[v] for v in order]] = np.arange(n)
+    ends = slot[g.ends]
     check_reach(ends.tolist(), order, n)
     rows, cols = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]  # blocks (t, t), (h, h), (t, h), (h, t)
     keep = (rows < n) & (cols < n)

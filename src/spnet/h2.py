@@ -136,9 +136,8 @@ def dense_solve(g, sources):
     row = {node: i for i, node in enumerate(dl.follower_order)}
     rhs[[row[s] for s in sources], :, range(n)] = np.eye(k)
     x = np.linalg.solve(dl.matrix, rhs.reshape(f * k, n * k)).reshape(f, k, n, k)
-    pos = {node: i for i, node in enumerate(g.nodes)}
     ys = np.zeros((n, len(g.nodes), k, k))
-    ys[:, [pos[node] for node in dl.follower_order]] = x.transpose(2, 0, 1, 3)
+    ys[:, [g.index[node] for node in dl.follower_order]] = x.transpose(2, 0, 1, 3)
     return ys
 
 
@@ -146,10 +145,8 @@ def dense_provider(g):
     """Voltage provider backed by one Dirichlet solve for every source."""
     _check_terminals(g)
     ys = dense_solve(g, g.sources)
-    pos = {node: i for i, node in enumerate(g.nodes)}
-    h2 = {s: 0.5 * float(np.trace(y[pos[s]])) for s, y in zip(g.sources, ys)}
-    tails, heads = zip(*((pos[e.tail], pos[e.head]) for e in g.edges))
-    return h2, ys[:, list(tails)] - ys[:, list(heads)]
+    h2 = {s: 0.5 * float(np.trace(y[g.index[s]])) for s, y in zip(g.sources, ys)}
+    return h2, ys[:, g.ends[:, 0]] - ys[:, g.ends[:, 1]]
 
 
 class CompositionalProvider:

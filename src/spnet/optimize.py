@@ -143,8 +143,6 @@ def pgd_step(w, grad, t, h, lower, upper):
     """One projected descent step at iteration t >= 1 on (F, k, k) stacks: one ``project_box`` call."""
     if t < 1:
         raise ValueError("iteration counter starts at 1")
-    if not len(w):
-        return w
     eta = 1.0 / (h * math.sqrt(t))
     projected, ok = matlin.project_box(w - eta * (grad + h * w), lower, upper)
     if not ok:

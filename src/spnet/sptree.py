@@ -240,8 +240,8 @@ def reduce_sources(g, sources, ground):
     ground), or after its one node unless the ground is the leader set.
     Nothing here needs the graph to be series-parallel; ``ArcProgram.finish``
     checks it per source."""
-    ground, known = set(ground), set(g.nodes)
-    missing = [v for v in (*sources, *sorted(ground, key=str)) if v not in known]
+    ground = set(ground)
+    missing = [v for v in (*sources, *sorted(ground, key=str)) if v not in g.index]
     if missing:
         raise GraphValidationError(f"terminal {missing[0]!r} is not a node of the graph")
     if not ground:
@@ -249,13 +249,12 @@ def reduce_sources(g, sources, ground):
     if ground.intersection(sources):
         raise GraphValidationError("source and sink must differ")
     sink = next(iter(ground)) if len(ground) == 1 and ground != g.leaders else "l"
-    while sink in known and sink not in ground:
+    while sink in g.index and sink not in ground:
         sink = "_" + sink
     names = list(dict.fromkeys(sink if v in ground else v for v in g.nodes))  # the sink where a ground node first is
     index = {v: i for i, v in enumerate(names)}
     index.update(dict.fromkeys(ground, index[sink]))
-    tail = [index[e.tail] for e in g.edges]
-    head = [index[e.head] for e in g.edges]
+    tail, head = np.array([index[v] for v in g.nodes], dtype=np.intp)[g.ends].T.tolist()
     arcs = [aid for aid, (u, v) in enumerate(zip(tail, head)) if u != v]  # both ends grounded: no join takes it
     edgeless = set(range(len(names))).difference(tail, head)  # skeleton nodes with no arc
     joins = []

@@ -1,10 +1,14 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import random_aittsp, random_spd, random_sptree, reweighted
 from spnet import graph
+from spnet.cli import _kirchhoff
 from spnet.errors import GraphValidationError
+from spnet.fileio import graph_from_dict
 from spnet.graph import (
     incidence,
     dirichlet_laplacian,
@@ -12,7 +16,7 @@ from spnet.graph import (
     make_graph,
     validate_consensus,
 )
-from spnet.h2 import CompositionalProvider, compositional_h2
+from spnet.h2 import CompositionalProvider, compositional_h2, dense_provider, dense_solve
 from spnet.sptree import realize, reduce_sources
 
 I1 = np.eye(1)
@@ -256,3 +260,47 @@ class TestWeightStack:
             (h2_a, q_a), (h2_b, q_b) = provider(moved), CompositionalProvider(fresh)(fresh)
             assert h2_a == h2_b
             assert q_a.tobytes() == q_b.tobytes()
+
+
+class TestNumbering:
+    """``make_graph`` numbers each graph once, in ``index`` and ``ends``; the solvers gather through them."""
+
+    def test_every_graph_is_numbered_by_make_graph(self, rng):
+        g = random_aittsp(rng, 2, 3)
+        free = [e.id for e in g.edges if e.id not in graph.attachment_edge_ids(g)]
+        ints = {"k": 1, "nodes": [2, 0, 1], "leaders": [0], "edges": [
+            {"id": 5, "tail": 0, "head": 1, "weight": [[1.0]]}, {"id": 3, "tail": 2, "head": 1, "weight": [[2.0]]}]}
+        graphs = [
+            grounded_path3(),
+            make_graph(g.k, g.nodes, g.edges, g.leaders, g.sources, weights=g.weights),
+            make_graph(2, ["b", "a"], [], leaders=["a"]),
+            graph_from_dict(ints),
+            realize(random_sptree(rng, 3, 9))[0],
+            g,
+            reweighted(g, {eid: random_spd(rng, 2) for eid in free[::2]}),
+        ]
+        for h in graphs:
+            assert h.index == {v: i for i, v in enumerate(h.nodes)}
+            assert h.ends.dtype == np.intp and h.ends.shape == (len(h.edges), 2) and h.ends.flags.c_contiguous
+            assert h.ends.tolist() == [[h.nodes.index(e.tail), h.nodes.index(e.head)] for e in h.edges]
+            for moved in (replace(h, weights=2 * h.weights), replace(h, leaders=frozenset(h.nodes[-1:]))):
+                assert moved.index is h.index and moved.ends is h.ends
+
+    def test_gathers_match_lookups_by_name(self, rng):
+        for g in (random_aittsp(rng, 1, 3), random_aittsp(rng, 3, 2), multigraph(rng, 2)):
+            ys = [dict(zip(g.nodes, y)) for y in dense_solve(g, g.sources)]
+            h2, q = dense_provider(g)
+            assert q.tobytes() == np.array([[y[e.tail] - y[e.head] for e in g.edges] for y in ys]).tobytes()
+            assert h2 == {s: 0.5 * float(np.trace(y[s])) for s, y in zip(g.sources, ys)}
+            flows = g.weights @ q
+            net = [dict.fromkeys(g.nodes, np.zeros((g.k, g.k))) for _ in g.sources]
+            for c, at in enumerate(net):
+                for j, e in enumerate(g.edges):  # every edge's flow leaves its tail,
+                    at[e.tail] = at[e.tail] + flows[c, j]
+                for j, e in enumerate(g.edges):  # then enters its head: the order _kirchhoff sums them in
+                    at[e.head] = at[e.head] - flows[c, j]
+            followers = [v for v in g.nodes if v not in g.leaders]
+            want = [[np.eye(g.k) * (v == s) for v in followers] for s in g.sources]
+            got_net, got_want = _kirchhoff(g, q)
+            assert got_net.tobytes() == np.array([[at[v] for v in followers] for at in net]).tobytes()
+            assert got_want.tobytes() == np.array(want, dtype=float).tobytes()
