@@ -1,18 +1,16 @@
 """Dense algebra on small symmetric positive-(semi)definite matrices.
 
-Everything here is direct eigendecomposition on k x k arrays with k <= 16;
-``is_symmetric``, ``as_symmetric``, ``is_spd``, ``loewner_leq``, ``psd_part``
-and ``project_box`` also take (n, k, k) stacks, matrix by matrix. All
-returned matrices are explicitly symmetrized so that roundoff asymmetry
-cannot accumulate in callers.
+The input-boundary predicates ``is_spd`` and ``box_nonempty`` are one
+Cholesky factorization per stack; the rest is direct eigendecomposition on
+k x k arrays with k <= 16. All but ``pinv`` and ``parallel_add`` also take
+(n, k, k) stacks. All returned matrices are explicitly symmetrized so that
+roundoff asymmetry cannot accumulate in callers.
 
 ``project_box`` iterates Dykstra's pass on its dual iterate Q alone, one
 k x k matrix per row. It stops a row after its first pass when that pass
-certifies the KKT conditions of the projection, which bounds the distance
-to the true projection by the complementarity residual; any other row stops
-once its step is small and its Y is above L within ``STOP_TOL``. A box is
-proven non-empty either by that certificate or, for the rows it does not
-stop, by one ``eigvalsh`` of U - L.
+certifies the KKT conditions of the projection; any other row stops once
+its step is small and its Y is above L within ``STOP_TOL``. A box is proven
+non-empty by that certificate or else by ``box_nonempty``.
 """
 
 import numpy as np
@@ -22,7 +20,7 @@ from .errors import InfeasibleBoundsError
 MAX_DIM = 16
 
 SYM_RTOL = 1e-12
-BOX_TOL = 1e-12  # a box [L, U] is non-empty iff min eig(U - L) >= -BOX_TOL
+BOX_TOL = 1e-12  # a box [L, U] is non-empty iff U - L + BOX_TOL I is positive definite (box_nonempty)
 STOP_TOL = 1e-10  # project_box's stop rules: its KKT residual, its Frobenius step and Y - L's floor
 ANDERSON_DEPTH = 5  # differences of dual iterates Q (Dykstra-map outputs) project_box keeps per row
 ANDERSON_RIDGE = 1e-12  # Tikhonov term of its least-squares problem, relative to the Gram trace
@@ -62,14 +60,28 @@ def _check_same_dim(*ms):
 
 
 def is_spd(m):
-    """True where M is symmetric (``is_symmetric``) with smallest eigenvalue > 0.
-
-    ``m`` is one square matrix or an (n, k, k) stack, which gets one bool per
-    matrix so that a caller can name the first bad one.
-    """
+    """True where M is symmetric (``is_symmetric``) and its symmetrized form passes ``_has_cholesky``. ``m`` is one
+    square matrix or an (n, k, k) stack, which gets one bool per matrix so a caller can name the first bad one."""
     m = np.asarray(m, dtype=float)
-    ok = is_symmetric(m) & (np.linalg.eigvalsh(symmetrize(m)).min(axis=-1) > 0)
+    ok = is_symmetric(m) & _has_cholesky(symmetrize(m))
     return bool(ok) if m.ndim == 2 else ok
+
+
+def box_nonempty(lower, upper):
+    """The box rule, one bool per box [L, U] of symmetric stacks: U - L + ``BOX_TOL`` I passes ``_has_cholesky``."""
+    return _has_cholesky(upper - lower + BOX_TOL * np.eye(lower.shape[-1]))
+
+
+def _has_cholesky(m):
+    """True where the symmetric M is finite and has a Cholesky factor (Higham 2002, ch. 10), one bool per matrix: a
+    stack is factored at once, and one matrix at a time only when that fails. A NaN pivot need not fail."""
+    stack = m.reshape(-1, *m.shape[-2:])
+    ok = np.isfinite(stack).all(axis=(1, 2))
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:  # a lone matrix has none; in a stack, factor each to tell which
+        ok &= [len(stack) > 1 and bool(_has_cholesky(a)) for a in stack]
+    return ok.reshape(m.shape[:-2])
 
 
 def pinv(m):
@@ -147,9 +159,8 @@ def project_box(x, lower, upper, max_iter=500):
     stops at the pass its one-matrix call would. Returns ``(Y, converged)``:
     ``converged`` is one bool, false if any row missed both stop rules (that
     row's last iterate is kept). X, L and U are checked for symmetry in one
-    pass over the three. A box is empty when min eig(U - L) < -BOX_TOL; the
-    boxes the first pass does not certify are checked so, and an empty one
-    raises ``InfeasibleBoundsError`` before anything is returned.
+    pass over the three. A box the first pass does not certify that fails
+    ``box_nonempty`` raises ``InfeasibleBoundsError`` before anything is returned.
     """
     x, lower, upper = (np.asarray(m, dtype=float) for m in (x, lower, upper))
     _check_same_dim(x, lower, upper)
@@ -195,8 +206,8 @@ def project_box(x, lower, upper, max_iter=500):
 
 
 def _require_nonempty(lo, up):
-    """Raise ``InfeasibleBoundsError`` if any box [L, U] of the stacks is empty."""
-    if len(lo) and float(np.linalg.eigvalsh(up - lo).min()) < -BOX_TOL:
+    """Raise ``InfeasibleBoundsError`` if any box [L, U] of the stacks is empty (``box_nonempty``)."""
+    if len(lo) and not box_nonempty(lo, up).all():
         raise InfeasibleBoundsError("empty Loewner box: L is not below U")
 
 

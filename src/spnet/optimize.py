@@ -55,7 +55,7 @@ class OptConfig:
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
         # Every box [L, U]: one stack per side, then shapes, finite entries, L strictly SPD,
-        # U symmetric and min eig(U - L) >= -matlin.BOX_TOL, each rule once over the whole stack.
+        # U symmetric and matlin.box_nonempty, each rule once over the whole stack.
         if not self.bounds:
             return
         ids = list(self.bounds)
@@ -77,8 +77,7 @@ class OptConfig:
         if bad.size:
             raise ValueError(f"lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
         up = matlin.as_symmetric(up, describe=lambda i: f"upper bound for edge {ids[i]!r}")
-        gap = np.linalg.eigvalsh(up - matlin.symmetrize(lo)).min(axis=-1)
-        bad = np.flatnonzero(~(gap >= -matlin.BOX_TOL))
+        bad = np.flatnonzero(~matlin.box_nonempty(matlin.symmetrize(lo), up))
         if bad.size:
             raise ValueError(f"bounds for edge {ids[bad[0]]!r} are infeasible")
 

@@ -426,3 +426,69 @@ class TestSymmetricStack:
     def test_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             matlin.as_symmetric(np.zeros(shape))
+
+
+EPS = np.finfo(float).eps
+
+
+def spectrum_stack(rng, k, n, centre=0.0):
+    """(n, k, k) symmetric stack with largest eigenvalue 1 and smallest
+    ``centre`` plus or minus 10^-u, u uniform in [4, 18] (at k = 1 the one
+    eigenvalue is that smallest one); the others are uniform in [0.1, 1]."""
+    lam = rng.uniform(0.1, 1.0, (n, k))
+    lam[:, -1] = 1.0
+    lam[:, 0] = centre + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-18, -4, n)
+    q = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    return matlin.symmetrize((q * lam[:, None, :]) @ q.swapaxes(1, 2))
+
+
+def clear_of_rounding(m, centre=0.0):
+    """(smallest eigenvalue of each matrix, True where it lies further than k eps ||M||_2 from ``centre``)."""
+    lam = np.linalg.eigvalsh(m)
+    return lam[:, 0], np.abs(lam[:, 0] - centre) > m.shape[-1] * EPS * np.abs(lam).max(axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+def test_cholesky_rules_match_eigenvalues_off_the_rounding_band(k):
+    # The yes/no rules factor where the old ones took eigenvalues: they must
+    # agree wherever min eig is further than k eps ||M||_2 from the boundary.
+    rng = np.random.default_rng([36, k])
+    m = spectrum_stack(rng, k, 5000)
+    low, clear = clear_of_rounding(m)
+    assert clear.sum() > 1000
+    np.testing.assert_array_equal(matlin.is_spd(m)[clear], (low > 0)[clear])
+    lo = np.array([random_spd(rng, k) for _ in range(len(m))])
+    up = lo + spectrum_stack(rng, k, len(m), centre=-matlin.BOX_TOL)
+    low, clear = clear_of_rounding(up - lo, centre=-matlin.BOX_TOL)
+    assert clear.sum() > 1000
+    np.testing.assert_array_equal(matlin.box_nonempty(lo, up)[clear], (low >= -matlin.BOX_TOL)[clear])
+
+
+NON_FINITE = [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.inf]],
+    [[2.0, np.nan], [np.nan, 3.0]],
+    [[1.0, 0.0], [0.0, -np.inf]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+]
+
+
+class TestBoxRule:
+    def test_one_bool_per_box(self, rng):
+        lo = np.array([random_spd(rng, 2) for _ in range(6)])
+        up = lo.copy()
+        up[[2, 4]] -= 2 * matlin.BOX_TOL * np.eye(2)
+        up[5, 0, 0] = np.nan
+        assert matlin.box_nonempty(lo, up).tolist() == [True, True, False, True, False, False]
+        assert matlin.box_nonempty(lo[:0], up[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_box_is_empty(self, bad):
+        # A NaN pivot need not fail the factorization, so the box rule tests finiteness on its own.
+        bad = np.array(bad)
+        for lo, up in ((np.eye(2), bad), (bad, 2 * np.eye(2))):
+            for max_iter in (500, 0):
+                with pytest.raises(InfeasibleBoundsError):
+                    matlin.project_box(np.eye(2), lo, up, max_iter=max_iter)

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from helpers import random_spd
 from spnet import matlin
-from spnet.errors import GraphValidationError
+from spnet.errors import GraphValidationError, InfeasibleBoundsError
 from spnet.graph import make_graph
 from spnet.optimize import OptConfig
+from spnet.sptree import leaf
 
 SYM_RTOL, BOX_TOL, MAX_DIM = matlin.SYM_RTOL, matlin.BOX_TOL, matlin.MAX_DIM
 
@@ -225,10 +226,11 @@ def test_one_symmetric_check_per_call(monkeypatch, rng, n):
     bounds = {f"e{i}": (0.5 * w, 2.0 * w) for i, w in enumerate(weights)}
     sym = count_calls(monkeypatch, matlin, "as_symmetric")
     spd = count_calls(monkeypatch, matlin, "is_spd")
+    box = count_calls(monkeypatch, matlin, "box_nonempty")
     make_graph(3, [f"v{i}" for i in range(n + 1)], path_edges(weights))
-    assert (len(sym), len(spd)) == (1, 1)
+    assert (len(sym), len(spd), len(box)) == (1, 1, 0)
     OptConfig(penalty_h=1.0, bounds=bounds)
-    assert (len(sym), len(spd)) == (2, 2)
+    assert (len(sym), len(spd), len(box)) == (2, 2, 1)
 
 
 class TestOneSymmetryRule:
@@ -258,3 +260,55 @@ class TestOneSymmetryRule:
             bounds[eid] = (bounds[eid][0], bounds[eid][0] - 1e-3 * np.eye(2))
         with pytest.raises(ValueError, match="edge 'e3' are infeasible"):
             OptConfig(penalty_h=1.0, bounds=bounds)
+
+
+class TestCholeskyRules:
+    """Where the factorization rules sit on the eigenvalue boundary, and non-finite input."""
+
+    def test_singular_weight_is_refused(self):
+        # The eigenvalue rule refuses the singular PSD weight and accepts diag(1, 1e-300) too.
+        eye, singular, tiny = np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-300])
+        assert not ref_is_spd(singular) and ref_is_spd(tiny)
+        assert matlin.is_spd(np.array([tiny, singular, tiny])).tolist() == [True, False, True]
+        edges = path_edges([eye, singular, eye])
+        with pytest.raises(GraphValidationError, match="edge 'e1' weight is not strictly SPD"):
+            make_graph(2, [f"v{i}" for i in range(4)], edges)
+        with pytest.raises(ValueError, match="not strictly SPD"):
+            leaf("e", singular)
+        g = make_graph(2, [f"v{i}" for i in range(4)], path_edges([eye, tiny, eye]))
+        assert g.weights[1].tobytes() == tiny.tobytes()
+        leaf("e", tiny)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_non_finite_weight_is_refused(self, value, where):
+        m = np.array([[2.0, 0.0], [0.0, 3.0]])
+        m[where] = m[where[::-1]] = value
+        assert matlin.is_spd(m) is False
+        assert matlin.is_spd(np.array([np.eye(2), m])).tolist() == [True, False]
+        with pytest.raises(ValueError, match="leaf weight for edge 'e' is not strictly SPD"):
+            leaf("e", m)
+
+    @pytest.mark.parametrize("gap, ok", [(0.0, True), (-0.5, True), (-2.0, False)])
+    def test_box_at_the_tolerance(self, rng, gap, ok):
+        # A point box, U a half BOX_TOL below L, and U two BOX_TOL below L.
+        lo = random_spd(rng, 3)
+        up = lo + gap * BOX_TOL * np.eye(3)
+        if ok:
+            OptConfig(penalty_h=1.0, bounds={"e": (lo, up)})
+            matlin.project_box(lo, lo, up)
+            return
+        with pytest.raises(ValueError, match="bounds for edge 'e' are infeasible"):
+            OptConfig(penalty_h=1.0, bounds={"e": (lo, up)})
+        with pytest.raises(InfeasibleBoundsError):
+            matlin.project_box(lo, lo, up)
+
+    def test_first_of_two_empty_boxes_is_named(self, rng):
+        bounds = {f"e{i}": (w, w) for i, w in enumerate(random_spd(rng, 2) for _ in range(6))}
+        for eid in ("e2", "e4"):  # the 3rd and the 5th
+            bounds[eid] = (bounds[eid][0], bounds[eid][0] - 2 * BOX_TOL * np.eye(2))
+        with pytest.raises(ValueError, match="bounds for edge 'e2' are infeasible"):
+            OptConfig(penalty_h=1.0, bounds=bounds)
+        lo, up = (np.array(side) for side in zip(*bounds.values()))
+        with pytest.raises(InfeasibleBoundsError):
+            matlin.project_box(lo, lo, up)
