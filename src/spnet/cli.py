@@ -2,8 +2,8 @@
 
 Subcommands: decompose | h2 | resistance | optimize | check. Exit codes:
 0 on success, 1 on validation failure or when a descent step's box projection
-does not converge, 2 when ``decompose`` or ``h2 --method bound`` meets a graph
-that is not series-parallel (``check``, ``optimize``, ``h2 --method exact`` solve any).
+does not converge, 2 when ``decompose`` meets a graph that is not
+series-parallel (``check``, ``optimize`` and every ``h2`` method solve any).
 """
 
 import argparse

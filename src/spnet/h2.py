@@ -2,11 +2,13 @@
 
 Three routes to the squared norm: the exact compositional value, half the trace of each source's
 root resistance from one shared reduction and one terminal-skeleton solve (``electrical.skeleton_solve``);
-a scalar upper bound folded over that reduction and each source's finish, so it rejects a graph not
-series-parallel from a source; and a dense oracle, one solve of the Dirichlet Laplacian, which nothing
-else factors. All three reject a graph with no leader or with a node that reaches none, by one rule
-(``graph.check_leaders``, ``graph.check_reach``). Of a hand-built tree, ``h2_scalar_bound`` folds the
-bound; its exact value is half the trace of the root resistance ``electrical.solve_tree`` returns.
+a scalar upper bound, the same solve on the scalar resistances tr W_e^-1; and a dense oracle, one solve
+of the Dirichlet Laplacian, which nothing else factors. The scalar series and parallel rules are the
+resistor rules, so the bound is an effective resistance, and it stays an upper bound on a network that
+is not series-parallel by Thomson's principle (Doyle & Snell 1984). All three reject a graph with no
+leader or with a node that reaches none, by one rule (``graph.check_leaders``, ``graph.check_reach``).
+Of a hand-built tree, ``h2_scalar_bound`` folds the bound; its exact value is half the trace of the
+root resistance ``electrical.solve_tree`` returns.
 
 A voltage provider is a callable ``provider(g) -> (h2, q)``: from one
 electrical pass it returns the per-source squared norm ``h2[s]`` and one
@@ -25,7 +27,7 @@ import numpy as np
 from . import electrical
 from .errors import GraphValidationError
 from .graph import check_leaders, check_reach, dirichlet_laplacian
-from .sptree import Series, flatten, reduce_sources
+from .sptree import flatten, reduce_sources
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,6 @@ def _check_positive(a, b):
         raise ValueError("compositional H2 values must be positive")
 
 
-def _scalar_bounds(program, leaf_r):
-    """{source: bound} of an ``ArcProgram``: the scalar rules folded up from
-    each edge's tr(W^-1) / 2, ``leaf_r`` the edges' W^-1."""
-
-    def join(kind, a, b):
-        return h2_series_compose(a, b) if kind is Series else h2_parallel_compose(a, b)
-
-    return program.fold([0.5 * float(np.trace(r)) for r in leaf_r], join)
-
-
 def h2_scalar_bound(t):
     """Fold the scalar composition rules over a tree.
 
@@ -77,7 +69,8 @@ def h2_scalar_bound(t):
     in particular for k = 1 and for series-only trees.
     """
     program, _ = flatten(t)
-    return _scalar_bounds(program, electrical.leaf_resistances([lf.weight for lf in program.edges]))[None]
+    leaf_r = electrical.leaf_resistances([lf.weight for lf in program.edges])
+    return program.fold(0.5 * np.trace(leaf_r, axis1=1, axis2=2), h2_series_compose, h2_parallel_compose)
 
 
 def _check_terminals(g):
@@ -106,19 +99,20 @@ def source_trees(g):
 
 
 def compositional_h2(g, method="exact"):
-    """Compositional squared norm, no tree built: exact H2^2(s) = tr Y_s^s / 2
-    from ``electrical.skeleton_solve``, so on any network ``CompositionalProvider``
-    takes; bound the scalar rules folded over the reduction and each source's finish."""
+    """Compositional squared norm, no tree built, on any network ``CompositionalProvider``
+    takes: H2^2(s) = tr Y_s^s / 2 from one ``electrical.skeleton_solve``. Exact
+    solves with the edges' W^-1; the bound with their scalars tr W^-1 (k = 1),
+    the effective resistance of the paper's scalar rules."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
     program = _reduced(g)
     leaf_r = electrical.leaf_resistances(g.weights)
     if method == "bound":
-        per_source = _scalar_bounds(program, leaf_r)
-        return H2Report(per_source=per_source, total=sum(per_source.values()), method="scalar-bound")
+        leaf_r = np.trace(leaf_r, axis1=1, axis2=2)[:, None, None]
     *_, y = electrical.skeleton_solve(program, leaf_r)
     per_source = {s: 0.5 * float(np.trace(y[c, c])) for c, s in enumerate(program.sources)}
-    return H2Report(per_source=per_source, total=sum(per_source.values()), method="exact-compositional")
+    name = "exact-compositional" if method == "exact" else "scalar-bound"
+    return H2Report(per_source=per_source, total=sum(per_source.values()), method=name)
 
 
 def dense_h2(g):

@@ -33,8 +33,10 @@ def symmetrize(m):
 
 def is_symmetric(m):
     """True where M is symmetric within ``SYM_RTOL`` times its own largest entry
-    magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack."""
+    magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack.
+    A matrix with a non-finite entry passes, as zeros: ``_has_cholesky`` refuses it."""
     m = np.asarray(m, dtype=float)
+    m = np.where(np.isfinite(m).all(axis=(-2, -1))[..., None, None], m, 0.0)
     return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * np.abs(m).max(axis=(-2, -1)))
 
 

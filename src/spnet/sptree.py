@@ -10,6 +10,7 @@ was decomposed.
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def stats(t):
         return TreeStats(l, s, p, 1 + max(a.height, b.height), 2 * l - s - 2 * p)
 
     program, _ = flatten(t)
-    return program.fold([TreeStats(1, 0, 0, 0, 2)] * len(program.edges), join)[None]
+    return program.fold([TreeStats(1, 0, 0, 0, 2)] * len(program.edges), partial(join, Series), partial(join, Parallel))
 
 
 def check_height_bounds(t):
@@ -163,7 +164,7 @@ def recognize(g, source, sink):
 class ArcProgram:
     """Series-parallel reduction of one graph from several sources to one
     sink as flat join records (kind, a, a flipped, b, b flipped): the one form
-    every tree walk runs on (``flatten`` makes it of a tree), evaluated by ``fold``.
+    every tree walk runs on (``flatten`` makes it of a tree; ``fold`` evaluates that).
 
     Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); shared
     join i is arc m + i, so creation order is bottom-up; an edge with both ends
@@ -174,7 +175,7 @@ class ArcProgram:
     between the skeleton's nodes, numbered with source c (``sources[c]``) as
     node c, then the other nodes left (an edgeless node too, with no arc), then
     the sink last. ``finish`` reduces it further for one source at a time,
-    when a fold or a tree asks.
+    when ``tree`` asks.
 
     ``plan`` is the order the electrical sweeps take the shared joins in, each
     long heavy path of them one ``Chain`` (``chain_plan``); a flattened tree's
@@ -209,21 +210,14 @@ class ArcProgram:
             raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
         return joins, rest[0], u != terminals[0]
 
-    def fold(self, values, join):
-        """{source: root value} from ``values`` of the edges: ``join(kind, a,
-        b)`` once per shared join, then once per join ``finish`` makes for each
-        source. Flip bits are ignored, which suits orientation-free values
-        (the bound, ``stats``); order-sensitive walks sweep ``flatten`` of a tree."""
-        finished, vals = [self.finish(s) for s in self.sources], list(values)  # every source checked before any join
+    def fold(self, values, series, parallel):
+        """The root value of a flattened tree from ``values`` of its leaves:
+        ``series(a, b)`` or ``parallel(a, b)`` once per join, bottom-up. Flip
+        bits are ignored, which suits orientation-free values (``h2_scalar_bound``, ``stats``)."""
+        vals = list(values)
         for kind, a, _, b, _ in self.joins:
-            vals.append(join(kind, vals[a], vals[b]))
-        base, roots = len(vals), {}
-        for source, (joins, root, _) in zip(self.sources, finished):
-            for kind, a, _, b, _ in joins:
-                vals.append(join(kind, vals[a], vals[b]))
-            roots[source] = vals[root]
-            del vals[base:]
-        return roots
+            vals.append((series if kind is Series else parallel)(vals[a], vals[b]))
+        return vals[-1]
 
     def tree(self, source, weights):
         """The source's Leaf/Series/Parallel tree with ``weights[j]`` on edge j, built without recursion."""

@@ -111,7 +111,7 @@ class TestDecomposeCommand:
     + [(["decompose", "--source", s], f"demo_decompose_{s}.json") for s in ("s1", "s2", "s3")],
 )
 def test_demo_output_is_pinned(capsys, argv, pinned):
-    # Byte for byte: exact H2 from the skeleton solve, the bound fold and each
+    # Byte for byte: exact H2 and the bound from the skeleton solve, and each
     # source's tree may not move a digit.
     assert run([argv[0], "--graph", DEMO, *argv[1:]]) == 0
     assert capsys.readouterr().out == (GOLDEN.parent / pinned).read_text()

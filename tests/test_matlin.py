@@ -484,6 +484,7 @@ class TestBoxRule:
         assert matlin.box_nonempty(lo, up).tolist() == [True, True, False, True, False, False]
         assert matlin.box_nonempty(lo[:0], up[:0]).shape == (0,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_box_is_empty(self, bad):
         # A NaN pivot need not fail the factorization, so the box rule tests finiteness on its own.

@@ -1,8 +1,8 @@
 """One shared series-parallel reduction for every source: agreement with the
 dense judge on scrambled networks, confluence with a reduction per source,
 the terminal skeleton it leaves and its one solve, the joins one call sweeps,
-and cores that are not series-parallel: the provider and exact H2 solve them,
-while what needs a source's tree rejects them."""
+and cores that are not series-parallel: the provider, exact H2 and the bound
+solve them, while what needs a source's tree rejects them."""
 
 import itertools
 import json
@@ -84,12 +84,19 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
             assert shared[s] == pytest.approx(v, rel=1e-12)
         builds.clear()
         bound = compositional_h2(g, "bound").per_source
-        assert builds == []  # the bound folds over the shared reduction and builds no tree
+        assert builds == []  # the bound solves the shared skeleton and builds no tree
         trees = source_trees(g)
         assert list(bound) == list(trees)
         for s, t in trees.items():
             assert tree_h2(t) == pytest.approx(per_source[s], rel=1e-12)
-            assert bound[s] == h2_scalar_bound(t)
+            assert bound[s] == pytest.approx(h2_scalar_bound(t), rel=1e-13)  # a solve, not the paper's fold
+
+
+def test_bound_is_exact_h2_at_k1(rng):
+    # At k = 1, r_e = tr W_e^-1 is W_e^-1 itself, so the bound's solve is exact H2's, bit for bit.
+    for _ in range(40):
+        g = scrambled_ids(rng, random_aittsp(rng, 1, int(rng.integers(1, 9)), 6))
+        assert compositional_h2(g, "bound").per_source == compositional_h2(g).per_source
 
 
 def arc_ends(program, gg):
@@ -214,18 +221,21 @@ def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("n_sources", [1, 4, 16])
 def test_exact_h2_is_one_sweep_and_one_skeleton_solve(rng, monkeypatch, n_sources):
-    # Exact H2 reads every source's root from the skeleton solve: the shared
-    # R sweep once, no current sweep, and no source's reduction finished.
+    # Exact H2 and the bound read every source's root from the skeleton solve:
+    # the shared R sweep once, no current sweep, and no source's reduction finished.
     g = random_aittsp(rng, 2, n_sources)  # built by realizing trees, which finishes them
     program = CompositionalProvider(g).program
     calls = {"resistance_sweep": [], "current_sweep": [], "finish": []}
     for owner, name in ((electrical, "resistance_sweep"), (electrical, "current_sweep"), (sptree.ArcProgram, "finish")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, log=calls[name]: log.append(a) or fn(*a))
-    report = compositional_h2(g, "exact")
-    assert [len(a[0]) for a in calls["resistance_sweep"]] == [len(program.joins)]
-    assert calls["current_sweep"] == calls["finish"] == []
-    assert list(report.per_source) == list(program.sources)
+    for method in ("exact", "bound"):
+        for log in calls.values():
+            log.clear()
+        report = compositional_h2(g, method)
+        assert [len(a[0]) for a in calls["resistance_sweep"]] == [len(program.joins)]
+        assert calls["current_sweep"] == calls["finish"] == []
+        assert list(report.per_source) == list(program.sources)
 
 
 def random_weight(rng, k):
@@ -291,21 +301,31 @@ def k4_core():
 
 
 def test_k4_core_is_solved_but_has_no_tree(capsys, tmp_path):
-    # The provider, exact H2 and `check` solve the core as a bigger skeleton;
-    # what needs a source's own reduction rejects it with the same message as before.
+    # The provider, exact H2, the bound and `check` solve the core as a bigger
+    # skeleton; a source's tree rejects it with the same message as before.
     message = "reduction stalled with 9 edges; graph is not series-parallel between 'a' and 'l'"
     check_skeleton(CompositionalProvider(k4_core()).program, *grounded(k4_core()))
     assert_matches_dense(k4_core())
-    for build in (lambda g: compositional_h2(g, "bound"), source_trees):
-        with pytest.raises(NotSeriesParallelError) as info:
-            build(k4_core())
-        assert str(info.value) == message
+    with pytest.raises(NotSeriesParallelError) as info:
+        source_trees(k4_core())
+    assert str(info.value) == message
     path = tmp_path / "k4.json"
     save_graph(k4_core(), path)
     assert_cli_exact_matches_oracle(capsys, path)
-    assert run(["h2", "--graph", str(path), "--method", "bound"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert_cli_bound_above_exact(capsys, path)
     assert run(["check", "--graph", str(path)]) == 0
+
+
+def assert_cli_bound_above_exact(capsys, path):
+    """``h2 --method bound`` exits 0 and every source's bound is at least ``--method exact``'s, to roundoff
+    (Thomson's principle)."""
+    reports = []
+    for method in ("exact", "bound"):
+        capsys.readouterr()
+        assert run(["h2", "--graph", str(path), "--method", method]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["per_source"])
+    for s, v in reports[0].items():
+        assert reports[1][s] >= v * (1 - 1e-12)
 
 
 def assert_cli_exact_matches_oracle(capsys, path):
@@ -342,9 +362,10 @@ def test_provider_solves_k4_subdivisions(seed, k, n_sources):
     # With one leader the K4 hangs off it and its edges carry roundoff only,
     # so Q is judged over each source's whole stack.
     assert_matches_dense(g, per_edge=False)
-    for build in (lambda g: compositional_h2(g, "bound"), source_trees):
-        with pytest.raises(NotSeriesParallelError, match="stalled"):
-            build(g)
+    exact, bound = compositional_h2(g).per_source, compositional_h2(g, "bound").per_source
+    assert all(bound[s] >= v * (1 - 1e-12) for s, v in exact.items())
+    with pytest.raises(NotSeriesParallelError, match="stalled"):
+        source_trees(g)
 
 
 def test_pendant_path_is_solved_but_has_no_tree(capsys, tmp_path):
@@ -356,8 +377,9 @@ def test_pendant_path_is_solved_but_has_no_tree(capsys, tmp_path):
     save_graph(g, path)
     assert run(["check", "--graph", str(path)]) == 0
     assert_cli_exact_matches_oracle(capsys, path)
-    assert run(["h2", "--graph", str(path), "--method", "bound"]) == 2  # the pendant p1 - p2 stalls its finish
-    assert "reduction stalled with 2 edges" in capsys.readouterr().err
+    assert_cli_bound_above_exact(capsys, path)
+    with pytest.raises(NotSeriesParallelError, match="reduction stalled with 2 edges"):
+        source_trees(g)  # the pendant p1 - p2 stalls the source's finish
     base = dict(penalty_h=0.3, bounds={e.id: (0.5 * I1, 2 * I1) for e in g.edges}, max_iters=10)
     comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
     assert_same_trajectory(comp, optimize_weights(g, OptConfig(voltage_mode="dense", **base)), 1e-9)

@@ -279,6 +279,7 @@ class TestCholeskyRules:
         assert g.weights[1].tobytes() == tiny.tobytes()
         leaf("e", tiny)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
     def test_non_finite_weight_is_refused(self, value, where):
