@@ -2,7 +2,7 @@
 
 Three routes to the squared norm: the exact compositional value, half the trace of each source's
 root resistance from one shared reduction and one terminal-skeleton solve (``electrical.skeleton_solve``);
-a scalar upper bound, the same solve on the scalar resistances tr W_e^-1; and a dense oracle, one solve
+a scalar upper bound, the same solve on the scalar conductances 1 / tr W_e^-1; and a dense oracle, one solve
 of the Dirichlet Laplacian, which nothing else factors. The scalar series and parallel rules are the
 resistor rules, so the bound is an effective resistance, and it stays an upper bound on a network that
 is not series-parallel by Thomson's principle (Doyle & Snell 1984). All three reject a graph with no
@@ -101,15 +101,15 @@ def source_trees(g):
 def compositional_h2(g, method="exact"):
     """Compositional squared norm, no tree built, on any network ``CompositionalProvider``
     takes: H2^2(s) = tr Y_s^s / 2 from one ``electrical.skeleton_solve``. Exact
-    solves with the edges' W^-1; the bound with their scalars tr W^-1 (k = 1),
-    the effective resistance of the paper's scalar rules."""
+    solves with the edges' W; the bound with their scalar conductances
+    1 / tr W^-1 (k = 1), the effective resistance of the paper's scalar rules."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
     program = _reduced(g)
-    leaf_r = electrical.leaf_resistances(g.weights)
+    weights = g.weights
     if method == "bound":
-        leaf_r = np.trace(leaf_r, axis1=1, axis2=2)[:, None, None]
-    *_, y = electrical.skeleton_solve(program, leaf_r)
+        weights = 1.0 / np.trace(electrical.leaf_resistances(weights), axis1=1, axis2=2)[:, None, None]
+    *_, y = electrical.skeleton_solve(program, weights)
     per_source = {s: 0.5 * float(np.trace(y[c, c])) for c, s in enumerate(program.sources)}
     name = "exact-compositional" if method == "exact" else "scalar-bound"
     return H2Report(per_source=per_source, total=sum(per_source.values()), method=name)
@@ -160,7 +160,7 @@ class CompositionalProvider:
     def __call__(self, g):
         if g.edges != self.program.edges:
             raise ValueError("graph edges differ from the ones the reduction was made for")
-        sweeps = electrical.solve_sources(self.program, electrical.leaf_resistances(g.weights))
+        sweeps = electrical.solve_sources(self.program, g.weights)
         h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, sweeps.roots)}
         return h2, sweeps.voltage.swapaxes(0, 1)
 

@@ -34,10 +34,17 @@ def symmetrize(m):
 def is_symmetric(m):
     """True where M is symmetric within ``SYM_RTOL`` times its own largest entry
     magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack.
-    A matrix with a non-finite entry passes, as zeros: ``_has_cholesky`` refuses it."""
+    A matrix with a non-finite entry passes iff each entry equals its mirror,
+    NaN counting as NaN's, so ``symmetrize`` never adds inf to -inf;
+    ``_has_cholesky`` refuses it."""
     m = np.asarray(m, dtype=float)
-    m = np.where(np.isfinite(m).all(axis=(-2, -1))[..., None, None], m, 0.0)
-    return ~(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * np.abs(m).max(axis=(-2, -1)))
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    z = np.where(finite[..., None, None], m, 0.0)
+    ok = ~(np.abs(z - z.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * np.abs(z).max(axis=(-2, -1)))
+    if finite.all():
+        return ok
+    t = m.swapaxes(-1, -2)
+    return ok & (finite | ((m == t) | (np.isnan(m) & np.isnan(t))).all(axis=(-2, -1)))
 
 
 def as_symmetric(m, describe=None):
@@ -65,7 +72,10 @@ def is_spd(m):
     """True where M is symmetric (``is_symmetric``) and its symmetrized form passes ``_has_cholesky``. ``m`` is one
     square matrix or an (n, k, k) stack, which gets one bool per matrix so a caller can name the first bad one."""
     m = np.asarray(m, dtype=float)
-    ok = is_symmetric(m) & _has_cholesky(symmetrize(m))
+    sym = is_symmetric(m)
+    if not sym.all():  # an asymmetric M is not summed with its transpose: inf - inf would warn
+        m = np.where(sym[..., None, None], m, np.nan)
+    ok = sym & _has_cholesky(symmetrize(m))
     return bool(ok) if m.ndim == 2 else ok
 
 

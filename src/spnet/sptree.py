@@ -285,8 +285,6 @@ class Chain:
     joins: tuple  # join indices of the path, top-down
     arcs: np.ndarray  # the series light children (lead group first), then the shunts, top-down
     signs: np.ndarray  # (arcs, 1, 1, 1) +-1: whether each runs with the top arc, by the flip bits on the way down
-    rows: np.ndarray  # ``arcs`` with every join replaced by edge 0: the leaves' rows of a per-edge stack
-    inner: np.ndarray  # where ``arcs`` holds a join
     series: int  # how many of ``arcs`` are series children
     lead: int  # how many of those form the lead group
     groups: np.ndarray  # start in ``arcs`` of the lead group (if any) and of each coupling group
@@ -353,15 +351,11 @@ def _chain(m, joins, size, top):
     shunts.append(j + m)  # the bottom leaf, the last shunt
     shunt_signs.append(sign)
     lead = groups[0] if groups else len(series)  # the series light children above the first shunt
-    arcs = np.array(series + shunts)
-    inner = np.flatnonzero(arcs >= m)
     return Chain(
         top,
         tuple(path),
-        arcs,
+        np.array(series + shunts),
         np.array(series_signs + shunt_signs, dtype=float).reshape(-1, 1, 1, 1),
-        np.where(arcs < m, arcs, 0),
-        inner,
         len(series),
         lead,
         np.array([0] * (lead > 0) + groups, dtype=int),

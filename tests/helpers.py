@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +29,11 @@ def random_psd(rng, k, hi=1.0):
 def root_resistance(t):
     """Effective resistance of a whole tree: the root block of ``solve_tree``."""
     return solve_tree(t)[0][0]
+
+
+def arc_currents(sweeps):
+    """Every arc's current in a ``SourceSweeps``: what it was handed where it holds R, G V where it holds G."""
+    return np.where(sweeps.takes_r[:, None, None, None], sweeps.handed, sweeps.value[:, None] @ sweeps.handed)
 
 
 def tree_h2(t):
@@ -141,3 +147,38 @@ def random_symmetric(rng, k):
     m = rng.standard_normal((k, k))
     m = 0.5 * (m + m.T)
     return m / np.linalg.norm(m, "fro")
+
+
+def exact_q(g):
+    """The exact judge: Q per source, an (S, m, k, k) stack like a provider's,
+    by Gauss-Jordan elimination in ``fractions.Fraction`` on the Dirichlet
+    Laplacian assembled exactly from the float weights, rounded to floats
+    once at the end. Small graphs only: its cost grows with the digits."""
+    k, row = g.k, {v: i for i, v in enumerate(g.followers)}
+    n, cols = len(row) * k, len(g.sources) * k
+    a = [[Fraction(0)] * (n + cols) for _ in range(n)]
+    for c, s in enumerate(g.sources):
+        for i in range(k):
+            a[row[s] * k + i][n + c * k + i] = Fraction(1)
+    for e, w in zip(g.edges, g.weights):
+        w = [[Fraction(x) for x in r] for r in w.tolist()]
+        ends = [row[v] for v in (e.tail, e.head) if v in row]
+        for u in ends:
+            for v in ends:
+                sign = 1 if u == v else -1
+                for i in range(k):
+                    for j in range(k):
+                        a[u * k + i][v * k + j] += sign * w[i][j]
+    for p in range(n):  # SPD: no pivoting needed
+        pivot = a[p]
+        inv = 1 / pivot[p]
+        pivot[:] = [x * inv for x in pivot]
+        for r in range(n):
+            f = a[r][p]
+            if r != p and f:
+                a[r] = [x - f * y for x, y in zip(a[r], pivot)]
+    y = np.zeros((len(g.sources), len(g.nodes), k, k))
+    for v, i in row.items():
+        block = np.array([[float(x) for x in a[i * k + r][n:]] for r in range(k)])  # (k, S k)
+        y[:, g.index[v]] = block.reshape(k, -1, k).swapaxes(0, 1)
+    return y[:, g.ends[:, 0]] - y[:, g.ends[:, 1]]

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spnet
-from helpers import random_aittsp, random_sptree
+from helpers import arc_currents, random_aittsp, random_sptree
 from spnet import electrical, sptree
 from spnet.fileio import load_graph
 from spnet.graph import make_graph
 from spnet.h2 import CompositionalProvider, compositional_h2
-from spnet.sptree import Parallel, realize
-from test_compiled import assert_matches_dense, rel_err
+from spnet.sptree import realize
+from test_compiled import assert_matches_dense, assert_one_voltage_per_parallel_join, rel_err
 from test_recognize import ladder
 from test_scale import path, sp_tree
 from test_shared import k4_subdivision, scrambled_ids
@@ -60,21 +60,22 @@ def sp_ladder(rng, k, rungs):
 def assert_matches_sequential(g):
     """``solve_sources`` with the program's chains against the per-join sweep
     of the same program: every leaf voltage and every light child's current
-    to 1e-12 relative, each chain top's R to 1e-13; a chain's other joins get
-    no R. Returns the program."""
+    to 1e-12 relative, each chain top's value (R or G, as its parent takes
+    it) to 1e-13; a chain's other joins get no value. Returns the program."""
     program = CompositionalProvider(g).program
     m = len(program.edges)
-    leaf_r = electrical.leaf_resistances(g.weights)
-    cr = electrical.solve_sources(program, leaf_r)
-    seq = electrical.solve_sources(per_join(program), leaf_r)
+    cr = electrical.solve_sources(program, g.weights)
+    seq = electrical.solve_sources(per_join(program), g.weights)
     assert rel_err(cr.roots, seq.roots) <= 1e-12
     for got, want in zip(cr.voltage, seq.voltage):
         assert rel_err(got, want) <= 1e-12
+    cr_cur, seq_cur = arc_currents(cr), arc_currents(seq)
     for chain in chains(program):
-        assert rel_err(cr.resistance[m + chain.top], seq.resistance[m + chain.top]) <= 1e-13
+        assert cr.takes_r[m + chain.top] == seq.takes_r[m + chain.top]
+        assert rel_err(cr.value[m + chain.top], seq.value[m + chain.top]) <= 1e-13
         for arc in chain.arcs:
-            assert rel_err(cr.current[arc], seq.current[arc]) <= 1e-12
-        assert all(cr.resistance[m + j] is None for j in chain.joins[1:])
+            assert rel_err(cr_cur[arc], seq_cur[arc]) <= 1e-12
+        assert not cr.value[m + np.array(chain.joins[1:], dtype=int)].any()
     return program
 
 
@@ -142,19 +143,15 @@ def test_rule_picks_long_chains_at_small_k(rng):
             assert program.plan == tuple(range(len(program.joins)))
 
 
-def test_chain_joins_skip_the_parallel_guard(rng, monkeypatch):
-    # A split that breaks R_a X_a = R_b X_b is never used inside a chain,
-    # while the parallel joins of a rung's own SP network still meet the guard.
-    split = electrical._split
-    monkeypatch.setattr(electrical, "_split", lambda r1, r2: split(r1, r2) * np.array([1.01, 1.0])[:, None, None])
-    g = ladder(rng, 2, 60)
-    assert chains(CompositionalProvider(g).program)
-    CompositionalProvider(g)(g)
-    g = sp_ladder(rng, 2, 40)
-    program = CompositionalProvider(g).program
-    assert chains(program) and any(type(j) is int and program.joins[j][0] is Parallel for j in program.plan)
-    with pytest.raises(ValueError, match="parallel children voltages disagree at join arc"):
-        CompositionalProvider(g)(g)
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_chain_shunts_share_their_port_voltage(rng, k):
+    # Every shunt of a port gets one voltage array, on chains with one to four shunts a port.
+    with pytest.MonkeyPatch.context() as mp:
+        forced(mp)
+        for g in (ladder(rng, k, 30), sp_ladder(rng, k, 12), random_aittsp(rng, k, 4, leaves_per_link=12)):
+            program = CompositionalProvider(g).program
+            assert chains(program)
+            assert_one_voltage_per_parallel_join(program, electrical.solve_sources(program, g.weights))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -163,9 +160,8 @@ def test_exact_h2_reads_the_chain_top(rng, k):
     g = ladder(rng, k, 70)
     program = CompositionalProvider(g).program
     assert chains(program)
-    leaf_r = electrical.leaf_resistances(g.weights)
-    *_, y_cr = electrical.skeleton_solve(program, leaf_r)
-    *_, y_seq = electrical.skeleton_solve(per_join(program), leaf_r)
+    *_, y_cr = electrical.skeleton_solve(program, g.weights)
+    *_, y_seq = electrical.skeleton_solve(per_join(program), g.weights)
     assert rel_err(y_cr, y_seq) <= 1e-12
     exact = compositional_h2(g).per_source
     assert [exact[s] for s in program.sources] == [0.5 * float(np.trace(y_cr[c, c])) for c in range(len(exact))]

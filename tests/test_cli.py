@@ -252,15 +252,61 @@ class TestCheckCommand:
         assert data["errors"]["leaf_voltages"] == pytest.approx(2.0)
 
     def test_inflated_parallel_split_fails_flow_conservation(self, capsys, monkeypatch):
-        # Both halves of every split scaled alike keep R_a X_a = R_b X_b, so the
-        # provider's parallel guard stays silent; Kirchhoff's law must catch it.
+        # Each leaf a series join takes gets 1.01 W^-1: the sweeps still agree
+        # with each other, on other weights, so only Kirchhoff's law can catch it.
         from spnet import electrical
 
-        split = electrical._split
-        monkeypatch.setattr(electrical, "_split", lambda r1, r2: 1.01 * split(r1, r2))
+        convert = electrical.leaf_resistances
+        monkeypatch.setattr(electrical, "leaf_resistances", lambda w: 1.01 * convert(w))
         code, data = run_json(capsys, ["check", "--graph", DEMO])
         assert code == 1
         assert data["errors"]["flow_conservation"] > 1e-3
+
+
+def ill_conditioned_pair(e):
+    """k = 2 graph data: L0 - s, two parallel s - t edges weighted R(theta) diag(10^-e, 10^e) R(theta)^T at
+    theta = 30 and 75 degrees, each of condition number 10^2e while their sum's is 5.8, then t - L1."""
+
+    def w(theta):
+        r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        return ((r * [10.0**-e, 10.0**e]) @ r.T).tolist()
+
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    pairs = [("a0", "L0", "s", eye), ("p1", "s", "t", w(np.pi / 6)), ("p2", "s", "t", w(5 * np.pi / 12))]
+    edges = [{"id": i, "tail": u, "head": v, "weight": x} for i, u, v, x in pairs + [("a1", "t", "L1", eye)]]
+    return {"k": 2, "nodes": ["L0", "L1", "s", "t"], "leaders": ["L0", "L1"], "edges": edges}
+
+
+@pytest.mark.parametrize("e", [5, 6])
+class TestIllConditionedParallelPair:
+    """Each child of the parallel join is handed the join's one voltage and
+    makes its current as W V, so nothing is lost to W^-1."""
+
+    def test_check_passes(self, capsys, tmp_path, e):
+        graph = tmp_path / "pair.json"
+        graph.write_text(json.dumps(ill_conditioned_pair(e)))
+        code, data = run_json(capsys, ["check", "--graph", str(graph), "--tol", "1e-9"])
+        assert code == 0 and data["ok"]
+        assert data["errors"]["flow_conservation"] <= 1e-10
+
+    def test_optimize_matches_dense_mode(self, capsys, tmp_path, e):
+        data = ill_conditioned_pair(e)
+        graph = tmp_path / "pair.json"
+        graph.write_text(json.dumps(data))
+        boxes = {x["id"]: {"L": (0.5 * np.array(x["weight"])).tolist(), "U": (2 * np.array(x["weight"])).tolist()}
+                 for x in data["edges"] if x["id"][0] == "p"}
+        runs = {}
+        for mode in ("compositional", "dense"):
+            config = tmp_path / f"{mode}.json"
+            config.write_text(json.dumps({"penalty_h": 0.05, "max_iters": 5, "voltage_mode": mode, "bounds": boxes}))
+            out, weights = tmp_path / f"{mode}.csv", tmp_path / f"{mode}_weights.json"
+            argv = ["optimize", "--graph", str(graph), "--config", str(config), "--out", str(out)]
+            assert run(argv + ["--weights-out", str(weights)]) == 0
+            with open(out) as f:
+                runs[mode] = [float(row["h2_squared"]) for row in csv.DictReader(f)], json.loads(weights.read_text())
+        (comp_h2, comp), (dense_h2, dense) = runs["compositional"], runs["dense"]
+        assert comp["final_objective"] == pytest.approx(dense["final_objective"], rel=1e-12)
+        assert comp_h2 == pytest.approx(dense_h2, rel=1e-9)
 
 
 class TestFileErrors:

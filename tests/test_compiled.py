@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import spnet
-from helpers import leaf_rows, random_aittsp, random_sptree, tree_h2
+from helpers import arc_currents, exact_q, leaf_rows, random_aittsp, random_sptree, reweighted, tree_h2
 from spnet import electrical, sptree
 from spnet import h2 as h2_module
 from spnet.cli import _emit, run
-from spnet.graph import make_graph
+from spnet.graph import attachment_edge_ids, make_graph
 from spnet.h2 import (
     CompositionalProvider,
     compositional_h2,
@@ -26,6 +26,7 @@ from spnet.h2 import (
 from spnet.optimize import edge_gradients
 from spnet.sptree import (
     Leaf,
+    Parallel,
     Series,
     check_height_bounds,
     from_json,
@@ -74,7 +75,7 @@ class TestQStack:
         for k in (1, 2, 3) * 2:
             g = random_aittsp(rng, k, 3)
             provider = CompositionalProvider(g)
-            solutions = electrical.solve_sources(provider.program, electrical.leaf_resistances(g.weights))
+            solutions = electrical.solve_sources(provider.program, g.weights)
             for h2, q in (provider(g), dense_provider(g)):
                 assert list(h2) == list(g.sources)
                 assert q.shape == (len(g.sources), len(g.edges), k, k)
@@ -159,7 +160,7 @@ class TestCompiledProvider:
         # leaf currents times the leaf's net sign.
         g = random_aittsp(rng, 2, 4)
         provider = CompositionalProvider(g)
-        sweeps = electrical.solve_sources(provider.program, electrical.leaf_resistances(g.weights))
+        currents = arc_currents(electrical.solve_sources(provider.program, g.weights))
         arc = {e.id: a for a, e in enumerate(g.edges)}
         signs = set()
         for c, s in enumerate(provider.program.sources):
@@ -169,34 +170,84 @@ class TestCompiledProvider:
             for lf in leaves(tree):
                 sign = 1.0 if lf.tail == g.edges[arc[lf.edge]].tail else -1.0
                 np.testing.assert_allclose(
-                    sweeps.current[arc[lf.edge], c], sign * cur[rows[lf.edge]], rtol=1e-12, atol=1e-15
+                    currents[arc[lf.edge], c], sign * cur[rows[lf.edge]], rtol=1e-12, atol=1e-15
                 )
                 signs.add(sign)
         assert signs == {1.0, -1.0}
 
-    def test_parallel_guard_stops_a_bad_split(self, rng, monkeypatch):
-        # A split that breaks R_a X_a = R_b X_b must stop the call.
-        g = random_aittsp(rng, 2, 3, leaves_per_link=6)
-        provider = CompositionalProvider(g)
-        split = electrical._split
-        monkeypatch.setattr(electrical, "_split", lambda r1, r2: split(r1, r2) * np.array([1.01, 1.0])[:, None, None])
-        with pytest.raises(ValueError, match="parallel children voltages disagree at join arc"):
-            provider(g)
+
+def assert_one_voltage_per_parallel_join(program, sweeps):
+    """Both children of every parallel join the plan sweeps, and every shunt
+    of a chain's port, are handed one voltage array, bit for bit once each
+    child's stored direction is undone; a join's children get its voltage."""
+    m, handed = len(program.edges), sweeps.handed
+    for step in program.plan:
+        if type(step) is sptree.Chain:
+            shunts = step.series + np.arange(len(step.port))
+            for port in np.unique(step.port):
+                got = [(step.signs[i] * handed[step.arcs[i]]).tobytes() for i in shunts[step.port == port]]
+                assert got == got[:1] * len(got)
+            continue
+        kind, a, fa, b, fb = program.joins[step]
+        if kind is Parallel:
+            va, vb = (-handed[c] if flip else handed[c] for c, flip in ((a, fa), (b, fb)))
+            assert va.tobytes() == vb.tobytes()
+            j = m + step
+            v = sweeps.value[j] @ handed[j] if sweeps.takes_r[j] else handed[j]
+            np.testing.assert_allclose(va, v, rtol=1e-12)
 
 
 class TestVoltageGuard:
-    def test_reports_first_disagreeing_join_bottom_up(self, monkeypatch):
-        # Arcs: 0 a, 1 b, 2 c, then the joins bottom-up: 3 inner, 4 outer.
-        # Every split favours its left child, so both joins disagree.
-        t = parallel(parallel(leaf("a", [[1.0]]), leaf("b", [[2.0]])), leaf("c", [[1.0]]))
-        monkeypatch.setattr(electrical, "_split", lambda r1, r2: np.array([0.9 * np.eye(1), 0.1 * np.eye(1)]))
-        with pytest.raises(ValueError, match="join arc 3;"):
-            electrical.solve_tree(t)
+    """What replaced the parallel-voltage guard: a parallel join hands its
+    children one voltage, so they cannot disagree."""
 
     def test_consistent_currents_pass(self, rng):
         t = random_sptree(rng, 3, 12)
         res, _, vol = electrical.solve_tree(t)
         np.testing.assert_allclose(vol[0], res[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_parallel_children_share_one_voltage(self, rng, k):
+        for _ in range(4):
+            program, _ = sptree.flatten(random_sptree(rng, k, int(rng.integers(2, 30))))
+            sweeps = electrical.solve_sources(program, [lf.weight for lf in program.edges])
+            assert_one_voltage_per_parallel_join(program, sweeps)
+            g = random_aittsp(rng, k, int(rng.integers(2, 6)), leaves_per_link=8)
+            program = CompositionalProvider(g).program
+            assert_one_voltage_per_parallel_join(program, electrical.solve_sources(program, g.weights))
+
+
+class TestExactJudge:
+    """The provider's Q against exact rationals (``helpers.exact_q``)."""
+
+    def test_judge_agrees_with_dense_when_well_conditioned(self, rng):
+        for k in (1, 2, 3):
+            g = random_aittsp(rng, k, 3)
+            assert rel_err(exact_q(g), dense_provider(g)[1]) <= 1e-14
+
+    def test_provider_q_on_ill_conditioned_graphs(self):
+        # 60 small networks, k = 2 or 3, every free weight's eigenvalues spread
+        # by up to 10^+-0.3, 10^+-4 or 10^+-8: the provider solves each one,
+        # and Q's worst error per source (scaled by its largest entry) stays
+        # within each condition band's bound.
+        rng = np.random.default_rng(0)
+        worst = {False: 0.0, True: 0.0}  # keyed by: some weight has cond(W) >= 1e8
+        for _ in range(60):
+            k, spread = int(rng.integers(2, 4)), float(rng.choice([0.3, 4.0, 8.0]))
+            g = random_aittsp(rng, k, int(rng.integers(2, 4)), leaves_per_link=4)
+            fixed = attachment_edge_ids(g)
+            new = {}
+            for e in g.edges:
+                if e.id not in fixed:
+                    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                    new[e.id] = (q * 10.0 ** rng.uniform(-spread, spread, k)) @ q.T
+            g = reweighted(g, new)
+            want = exact_q(g)
+            err = np.abs(CompositionalProvider(g)(g)[1] - want).max(axis=(1, 2, 3)) / np.abs(want).max(axis=(1, 2, 3))
+            ill = bool(np.linalg.cond(g.weights).max() >= 1e8)
+            worst[ill] = max(worst[ill], float(err.max()))
+        assert worst[False] <= 1e-8
+        assert worst[True] <= 1e-5
 
 
 def comb(n):

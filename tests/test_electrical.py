@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import leaf_rows, random_psd, random_spd, random_sptree, root_resistance
-from spnet import electrical, matlin, sptree
+from spnet import matlin, sptree
 from spnet.electrical import solve_tree
 from spnet.graph import grounded_laplacian
 from spnet.h2 import dense_solve
 from spnet.sptree import Leaf, Parallel, Series, index_tree, leaf, parallel, realize, recognize, series
-
-I1 = np.eye(1)
 
 
 def scalar_leaf(eid, w):
@@ -206,25 +204,6 @@ class TestVoltageDrops:
             y = dict(zip(g.nodes, dense_solve(replace(g, leaders=frozenset({snk})), [src])[0]))
             for e in g.edges:
                 np.testing.assert_allclose(vol[rows[e.id]], y[e.tail] - y[e.head], rtol=1e-9, atol=1e-11)
-
-    def test_inconsistent_parallel_voltages_raise(self, monkeypatch):
-        # A split that is not the power minimizer gives the two children different voltages.
-        t = parallel(scalar_leaf("a", 1.0), scalar_leaf("b", 2.0))
-        monkeypatch.setattr(electrical, "_split", lambda r1, r2: np.array([0.9 * I1, 0.1 * I1]))
-        with pytest.raises(ValueError, match="parallel children voltages disagree"):
-            solve_tree(t)
-
-    @pytest.mark.parametrize("error", [1.3, 1.01])
-    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-    def test_one_sided_split_error_raises_at_every_weight_scale(self, rng, monkeypatch, scale, error):
-        # Only X1 is off, so the children's voltages differ by the error times
-        # their own scale, which is about 1 / scale: the guard must not read
-        # that difference against a floor of 1.
-        a, b, c = (leaf(e, scale * random_spd(rng, 2)) for e in "abc")
-        split = electrical._split
-        monkeypatch.setattr(electrical, "_split", lambda r1, r2: split(r1, r2) * np.array([error, 1.0])[:, None, None])
-        with pytest.raises(ValueError, match="parallel children voltages disagree"):
-            solve_tree(parallel(series(a, b), c))
 
 
 class TestConservationAndOhm:

@@ -409,6 +409,17 @@ def test_rows_stopped_by_the_first_pass_are_projections(seed, k, rows, emptiness
             matlin.project_box(x, lo, up, max_iter=max_iter)
 
 
+NON_FINITE = [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.inf]],
+    [[2.0, np.nan], [np.nan, 3.0]],
+    [[1.0, 0.0], [0.0, -np.inf]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+]
+
+
 class TestSymmetricStack:
     def test_stack_matches_one_matrix_calls(self, rng):
         m = np.array([random_spd(rng, 3) for _ in range(4)])
@@ -421,6 +432,27 @@ class TestSymmetricStack:
         m[1, 0, 1] = 1e-9
         with pytest.raises(ValueError):
             matlin.as_symmetric(m)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[[1.0, np.inf], [-np.inf, 1.0]], [[1.0, np.nan], [0.0, 1.0]]])
+    def test_unmirrored_non_finite_pair_is_asymmetric(self, bad):
+        # inf against -inf, or NaN against a number, is no mirror: refused without summing the pair.
+        bad = np.array(bad)
+        assert not matlin.is_spd(bad)
+        assert matlin.is_spd(np.array([np.eye(2), bad])).tolist() == [True, False]
+        with pytest.raises(ValueError, match="not symmetric within tolerance"):
+            matlin.as_symmetric(bad)
+        for lo, up in ((np.eye(2), bad), (bad, 2 * np.eye(2))):
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                matlin.project_box(np.eye(2), lo, up)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_mirrored_non_finite_entries_pass_symmetry(self, bad):
+        # Each entry mirrors itself, so the symmetry rule passes and the definiteness rule refuses.
+        bad = np.array(bad)
+        assert matlin.is_symmetric(bad)
+        assert not matlin.is_spd(bad)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2, 2), (2, 3, 2)])
     def test_bad_shapes(self, shape):
@@ -462,17 +494,6 @@ def test_cholesky_rules_match_eigenvalues_off_the_rounding_band(k):
     low, clear = clear_of_rounding(up - lo, centre=-matlin.BOX_TOL)
     assert clear.sum() > 1000
     np.testing.assert_array_equal(matlin.box_nonempty(lo, up)[clear], (low >= -matlin.BOX_TOL)[clear])
-
-
-NON_FINITE = [
-    [[1.0, np.nan], [np.nan, 1.0]],
-    [[np.nan, 0.0], [0.0, 1.0]],
-    [[1.0, 0.0], [0.0, np.inf]],
-    [[2.0, np.nan], [np.nan, 3.0]],
-    [[1.0, 0.0], [0.0, -np.inf]],
-    [[1.0, np.inf], [np.inf, 1.0]],
-    [[1.0, -np.inf], [-np.inf, 1.0]],
-]
 
 
 class TestBoxRule:

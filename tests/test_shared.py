@@ -93,10 +93,12 @@ def test_shared_reduction_is_confluent_with_one_per_source(rng, monkeypatch):
 
 
 def test_bound_is_exact_h2_at_k1(rng):
-    # At k = 1, r_e = tr W_e^-1 is W_e^-1 itself, so the bound's solve is exact H2's, bit for bit.
-    for _ in range(40):
-        g = scrambled_ids(rng, random_aittsp(rng, 1, int(rng.integers(1, 9)), 6))
-        assert compositional_h2(g, "bound").per_source == compositional_h2(g).per_source
+    # The bound is exact H2 of the k = 1 network with conductances 1 / tr W_e^-1: one solve, bit for bit.
+    for k in (1, 2, 4) * 10:
+        g = scrambled_ids(rng, random_aittsp(rng, k, int(rng.integers(1, 9)), 6))
+        scalar = 1.0 / np.trace(np.linalg.inv(g.weights), axis1=1, axis2=2)[:, None, None]
+        g1 = make_graph(1, g.nodes, g.edges, g.leaders, g.sources, weights=scalar)
+        assert compositional_h2(g, "bound").per_source == compositional_h2(g1).per_source
 
 
 def arc_ends(program, gg):
@@ -201,10 +203,11 @@ def test_flattened_tree_is_its_own_skeleton(rng):
     # A flattened tree's one live arc is its root, from source 0 to sink 1.
     t = random_sptree(rng, 3, 9)
     program, _ = flatten(t)
-    leaf_r = electrical.leaf_resistances([lf.weight for lf in program.edges])
-    sweeps = electrical.solve_sources(program, leaf_r)
-    np.testing.assert_allclose(sweeps.roots[0], sweeps.resistance[-1], rtol=1e-12)  # G^-1 back from the skeleton solve
-    np.testing.assert_allclose(sweeps.current[-1, 0], np.eye(3), atol=1e-12)
+    sweeps = electrical.solve_sources(program, [lf.weight for lf in program.edges])
+    assert not sweeps.takes_r[-1]  # the root enters the skeleton as G and is handed its voltage, G^-1
+    np.testing.assert_allclose(sweeps.roots[0], np.linalg.inv(sweeps.value[-1]), rtol=1e-12)
+    np.testing.assert_allclose(sweeps.handed[-1, 0], sweeps.roots[0], rtol=1e-12)
+    np.testing.assert_allclose(sweeps.value[-1] @ sweeps.handed[-1, 0], np.eye(3), atol=1e-12)
 
 
 def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
