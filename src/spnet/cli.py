@@ -33,7 +33,7 @@ def _emit(data, out_path):
 def _cmd_decompose(args):
     g = load_graph(args.graph)
     ground = validate_consensus(g).leaders if args.sink is None else {args.sink}
-    tree = reduce_sources(g, (args.source,), ground).tree(args.source, g.weights)
+    tree = reduce_sources(g, (args.source,), ground).tree(g.weights)
     _emit(to_json(tree), args.out)
     return 0
 

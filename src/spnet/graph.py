@@ -76,7 +76,7 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
         _first_faulty_edge(k, index, ids, tails, heads, weights)
         stack = np.array(weights, dtype=float).reshape(len(ids), k, k)  # no fault: no edges, so shape (0,)
     weights = matlin.as_symmetric(stack, describe=lambda i: f"edge {ids[i]!r} weight")
-    spd = matlin.is_spd(weights)
+    spd = matlin.has_cholesky(weights)  # ``as_symmetric`` has checked and symmetrized the stack
     if not spd.all():
         raise GraphValidationError(f"edge {ids[int(np.argmin(spd))]!r} weight is not strictly SPD")
 

@@ -80,22 +80,22 @@ def _check_terminals(g):
         raise GraphValidationError("graph has no source nodes")
 
 
-def _reduced(g):
-    """The ``ArcProgram`` of ``g`` from every source to its leaders, grounded as one sink; a GraphValidationError
+def _reduced(g, sources):
+    """The ``ArcProgram`` of ``g`` from ``sources`` to its leaders, grounded as one sink; a GraphValidationError
     names the first skeleton node cut off from the sink, an edgeless node included (kept, with no arc)."""
     _check_terminals(g)
-    program = reduce_sources(g, g.sources, g.leaders)
+    program = reduce_sources(g, sources, g.leaders)
     check_reach(program.ends.tolist(), program.nodes, len(program.nodes) - 1)  # the sink is the last node
     return program
 
 
 def source_trees(g):
-    """Every source's tree to the grounded leaders, keyed by source id, all
-    from one shared reduction; leaves name the leaders as endpoints. Raises
-    NotSeriesParallelError if the network is not TTSP from some source.
+    """Every source's tree to the grounded leaders, keyed by source id, each
+    from its own one-source reduction; leaves name the leaders as endpoints.
+    Raises NotSeriesParallelError if the network is not TTSP from some source.
     """
-    program = _reduced(g)
-    return {s: program.tree(s, g.weights) for s in g.sources}
+    _check_terminals(g)
+    return {s: _reduced(g, (s,)).tree(g.weights) for s in g.sources}
 
 
 def compositional_h2(g, method="exact"):
@@ -105,7 +105,7 @@ def compositional_h2(g, method="exact"):
     1 / tr W^-1 (k = 1), the effective resistance of the paper's scalar rules."""
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown compositional method {method!r}")
-    program = _reduced(g)
+    program = _reduced(g, g.sources)
     weights = g.weights
     if method == "bound":
         weights = 1.0 / np.trace(electrical.leaf_resistances(weights), axis1=1, axis2=2)[:, None, None]
@@ -147,15 +147,15 @@ class CompositionalProvider:
     """Voltage provider backed by one shared series-parallel reduction, made
     here; each call takes the weights from a graph with the same edges (ids
     and ends) in the same order (a ValueError otherwise) and runs
-    ``electrical.solve_sources``. No source's reduction is finished, so it
-    solves any network whose skeleton reaches the grounded leaders and whose
-    every node has an edge (a GraphValidationError otherwise): a core that is
-    not series-parallel is only a bigger skeleton. A leader-leader edge, which
+    ``electrical.solve_sources``. No tree is built, so it solves any network
+    whose skeleton reaches the grounded leaders and whose every node has an
+    edge (a GraphValidationError otherwise): a core that is not
+    series-parallel is only a bigger skeleton. A leader-leader edge, which
     no join takes, gets Q = 0.
     """
 
     def __init__(self, g):
-        self.program = _reduced(g)
+        self.program = _reduced(g, g.sources)
 
     def __call__(self, g):
         if g.edges != self.program.edges:

@@ -36,7 +36,7 @@ def is_symmetric(m):
     magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack.
     A matrix with a non-finite entry passes iff each entry equals its mirror,
     NaN counting as NaN's, so ``symmetrize`` never adds inf to -inf;
-    ``_has_cholesky`` refuses it."""
+    ``has_cholesky`` refuses it."""
     m = np.asarray(m, dtype=float)
     finite = np.isfinite(m).all(axis=(-2, -1))
     z = np.where(finite[..., None, None], m, 0.0)
@@ -69,22 +69,22 @@ def _check_same_dim(*ms):
 
 
 def is_spd(m):
-    """True where M is symmetric (``is_symmetric``) and its symmetrized form passes ``_has_cholesky``. ``m`` is one
+    """True where M is symmetric (``is_symmetric``) and its symmetrized form passes ``has_cholesky``. ``m`` is one
     square matrix or an (n, k, k) stack, which gets one bool per matrix so a caller can name the first bad one."""
     m = np.asarray(m, dtype=float)
     sym = is_symmetric(m)
     if not sym.all():  # an asymmetric M is not summed with its transpose: inf - inf would warn
         m = np.where(sym[..., None, None], m, np.nan)
-    ok = sym & _has_cholesky(symmetrize(m))
+    ok = sym & has_cholesky(symmetrize(m))
     return bool(ok) if m.ndim == 2 else ok
 
 
 def box_nonempty(lower, upper):
-    """The box rule, one bool per box [L, U] of symmetric stacks: U - L + ``BOX_TOL`` I passes ``_has_cholesky``."""
-    return _has_cholesky(upper - lower + BOX_TOL * np.eye(lower.shape[-1]))
+    """The box rule, one bool per box [L, U] of symmetric stacks: U - L + ``BOX_TOL`` I passes ``has_cholesky``."""
+    return has_cholesky(upper - lower + BOX_TOL * np.eye(lower.shape[-1]))
 
 
-def _has_cholesky(m):
+def has_cholesky(m):
     """True where the symmetric M is finite and has a Cholesky factor (Higham 2002, ch. 10), one bool per matrix: a
     stack is factored at once, and one matrix at a time only when that fails. A NaN pivot need not fail."""
     stack = m.reshape(-1, *m.shape[-2:])
@@ -92,7 +92,7 @@ def _has_cholesky(m):
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:  # a lone matrix has none; in a stack, factor each to tell which
-        ok &= [len(stack) > 1 and bool(_has_cholesky(a)) for a in stack]
+        ok &= [len(stack) > 1 and bool(has_cholesky(a)) for a in stack]
     return ok.reshape(m.shape[:-2])
 
 

@@ -76,7 +76,7 @@ def flatten(t):
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
     edges, root = tuple(entries[i][0] for i in leaves), len(order) - 1
     plan = tuple(range(len(joins)))
-    return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), (0, 1), plan), order
+    return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), plan), order
 
 
 def leaves(t):
@@ -96,7 +96,7 @@ def _check_leaves(leaves):
 
 def leaf(edge_id, weight, tail=None, head=None):
     weight = matlin.as_symmetric(weight)
-    if not matlin.is_spd(weight):
+    if not matlin.has_cholesky(weight):
         raise ValueError(f"leaf weight for edge {edge_id!r} is not strictly SPD")
     return Leaf(str(edge_id), weight, tail, head)
 
@@ -157,7 +157,7 @@ def recognize(g, source, sink):
     reduction engine with ``source`` and ``sink`` as its only terminals, then
     one explicit-stack pass that builds the tree, in which every leaf's tail
     -> head follows the flow from source to sink."""
-    return reduce_sources(g, (source,), {sink}).tree(source, g.weights)
+    return reduce_sources(g, (source,), {sink}).tree(g.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,49 +166,29 @@ class ArcProgram:
     sink as flat join records (kind, a, a flipped, b, b flipped): the one form
     every tree walk runs on (``flatten`` makes it of a tree; ``fold`` evaluates that).
 
-    Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); shared
-    join i is arc m + i, so creation order is bottom-up; an edge with both ends
+    Arcs 0..m-1 are the ``edges`` (a flattened tree's are its leaves); join i
+    is arc m + i, so creation order is bottom-up; an edge with both ends
     grounded is neither joined nor live. Graph edges carry no weights; ``tree``
     takes them.
 
-    The terminal skeleton is what the shared joins leave: the ``live`` arcs
-    between the skeleton's nodes, numbered with source c (``sources[c]``) as
-    node c, then the other nodes left (an edgeless node too, with no arc), then
-    the sink last. ``finish`` reduces it further for one source at a time,
-    when ``tree`` asks.
+    The terminal skeleton is what the joins leave: the ``live`` arcs between
+    the skeleton's nodes, numbered with source c (``sources[c]``) as node c,
+    then the other nodes left (an edgeless node too, with no arc), then the
+    sink last. A one-source reduction of a graph that is series-parallel
+    between its terminals leaves one arc, the root of that source's tree.
 
-    ``plan`` is the order the electrical sweeps take the shared joins in, each
-    long heavy path of them one ``Chain`` (``chain_plan``); a flattened tree's
+    ``plan`` is the order the electrical sweeps take the joins in, each long
+    heavy path of them one ``Chain`` (``chain_plan``); a flattened tree's
     sweeps every join in turn.
     """
 
     edges: tuple
     joins: list
     sources: tuple
-    live: np.ndarray  # arc ids no shared join consumes, ascending
+    live: np.ndarray  # arc ids no join consumes, ascending
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
     nodes: tuple  # name of each skeleton node, by number
-    order: tuple  # the skeleton node numbers in graph node order, as the reduction queued them
     plan: tuple  # sweep steps: join indices, bottom-up, and ``Chain``s in their tops' places
-
-    def finish(self, s):
-        """(joins, root arc, whether it runs sink -> s) that end the reduction
-        of source s: the live arcs reduced with only it and the sink as
-        terminals (join j is arc m + len(self.joins) + j). Raises
-        NotSeriesParallelError if that stalls or ends on a non-terminal pair."""
-        live, joins, terminals = self.live.tolist(), [], (self.sources.index(s), len(self.nodes) - 1)
-        tail, head = [[None] * (len(self.edges) + len(self.joins)) for _ in range(2)]  # only live arcs' ends are read
-        for aid, (u, v) in zip(live, self.ends.tolist()):
-            tail[aid], head[aid] = u, v
-        rest = _reduce(tail, head, joins, live, self.order, terminals)
-        if len(rest) != 1:
-            why = f"stalled with {len(rest)} edges; graph is not series-parallel between {s!r} and {self.nodes[-1]!r}"
-            raise NotSeriesParallelError(f"reduction {why}")
-        u, v = tail[rest[0]], head[rest[0]]
-        if sorted((u, v)) != sorted(terminals):
-            ends = f"{self.nodes[u]!r}-{self.nodes[v]!r}"
-            raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
-        return joins, rest[0], u != terminals[0]
 
     def fold(self, values, series, parallel):
         """The root value of a flattened tree from ``values`` of its leaves:
@@ -219,10 +199,17 @@ class ArcProgram:
             vals.append((series if kind is Series else parallel)(vals[a], vals[b]))
         return vals[-1]
 
-    def tree(self, source, weights):
-        """The source's Leaf/Series/Parallel tree with ``weights[j]`` on edge j, built without recursion."""
-        joins, root, reversed_ = self.finish(source)
-        return _build(self.edges, weights, self.joins + joins, root, reversed_)
+    def tree(self, weights):
+        """The one source's Leaf/Series/Parallel tree with ``weights[j]`` on edge j, built without recursion.
+        Raises NotSeriesParallelError unless the reduction left one arc, between the source and the sink."""
+        if len(self.live) != 1:
+            why = f"stalled with {len(self.live)} edges; graph is not series-parallel between"
+            raise NotSeriesParallelError(f"reduction {why} {self.nodes[0]!r} and {self.nodes[-1]!r}")
+        u, v = self.ends[0].tolist()
+        if sorted((u, v)) != [0, len(self.nodes) - 1]:
+            ends = f"{self.nodes[u]!r}-{self.nodes[v]!r}"
+            raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
+        return _build(self.edges, weights, self.joins, int(self.live[0]), u != 0)
 
 
 def reduce_sources(g, sources, ground):
@@ -232,8 +219,8 @@ def reduce_sources(g, sources, ground):
     reduction is confluent (Duffin 1965), and the terminal skeleton it leaves.
     The sink is named "l" ("_"-prefixed while that names a node outside the
     ground), or after its one node unless the ground is the leader set.
-    Nothing here needs the graph to be series-parallel; ``ArcProgram.finish``
-    checks it per source."""
+    Nothing here needs the graph to be series-parallel; ``ArcProgram.tree``
+    checks it for a one-source reduction."""
     ground = set(ground)
     missing = [v for v in (*sources, *sorted(ground, key=str)) if v not in g.index]
     if missing:
@@ -253,13 +240,12 @@ def reduce_sources(g, sources, ground):
     edgeless = set(range(len(names))).difference(tail, head)  # skeleton nodes with no arc
     joins = []
     protected = {index[s] for s in sources} | {index[sink]}
-    live = sorted(_reduce(tail, head, joins, arcs, range(len(names)), protected))
+    live = sorted(_reduce(tail, head, joins, arcs, len(names), protected))
     hubs = sorted(({n for aid in live for n in (tail[aid], head[aid])} | edgeless) - protected)
     number = {n: c for c, n in enumerate([index[s] for s in sources] + hubs + [index[sink]])}
     ends = np.array([[number[tail[aid]], number[head[aid]]] for aid in live], dtype=int).reshape(-1, 2)
-    nodes, order = tuple(names[n] for n in number), tuple(number[n] for n in sorted(number))
-    plan = chain_plan(len(g.edges), joins, live, g.k)
-    return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, order, plan)
+    nodes, plan = tuple(names[n] for n in number), chain_plan(len(g.edges), joins, live, g.k)
+    return ArcProgram(g.edges, joins, tuple(sources), np.array(live, dtype=int), ends, nodes, plan)
 
 
 # Where block cyclic reduction beats the per-join sweep, measured on ladders
@@ -365,11 +351,12 @@ def _chain(m, joins, size, top):
     )
 
 
-def _reduce(tail, head, joins, arcs, nodes, terminals):
+def _reduce(tail, head, joins, arcs, n, terminals):
     """Series-parallel worklist reduction (Valdes, Tarjan & Lawler 1982) of
-    ``arcs`` that never contracts a node of ``terminals``; returns the live arcs.
+    ``arcs`` on nodes 0..n-1 that never contracts a node of ``terminals``;
+    returns the live arcs.
 
-    Arc aid runs tail[aid] -> head[aid] (node indices below n = len(nodes));
+    Arc aid runs tail[aid] -> head[aid] (node indices below n);
     its unordered endpoint pair gets the key lo * n + hi once. A FIFO holds
     candidate nodes (non-terminal, degree 2) and, as negated keys, pairs with
     more than one arc; a dict from key to the pair's arcs (its bundle) finds
@@ -383,12 +370,11 @@ def _reduce(tail, head, joins, arcs, nodes, terminals):
     Deterministic: reading ``arcs`` in order queues each pair as it gains its
     second arc (as do new arcs later, and a merge of three or more arcs, whose
     bundle is two arcs again before its last join), then the candidate nodes
-    in ``nodes`` order; a merge pushes its endpoints in (tail, head) order of
+    in index order; a merge pushes its endpoints in (tail, head) order of
     the merged arc; a contraction lets flow run p -> node -> q through its
     lower-id arc first; bundles merge in ascending arc id. No set of node ids
     decides any order.
     """
-    n = len(nodes)
     adj = [{} for _ in range(n)]  # node -> its arcs, in ascending aid (dict as ordered set)
     keys = [None] * len(tail)  # arc -> its pair's key
     bundles = {}  # pair key -> its arcs, in ascending aid
@@ -401,7 +387,7 @@ def _reduce(tail, head, joins, arcs, nodes, terminals):
         bundle.append(aid)
         if len(bundle) == 2:
             queue.append(-key)
-    queue.extend(v for v in nodes if len(adj[v]) == 2)
+    queue.extend(v for v in range(n) if len(adj[v]) == 2)
 
     while queue:
         item = queue.popleft()

@@ -1,6 +1,7 @@
 """The shared arc program: agreement with the dense oracle, one reduction
-per provider, the parallel-voltage guards, and trees deep enough to defeat
-recursion through the tree walkers and every command."""
+per provider, one voltage handed to both children of every parallel join,
+and trees deep enough to defeat recursion through the tree walkers and
+every command."""
 
 import json
 from dataclasses import replace
@@ -22,6 +23,7 @@ from spnet.h2 import (
     dense_provider,
     dense_solve,
     h2_scalar_bound,
+    source_trees,
 )
 from spnet.optimize import edge_gradients
 from spnet.sptree import (
@@ -82,9 +84,10 @@ class TestQStack:
             _, comp_q = provider(g)
             _, dense_q = dense_provider(g)
             column = {e.id: j for j, e in enumerate(g.edges)}
+            trees = source_trees(g)
             for c, s in enumerate(g.sources):
                 y = dict(zip(g.nodes, dense_solve(g, [s])[0]))  # zero at every leader, where the tree's leaves end
-                for lf in leaves(provider.program.tree(s, g.weights)):
+                for lf in leaves(trees[s]):
                     j = column[lf.edge]
                     # Net sign of the arc in the source's tree: +1 where the flow runs tail -> head.
                     sign = 1.0 if lf.tail == g.edges[j].tail else -1.0
@@ -163,8 +166,7 @@ class TestCompiledProvider:
         currents = arc_currents(electrical.solve_sources(provider.program, g.weights))
         arc = {e.id: a for a, e in enumerate(g.edges)}
         signs = set()
-        for c, s in enumerate(provider.program.sources):
-            tree = provider.program.tree(s, g.weights)
+        for c, (s, tree) in enumerate(source_trees(g).items()):
             _, cur, _ = electrical.solve_tree(tree)
             rows = leaf_rows(tree)
             for lf in leaves(tree):

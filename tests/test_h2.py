@@ -14,6 +14,7 @@ from spnet.h2 import (
     h2_scalar_bound,
     h2_series_compose,
     lyapunov_residual,
+    source_trees,
 )
 from spnet.sptree import leaf, leaves, parallel, realize, series
 
@@ -173,11 +174,7 @@ class TestVoltageProviders:
             oracle = dense_h2(g).per_source
             comp = CompositionalProvider(g)
             tails = {e.id: e.tail for e in g.edges}
-            reversed_leaves += sum(
-                lf.tail != tails[lf.edge]
-                for s in comp.program.sources
-                for lf in leaves(comp.program.tree(s, g.weights))
-            )
+            reversed_leaves += sum(lf.tail != tails[lf.edge] for t in source_trees(g).values() for lf in leaves(t))
             comp_h2, comp_q = comp(g)
             dense_h2_sq, dense_q = dense_provider(g)
             for h2 in (comp_h2, dense_h2_sq):

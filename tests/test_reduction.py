@@ -1,6 +1,7 @@
-"""The worklist reduction's output, pinned: join records, terminal skeleton,
-chains and every source's finish on six graphs, and the ordering rule that
-re-queues a bundle's pair midway through its merge.
+"""The worklist reduction's output, pinned: join records, terminal skeleton
+and chains on six graphs, each source's one-source reduction down to one
+arc, and the ordering rule that re-queues a bundle's pair midway through its
+merge.
 
 ``data/reduction_records.json`` holds, for each graph, its grounded topology
 and what ``reduce_sources`` made of it when the file was written. Weights do
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spnet.errors import NotSeriesParallelError
 from spnet.graph import make_graph
 from spnet.sptree import Chain, reduce_sources
 
@@ -34,7 +34,6 @@ def test_reduction_matches_the_pinned_records(name):
     assert program.live.tolist() == want["live"]
     assert program.ends.tolist() == want["ends"]
     assert list(program.nodes) == want["nodes"]
-    assert list(program.order) == want["order"]
     chains = [step for step in program.plan if type(step) is Chain]
     assert len(chains) == len(want["chains"])
     for chain, pinned in zip(chains, want["chains"]):
@@ -42,13 +41,9 @@ def test_reduction_matches_the_pinned_records(name):
         assert list(chain.joins) == pinned["joins"]
         assert chain.arcs.tolist() == pinned["arcs"]
         assert chain.signs.reshape(-1).tolist() == pinned["signs"]
-    for source, pinned in want["finish"].items():
-        if pinned is None:
-            with pytest.raises(NotSeriesParallelError):
-                program.finish(source)
-            continue
-        joins, root, reversed_ = program.finish(source)
-        assert [records(joins), root, reversed_] == pinned
+    for source in spec["sources"]:  # each source alone reduces to one arc, between it and the sink
+        alone = reduce_sources(g, (source,), {spec["sink"]})
+        assert len(alone.live) == 1 and sorted(alone.ends[0].tolist()) == [0, len(alone.nodes) - 1]
 
 
 def test_partial_merge_requeues_its_pair():
@@ -70,4 +65,4 @@ def test_partial_merge_requeues_its_pair():
         ["Series", 12, False, 13, False],
     ]
     assert program.live.tolist() == [14]
-    assert program.finish("s") == ([], 14, False)
+    assert program.ends.tolist() == [[0, 1]]  # one arc, from the source to the sink

@@ -144,16 +144,19 @@ def plan_steps(program):
 
 def test_grounding_by_index_matches_the_grounded_copy(rng):
     # The reduction of ``g`` with its leaders as the ground set is the one of
-    # the quotient graph that identifies them: same records, skeleton and finishes.
+    # the quotient graph that identifies them: same records and skeleton, from
+    # all sources at once and from each source alone.
     for _ in range(30):
         g = scrambled_ids(rng, random_aittsp(rng, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 6))
         gg, sink = grounded(g)
-        got, want = CompositionalProvider(g).program, sptree.reduce_sources(gg, gg.sources, {sink})
-        assert got.edges is g.edges
-        assert got.joins == want.joins and plan_steps(got) == plan_steps(want)
-        assert got.live.tolist() == want.live.tolist() and got.ends.tolist() == want.ends.tolist()
-        assert (got.sources, got.nodes, got.order) == (want.sources, want.nodes, want.order)
-        assert [got.finish(s) for s in g.sources] == [want.finish(s) for s in g.sources]
+        pairs = [(CompositionalProvider(g).program, sptree.reduce_sources(gg, gg.sources, {sink}))]
+        for s in g.sources:
+            pairs.append((sptree.reduce_sources(g, (s,), g.leaders), sptree.reduce_sources(gg, (s,), {sink})))
+        for got, want in pairs:
+            assert got.edges is g.edges
+            assert got.joins == want.joins and plan_steps(got) == plan_steps(want)
+            assert got.live.tolist() == want.live.tolist() and got.ends.tolist() == want.ends.tolist()
+            assert (got.sources, got.nodes) == (want.sources, want.nodes)
 
 
 def test_leader_leader_edge_is_an_idle_arc(rng):
@@ -225,11 +228,11 @@ def test_two_source_ladder_sweeps_the_shared_joins_once(rng, monkeypatch):
 @pytest.mark.parametrize("n_sources", [1, 4, 16])
 def test_exact_h2_is_one_sweep_and_one_skeleton_solve(rng, monkeypatch, n_sources):
     # Exact H2 and the bound read every source's root from the skeleton solve:
-    # the shared R sweep once, no current sweep, and no source's reduction finished.
-    g = random_aittsp(rng, 2, n_sources)  # built by realizing trees, which finishes them
+    # the shared R sweep once, no current sweep, and no tree built.
+    g = random_aittsp(rng, 2, n_sources)
     program = CompositionalProvider(g).program
-    calls = {"resistance_sweep": [], "current_sweep": [], "finish": []}
-    for owner, name in ((electrical, "resistance_sweep"), (electrical, "current_sweep"), (sptree.ArcProgram, "finish")):
+    calls = {"resistance_sweep": [], "current_sweep": [], "_build": []}
+    for owner, name in ((electrical, "resistance_sweep"), (electrical, "current_sweep"), (sptree, "_build")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, log=calls[name]: log.append(a) or fn(*a))
     for method in ("exact", "bound"):
@@ -237,7 +240,7 @@ def test_exact_h2_is_one_sweep_and_one_skeleton_solve(rng, monkeypatch, n_source
             log.clear()
         report = compositional_h2(g, method)
         assert [len(a[0]) for a in calls["resistance_sweep"]] == [len(program.joins)]
-        assert calls["current_sweep"] == calls["finish"] == []
+        assert calls["current_sweep"] == calls["_build"] == []
         assert list(report.per_source) == list(program.sources)
 
 
@@ -317,6 +320,14 @@ def test_k4_core_is_solved_but_has_no_tree(capsys, tmp_path):
     assert_cli_exact_matches_oracle(capsys, path)
     assert_cli_bound_above_exact(capsys, path)
     assert run(["check", "--graph", str(path)]) == 0
+    assert_cli_decompose_rejects(capsys, path, "a", message)  # the leaders are the default ground
+
+
+def assert_cli_decompose_rejects(capsys, path, source, message):
+    """``decompose --source`` exits 2 with one error line, which is ``message``."""
+    capsys.readouterr()
+    assert run(["decompose", "--graph", str(path), "--source", source]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def assert_cli_bound_above_exact(capsys, path):
@@ -382,7 +393,9 @@ def test_pendant_path_is_solved_but_has_no_tree(capsys, tmp_path):
     assert_cli_exact_matches_oracle(capsys, path)
     assert_cli_bound_above_exact(capsys, path)
     with pytest.raises(NotSeriesParallelError, match="reduction stalled with 2 edges"):
-        source_trees(g)  # the pendant p1 - p2 stalls the source's finish
+        source_trees(g)  # the pendant p1 - p2 stalls the source's reduction
+    message = "reduction stalled with 2 edges; graph is not series-parallel between 'p0' and 'l'"
+    assert_cli_decompose_rejects(capsys, path, "p0", message)
     base = dict(penalty_h=0.3, bounds={e.id: (0.5 * I1, 2 * I1) for e in g.edges}, max_iters=10)
     comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
     assert_same_trajectory(comp, optimize_weights(g, OptConfig(voltage_mode="dense", **base)), 1e-9)
