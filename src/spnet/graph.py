@@ -4,8 +4,9 @@ A graph is a multigraph over string node ids. Edges are topology only; one
 (m, k, k) stack ``weights`` holds their strictly positive-definite k x k
 conductances. Leaders are the externally controlled nodes; each leader hangs
 off the network by a single identity-weight edge whose follower endpoint is a
-source node. The Dirichlet Laplacian is the follower block of the full graph
-Laplacian and is what both the dense oracle and the gradient are built on.
+source node. Weights pass the one strictly-SPD rule, ``matlin.as_symmetric``
+then ``matlin.has_cholesky``. The one Laplacian built is the Dirichlet
+Laplacian, grounded at the leaders; the dense oracle and provider solve with it.
 """
 
 import operator
@@ -51,10 +52,10 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
     float stack, used as it is, or m k x k matrices, stacked once. Every id,
     of a node or an edge, is stored as its string: ``1`` and ``"1"`` are one.
     When ``sources`` is None it is inferred as the follower endpoints of the
-    identity-weight leader edges; an explicit list overrides inference. Each
-    rule runs once over all edges: unique ids, known endpoints, no self-loop,
-    weight shapes, finite entries, then symmetry and strict definiteness. If
-    one of the first five breaks, ``_first_faulty_edge`` names the edge.
+    identity-weight leader edges; an explicit list of unique ids overrides
+    inference. Each rule runs once over all edges: unique ids, known endpoints,
+    no self-loop, weight shapes, finite entries, then symmetry and strict
+    definiteness. If one of the first five breaks, ``_first_faulty_edge`` names the edge.
     The graph is numbered here, once, in ``index`` and ``ends``, which the solvers gather through.
     """
     columns = list(zip(*edges, strict=True))
@@ -89,6 +90,8 @@ def make_graph(k, nodes, edges, leaders=(), sources=None, weights=None):
         sources = tuple(sorted(found))  # the follower end of each identity-weight edge with one leader end
     else:
         sources = tuple(map(str, sources))
+        if len(set(sources)) != len(sources):
+            raise GraphValidationError("duplicate source ids")
         unknown = set(sources) - index.keys()
         if unknown:
             raise GraphValidationError(f"unknown source nodes {sorted(unknown)}")
@@ -210,21 +213,21 @@ class DirichletLaplacian:
     matrix: np.ndarray
 
 
-def grounded_laplacian(g, ground):
-    """Laplacian of ``g`` with the ``ground`` node set removed, assembled in one scatter.
+def dirichlet_laplacian(g):
+    """Follower-block Dirichlet Laplacian A(W): the Laplacian of ``g`` grounded at its leaders, in one scatter.
 
-    The ground set is one merged node, numbered n. Each edge adds +W to its two diagonal blocks and -W
-    to its two off-diagonal ones; blocks in the ground's row or column are dropped (the boundary condition
-    pinning its voltage to zero) and one ``np.bincount`` sums the rest in edge order, parallel edges in
+    The leaders are one merged node, numbered n. Each edge adds +W to its two diagonal blocks and -W to
+    its two off-diagonal ones; blocks in the leaders' row or column are dropped (the boundary condition
+    pinning their voltage to zero) and one ``np.bincount`` sums the rest in edge order, parallel edges in
     either orientation too, so the matrix is exactly symmetric. ``check_reach`` runs first, on the same
-    index pairs, so it is positive definite too.
+    index pairs, so it is positive definite too. Nothing factors it here; ``dense_solve`` solves with it once.
     """
-    ground = set(ground)
-    order = tuple(sorted(n for n in g.nodes if n not in ground))
+    check_leaders(g)
+    order = tuple(sorted(n for n in g.nodes if n not in g.leaders))
     if not order:
         raise GraphValidationError("grounding removes every node")
     n, k = len(order), g.k
-    slot = np.full(len(g.nodes), n, dtype=np.intp)  # each node's block row, n for the ground
+    slot = np.full(len(g.nodes), n, dtype=np.intp)  # each node's block row, n for the leaders
     slot[[g.index[v] for v in order]] = np.arange(n)
     ends = slot[g.ends]
     check_reach(ends.tolist(), order, n)
@@ -235,10 +238,3 @@ def grounded_laplacian(g, ground):
     blocks = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * g.weights[:, None]
     a = np.bincount(at.ravel(), weights=blocks[keep].ravel(), minlength=(n * k) ** 2)
     return DirichletLaplacian(follower_order=order, matrix=a.reshape(n * k, n * k))
-
-
-def dirichlet_laplacian(g):
-    """Follower-block Dirichlet Laplacian A(W) with respect to the leaders, positive definite as every follower
-    reaches a leader (``check_reach``). Nothing factors it here; ``dense_solve`` solves with it once."""
-    check_leaders(g)
-    return grounded_laplacian(g, g.leaders)

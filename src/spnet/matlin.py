@@ -1,10 +1,12 @@
 """Dense algebra on small symmetric positive-(semi)definite matrices.
 
-The input-boundary predicates ``is_spd`` and ``box_nonempty`` are one
-Cholesky factorization per stack; the rest is direct eigendecomposition on
-k x k arrays with k <= 16. All but ``pinv`` and ``parallel_add`` also take
-(n, k, k) stacks. All returned matrices are explicitly symmetrized so that
-roundoff asymmetry cannot accumulate in callers.
+A strictly SPD input is checked by one rule: ``as_symmetric``, which names
+the first asymmetric matrix, then ``has_cholesky`` on the stack it returns.
+That and the box rule ``box_nonempty`` are one Cholesky factorization per
+stack; the rest is direct eigendecomposition on k x k arrays with k <= 16.
+All but ``pinv`` and ``parallel_add`` also take (n, k, k) stacks. All
+returned matrices are explicitly symmetrized so that roundoff asymmetry
+cannot accumulate in callers.
 
 ``project_box`` iterates Dykstra's pass on its dual iterate Q alone, one
 k x k matrix per row. It stops a row after its first pass when that pass
@@ -66,17 +68,6 @@ def as_symmetric(m, describe=None):
 def _check_same_dim(*ms):
     if len({m.shape for m in ms}) > 1:
         raise ValueError("dimension mismatch: " + " vs ".join(str(m.shape) for m in ms))
-
-
-def is_spd(m):
-    """True where M is symmetric (``is_symmetric``) and its symmetrized form passes ``has_cholesky``. ``m`` is one
-    square matrix or an (n, k, k) stack, which gets one bool per matrix so a caller can name the first bad one."""
-    m = np.asarray(m, dtype=float)
-    sym = is_symmetric(m)
-    if not sym.all():  # an asymmetric M is not summed with its transpose: inf - inf would warn
-        m = np.where(sym[..., None, None], m, np.nan)
-    ok = sym & has_cholesky(symmetrize(m))
-    return bool(ok) if m.ndim == 2 else ok
 
 
 def box_nonempty(lower, upper):

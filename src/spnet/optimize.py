@@ -54,8 +54,8 @@ class OptConfig:
             raise ValueError("max_iters must be a non-negative integer")
         if self.voltage_mode not in ("compositional", "dense"):
             raise ValueError(f"unknown voltage mode {self.voltage_mode!r}")
-        # Every box [L, U]: one stack per side, then shapes, finite entries, L strictly SPD,
-        # U symmetric and matlin.box_nonempty, each rule once over the whole stack.
+        # Every box [L, U]: one stack per side, then shapes, finite entries, L strictly SPD (as_symmetric,
+        # then has_cholesky), U symmetric and matlin.box_nonempty, each rule once over the whole stack.
         if not self.bounds:
             return
         ids = list(self.bounds)
@@ -73,11 +73,12 @@ class OptConfig:
         finite = np.isfinite(lo).all(axis=(1, 2)) & np.isfinite(up).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"bounds for edge {ids[int(np.argmin(finite))]!r} have a non-finite entry")
-        bad = np.flatnonzero(~matlin.is_spd(lo))
+        lo = matlin.as_symmetric(lo, describe=lambda i: f"lower bound for edge {ids[i]!r}")
+        bad = np.flatnonzero(~matlin.has_cholesky(lo))
         if bad.size:
             raise ValueError(f"lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
         up = matlin.as_symmetric(up, describe=lambda i: f"upper bound for edge {ids[i]!r}")
-        bad = np.flatnonzero(~matlin.box_nonempty(matlin.symmetrize(lo), up))
+        bad = np.flatnonzero(~matlin.box_nonempty(lo, up))
         if bad.size:
             raise ValueError(f"bounds for edge {ids[bad[0]]!r} are infeasible")
 

@@ -95,7 +95,7 @@ def _check_leaves(leaves):
 
 
 def leaf(edge_id, weight, tail=None, head=None):
-    weight = matlin.as_symmetric(weight)
+    weight = matlin.as_symmetric(weight, describe=lambda _: f"leaf weight for edge {edge_id!r}")
     if not matlin.has_cholesky(weight):
         raise ValueError(f"leaf weight for edge {edge_id!r} is not strictly SPD")
     return Leaf(str(edge_id), weight, tail, head)

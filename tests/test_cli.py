@@ -27,6 +27,10 @@ def k1_graph(nodes, pairs, leaders, **fields):
 
 
 RA = k1_graph(["r", "a"], [("r", "a")], ["r"])
+# Leaders L0 and L1 on the path L0 - s - t - L1, with source s listed twice
+REPEATED_SOURCE = k1_graph(
+    ["L0", "L1", "s", "t"], [("L0", "s"), ("s", "t"), ("t", "L1")], ["L0", "L1"], sources=["s", "s"]
+)
 # case -> (command, graph file, error message), for the rules a graph file meets past its field and type checks
 GRAPH_RULES = {
     "disconnected": (["h2"], k1_graph(["r", "a", "b"], [("r", "a")], ["r"]), "graph is not connected"),
@@ -43,6 +47,10 @@ GRAPH_RULES = {
     ),
     "no source": (["h2"], dict(RA, sources=[]), "graph has no source nodes"),
     "no source, oracle": (["h2", "--method", "oracle"], dict(RA, sources=[]), "graph has no source nodes"),
+    "repeated source": (["h2"], REPEATED_SOURCE, "duplicate source ids"),
+    "repeated source, bound": (["h2", "--method", "bound"], REPEATED_SOURCE, "duplicate source ids"),
+    "repeated source, oracle": (["h2", "--method", "oracle"], REPEATED_SOURCE, "duplicate source ids"),
+    "repeated source, check": (["check"], REPEATED_SOURCE, "duplicate source ids"),
     "unknown sink": (["decompose", "--source", "a", "--sink", "b"], RA, "terminal 'b' is not a node of the graph"),
     "sink is source": (["decompose", "--source", "a", "--sink", "a"], RA, "source and sink must differ"),
     "k = 17": (
@@ -400,6 +408,7 @@ class TestFileErrors:
             ("graph", "leaders", ["r1", "nowhere"], "leader set contains unknown nodes"),
             ("graph", "sources", ["s1", "nowhere"], "unknown source nodes ['nowhere']"),
             ("graph", "sources", ["s1", "r2"], "a source node cannot be a leader"),
+            ("graph", "sources", ["s1", "s2", "s1"], "duplicate source ids"),
         ],
     )
     def test_wrongly_typed_field_is_one_error_line(self, capsys, tmp_path, kind, field, value, msg):

@@ -9,7 +9,7 @@ import pytest
 from helpers import leaf_rows, random_psd, random_spd, random_sptree, root_resistance
 from spnet import matlin, sptree
 from spnet.electrical import solve_tree
-from spnet.graph import grounded_laplacian
+from spnet.graph import dirichlet_laplacian
 from spnet.h2 import dense_solve
 from spnet.sptree import Leaf, Parallel, Series, index_tree, leaf, parallel, realize, recognize, series
 
@@ -90,7 +90,7 @@ class TestEffectiveResistance:
         for _ in range(15):
             t = random_sptree(rng, 2, int(rng.integers(1, 10)))
             g, src, snk = realize(t)
-            dl = grounded_laplacian(g, {snk})
+            dl = dirichlet_laplacian(replace(g, leaders=frozenset({snk})))
             expected = np.linalg.inv(dl.matrix)
             i = dl.follower_order.index(src)
             k = g.k

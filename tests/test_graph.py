@@ -12,7 +12,6 @@ from spnet.fileio import graph_from_dict
 from spnet.graph import (
     incidence,
     dirichlet_laplacian,
-    grounded_laplacian,
     make_graph,
     validate_consensus,
 )
@@ -141,12 +140,13 @@ class TestGroundedLaplacian:
     @pytest.mark.parametrize("k", [1, 2, 4, 16])
     def test_matches_per_edge_loop(self, rng, k):
         # Leader grounding, a non-leader ground set with an edge inside it and
-        # a bundle into it, a realized tree grounded at its sink, and a chain.
+        # a bundle into it, a realized tree grounded at its sink, and a chain;
+        # the Laplacian grounds the leaders, so each ground set is made the leader set.
         g = multigraph(rng, k)
         tree_graph, _, sink = realize(random_sptree(rng, k, 12))
         chain = random_aittsp(rng, k, 3)
         for h, ground in [(g, g.leaders), (g, {"v", "s2"}), (tree_graph, {sink}), (chain, chain.leaders)]:
-            dl = grounded_laplacian(h, ground)
+            dl = dirichlet_laplacian(replace(h, leaders=frozenset(ground)))
             order, want = loop_laplacian(h, ground)
             assert dl.follower_order == order
             assert dl.matrix.shape == want.shape
@@ -230,6 +230,11 @@ class TestValidation:
     def test_edge_ids_unique_after_string_conversion(self):
         with pytest.raises(GraphValidationError, match="duplicate edge id '1'"):
             make_graph(1, ["a", "b"], [(1, "a", "b", I1), ("1", "a", "b", I1)])
+
+    def test_source_ids_unique_after_string_conversion(self):
+        # One source listed twice would be one terminal of the reduction counted as two.
+        with pytest.raises(GraphValidationError, match="^duplicate source ids$"):
+            make_graph(1, [0, 1, 2], [(0, 0, 1, I1), (1, 1, 2, I1)], leaders=[0], sources=[2, "2"])
 
     def test_every_id_is_stored_as_its_string(self):
         edges = [(0, 0, 1, I1), (1, 1, "2", I1)]

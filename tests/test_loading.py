@@ -2,8 +2,9 @@
 
 The reference loader below is the one that ran before, edge by edge: field
 and id checks, one ``np.asarray`` per matrix, ids and ends checked per edge,
-then the stacked symmetry, definiteness and box checks. The only rule added
-since, non-finite entries, is checked where the stacked loader checks it. On
+then the stacked symmetry, definiteness and box checks, definiteness by the
+eigenvalue test ``ref_spd``. The only rule added since, non-finite entries,
+is checked where the stacked loader checks it. On
 inputs with one fault at a random position the two raise the same exception
 with the same message, and on inputs with several the loader names the first
 in file order as the reference does; on valid inputs they store the same bits.
@@ -19,6 +20,7 @@ from spnet.fileio import config_from_dict, graph_from_dict, graph_to_dict
 from spnet.graph import attachment_edge_ids
 from test_recognize import ladder
 from test_scale import path
+from test_validation import ref_spd
 
 FIELDS = ("id", "tail", "head", "weight")
 
@@ -83,9 +85,9 @@ def ref_make_graph(k, nodes, edges, leaders, sources):
         weights.append(w)
     weights = np.array(weights, dtype=float).reshape(len(weights), k, k)
     weights = matlin.as_symmetric(weights, describe=lambda i: f"edge {ends[i][0]!r} weight")
-    spd = matlin.is_spd(weights)
-    if not spd.all():
-        raise GraphValidationError(f"edge {ends[int(np.argmin(spd))][0]!r} weight is not strictly SPD")
+    bad = [eid for (eid, _, _), w in zip(ends, weights) if not ref_spd(w)]
+    if bad:
+        raise GraphValidationError(f"edge {bad[0]!r} weight is not strictly SPD")
     leaders = frozenset(leaders)
     if not leaders <= node_set:
         raise GraphValidationError("leader set contains unknown nodes")
@@ -117,14 +119,15 @@ def ref_bounds(data, k, context="config"):
             raise GraphValidationError(f"{context}: bounds for edge {eid!r} have a non-finite entry")
     ids = list(bounds)
     lo, up = (np.array([box[j] for box in bounds.values()]) for j in (0, 1))
-    bad = np.flatnonzero(~matlin.is_spd(lo))
-    if bad.size:
-        raise GraphValidationError(f"{context}: lower bound for edge {ids[bad[0]]!r} is not strictly SPD")
     try:
+        lo = matlin.as_symmetric(lo, describe=lambda i: f"lower bound for edge {ids[i]!r}")
+        bad = [eid for eid, m in zip(ids, lo) if not ref_spd(m)]
+        if bad:
+            raise ValueError(f"lower bound for edge {bad[0]!r} is not strictly SPD")
         up = matlin.as_symmetric(up, describe=lambda i: f"upper bound for edge {ids[i]!r}")
     except ValueError as exc:
         raise GraphValidationError(f"{context}: {exc}") from exc
-    gap = np.linalg.eigvalsh(up - matlin.symmetrize(lo)).min(axis=-1)
+    gap = np.linalg.eigvalsh(up - lo).min(axis=-1)
     bad = np.flatnonzero(~(gap >= -matlin.BOX_TOL))
     if bad.size:
         raise GraphValidationError(f"{context}: bounds for edge {ids[bad[0]]!r} are infeasible")
@@ -181,10 +184,11 @@ BOX_FAULTS = {
     "wrong k bound": lambda rng, box: box.update(U=np.eye(len(box["U"]) + 1).tolist()),
     "non-finite bound": lambda rng, box: set_entry(rng, box["LU"[rng.integers(2)]], NON_FINITE[rng.integers(4)]),
     "lower not SPD": lambda rng, box: box.update(L=(-np.array(box["L"])).tolist()),
+    "lower asymmetric": lambda rng, box: box["L"][0].__setitem__(-1, box["L"][0][-1] + 1.0),
     "upper asymmetric": lambda rng, box: box["U"][0].__setitem__(-1, box["U"][0][-1] + 1.0),
     "infeasible": lambda rng, box: box.update(U=(0.5 * np.array(box["L"])).tolist()),
 }
-NEEDS_K2 = {"asymmetric", "upper asymmetric"}  # a 1x1 matrix is symmetric
+NEEDS_K2 = {"asymmetric", "lower asymmetric", "upper asymmetric"}  # a 1x1 matrix is symmetric
 
 
 def path_dict(rng, k, n):

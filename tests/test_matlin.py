@@ -438,8 +438,10 @@ class TestSymmetricStack:
     def test_unmirrored_non_finite_pair_is_asymmetric(self, bad):
         # inf against -inf, or NaN against a number, is no mirror: refused without summing the pair.
         bad = np.array(bad)
-        assert not matlin.is_spd(bad)
-        assert matlin.is_spd(np.array([np.eye(2), bad])).tolist() == [True, False]
+        assert not matlin.is_symmetric(bad)
+        assert matlin.is_symmetric(np.array([np.eye(2), bad])).tolist() == [True, False]
+        with pytest.raises(ValueError, match="^matrix 1 is not symmetric within tolerance$"):
+            matlin.as_symmetric(np.array([np.eye(2), bad]), describe=lambda i: f"matrix {i}")
         with pytest.raises(ValueError, match="not symmetric within tolerance"):
             matlin.as_symmetric(bad)
         for lo, up in ((np.eye(2), bad), (bad, 2 * np.eye(2))):
@@ -452,7 +454,7 @@ class TestSymmetricStack:
         # Each entry mirrors itself, so the symmetry rule passes and the definiteness rule refuses.
         bad = np.array(bad)
         assert matlin.is_symmetric(bad)
-        assert not matlin.is_spd(bad)
+        assert not matlin.has_cholesky(matlin.as_symmetric(bad))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2, 2), (2, 3, 2)])
     def test_bad_shapes(self, shape):
@@ -488,7 +490,7 @@ def test_cholesky_rules_match_eigenvalues_off_the_rounding_band(k):
     m = spectrum_stack(rng, k, 5000)
     low, clear = clear_of_rounding(m)
     assert clear.sum() > 1000
-    np.testing.assert_array_equal(matlin.is_spd(m)[clear], (low > 0)[clear])
+    np.testing.assert_array_equal(matlin.has_cholesky(matlin.as_symmetric(m))[clear], (low > 0)[clear])
     lo = np.array([random_spd(rng, k) for _ in range(len(m))])
     up = lo + spectrum_stack(rng, k, len(m), centre=-matlin.BOX_TOL)
     low, clear = clear_of_rounding(up - lo, centre=-matlin.BOX_TOL)

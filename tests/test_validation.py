@@ -1,9 +1,9 @@
 """Input checks run once per stack, where the input enters the program.
 
 The equivalence tests keep a copy of the per-matrix checks that ran before
-(one ``as_symmetric`` and one ``is_spd`` per edge weight, and per box an
-``is_spd`` on L and a ``loewner_leq``, with ``is_spd``'s own absolute
-symmetry rule) and compare the stacked checks with them: same exception
+(one ``as_symmetric`` and one eigenvalue SPD test per edge weight, and per
+box that SPD test on L and a ``loewner_leq``, with the SPD test's own
+absolute symmetry rule) and compare the stacked checks with them: same exception
 type, an edge named by the old message still named, and any edge named is
 the one the old loop stopped at. Valid weights are stored bit for bit as
 the old checks stored them.
@@ -38,7 +38,7 @@ def ref_as_symmetric(m, rtol=SYM_RTOL):
     return 0.5 * (m + mt)
 
 
-def ref_is_spd(m, tol=0.0):
+def ref_spd(m, tol=0.0):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
@@ -62,7 +62,7 @@ def ref_edge_weights(k, edges):
             w = ref_as_symmetric(w)
             if w.shape[0] != k:
                 raise GraphValidationError(f"edge {eid!r} weight has dim {w.shape[0]}, expected {k}")
-            if not ref_is_spd(w):
+            if not ref_spd(w):
                 raise GraphValidationError(f"edge {eid!r} weight is not strictly SPD")
         except ValueError as exc:
             return None, (exc, eid)
@@ -74,7 +74,7 @@ def ref_box_fault(bounds):
     """OptConfig's old box loop: None, or (exception, edge id)."""
     for eid, (lo, up) in bounds.items():
         try:
-            if not ref_is_spd(np.asarray(lo, dtype=float)):
+            if not ref_spd(np.asarray(lo, dtype=float)):
                 raise ValueError(f"lower bound for edge {eid!r} is not strictly SPD")
             if not ref_loewner_leq(lo, up):
                 raise ValueError(f"bounds for edge {eid!r} are infeasible")
@@ -224,31 +224,45 @@ def count_calls(monkeypatch, module, name):
 def test_one_symmetric_check_per_call(monkeypatch, rng, n):
     weights = [random_spd(rng, 3) for _ in range(n)]
     bounds = {f"e{i}": (0.5 * w, 2.0 * w) for i, w in enumerate(weights)}
-    # One symmetry check per stack: the weights' in make_graph, then L's and U's in OptConfig.
+    # One symmetry check and one factorization per stack: the weights' in make_graph, then L's
+    # and U's in OptConfig, as_symmetric then has_cholesky on L, and U's factorization is the box rule's.
     sym = count_calls(monkeypatch, matlin, "is_symmetric")
+    chol = count_calls(monkeypatch, matlin, "has_cholesky")
     box = count_calls(monkeypatch, matlin, "box_nonempty")
     make_graph(3, [f"v{i}" for i in range(n + 1)], path_edges(weights))
-    assert (len(sym), len(box)) == (1, 0)
+    assert (len(sym), len(chol), len(box)) == (1, 1, 0)
     OptConfig(penalty_h=1.0, bounds=bounds)
-    assert (len(sym), len(box)) == (3, 1)
+    assert (len(sym), len(chol), len(box)) == (3, 3, 1)
 
 
 class TestOneSymmetryRule:
-    def test_is_spd_uses_the_relative_rule(self, rng):
-        # The old is_spd measured asymmetry against max(|M|, 1), so this
+    def test_spd_rule_uses_the_relative_rule(self, rng):
+        # The old SPD test measured asymmetry against max(|M|, 1), so this
         # small matrix passed it although as_symmetric rejects it.
         m = nudge(small_spd(rng, 3), 2.0)
         with pytest.raises(ValueError, match="not symmetric"):
             matlin.as_symmetric(m)
         assert not matlin.is_symmetric(m)
-        assert not matlin.is_spd(m)
-        assert matlin.is_spd(nudge(small_spd(rng, 3), 0.5))
+        with pytest.raises(ValueError, match="leaf weight for edge 'e' is not symmetric within tolerance"):
+            leaf("e", m)
+        assert matlin.has_cholesky(matlin.as_symmetric(nudge(small_spd(rng, 3), 0.5)))
 
     def test_stack_gives_one_bool_per_matrix(self, rng):
         m = np.array([random_spd(rng, 3), -random_spd(rng, 3), nudge(random_spd(rng, 3), 1e9), random_spd(rng, 3)])
-        assert matlin.is_spd(m).tolist() == [True, False, False, True]
         assert matlin.is_symmetric(m).tolist() == [True, True, False, True]
-        assert [matlin.is_spd(a) for a in m] == [True, False, False, True]
+        with pytest.raises(ValueError, match="matrix 2 is not symmetric"):
+            matlin.as_symmetric(m, describe=lambda i: f"matrix {i}")
+        spd = [True, False, True]
+        assert matlin.has_cholesky(matlin.as_symmetric(m[[0, 1, 3]])).tolist() == spd
+        assert [bool(matlin.has_cholesky(matlin.as_symmetric(a))) for a in m[[0, 1, 3]]] == spd
+
+    def test_asymmetric_lower_bound_is_named(self):
+        with pytest.raises(ValueError, match="^lower bound for edge 'e' is not symmetric within tolerance$"):
+            OptConfig(penalty_h=1.0, bounds={"e": ([[1.0, 0.1], [0.0, 1.0]], 2 * np.eye(2))})
+
+    def test_asymmetric_leaf_weight_is_named(self):
+        with pytest.raises(ValueError, match="^leaf weight for edge 'a' is not symmetric within tolerance$"):
+            leaf("a", [[1.0, 0.1], [0.0, 1.0]])
 
     def test_first_bad_edge_is_named(self, rng):
         weights = [random_spd(rng, 2) for _ in range(6)]
@@ -268,8 +282,8 @@ class TestCholeskyRules:
     def test_singular_weight_is_refused(self):
         # The eigenvalue rule refuses the singular PSD weight and accepts diag(1, 1e-300) too.
         eye, singular, tiny = np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-300])
-        assert not ref_is_spd(singular) and ref_is_spd(tiny)
-        assert matlin.is_spd(np.array([tiny, singular, tiny])).tolist() == [True, False, True]
+        assert not ref_spd(singular) and ref_spd(tiny)
+        assert matlin.has_cholesky(matlin.as_symmetric([tiny, singular, tiny])).tolist() == [True, False, True]
         edges = path_edges([eye, singular, eye])
         with pytest.raises(GraphValidationError, match="edge 'e1' weight is not strictly SPD"):
             make_graph(2, [f"v{i}" for i in range(4)], edges)
@@ -285,8 +299,8 @@ class TestCholeskyRules:
     def test_non_finite_weight_is_refused(self, value, where):
         m = np.array([[2.0, 0.0], [0.0, 3.0]])
         m[where] = m[where[::-1]] = value
-        assert matlin.is_spd(m) is False
-        assert matlin.is_spd(np.array([np.eye(2), m])).tolist() == [True, False]
+        assert not matlin.has_cholesky(matlin.as_symmetric(m))
+        assert matlin.has_cholesky(matlin.as_symmetric([np.eye(2), m])).tolist() == [True, False]
         with pytest.raises(ValueError, match="leaf weight for edge 'e' is not strictly SPD"):
             leaf("e", m)
 
