@@ -6,12 +6,12 @@ per join, bottom-up) for all its sources at once, from the edge weights W:
 ``skeleton_solve`` (the shared joins' up sweep, one Dirichlet solve of the
 terminal skeleton), then one down sweep. ``solve_tree`` runs it on
 ``sptree.flatten`` of a tree, whose skeleton is its root arc. Each arc is
-carried in the form its parent takes (``takes_r``): R under a series join, G
-under a parallel join, in a chain's shunts and on the skeleton.
+carried in the form its parent takes (``ArcProgram.takes_r``): R under a series
+join, G under a parallel join, in a chain's shunts and on the skeleton.
 
-- up: series R = R1 + R2, parallel G = G1 + G2, inverted once where the
-  join's parent takes the other form; the leaves a series join takes are one
-  batched inverse;
+- up: series R = R1 + R2, parallel G = G1 + G2, held where the join's parent
+  takes the other form, then inverted with its wave, one stacked inverse; the
+  leaves a series join takes are one batched inverse;
 - down: a series join hands its current I to both children, a parallel join
   its voltage V, one array for both (negated for a flipped child); an arc
   makes what it was not handed from its own form, V = R I or I = G V.
@@ -37,35 +37,42 @@ def leaf_resistances(weights):
     return matlin.symmetrize(np.linalg.inv(np.asarray(weights, dtype=float)))
 
 
-def resistance_sweep(joins, weights, plan):
+def resistance_sweep(joins, weights, plan, takes_r):
     """Bottom-up from the edges' W (an (m, k, k) stack): (every arc's value,
-    an (arcs, k, k) stack, R where ``takes_r`` and G elsewhere; ``takes_r``;
-    each ``Chain``'s factors by its top's join index), the joins
-    (``joins[i]`` is arc m + i) in ``plan`` order (``ArcProgram.plan``). A
-    chain's joins but its top get no value (zero)."""
+    an (arcs, k, k) stack, R where ``takes_r`` and G elsewhere; each
+    ``Chain``'s factors by its top's join index), the joins (``joins[i]`` is
+    arc m + i) in ``plan`` order. An arc whose parent takes the other form is
+    held, then inverted with its wave: every held arc in one call, once a step
+    reads one, and at the end. A chain's joins but its top get no value (zero)."""
     weights = np.asarray(weights, dtype=float)
-    m = len(weights)
-    flags = [False] * (m + len(joins))  # True for a series join's children and a chain's series light children
-    for step in plan:
-        if type(step) is Chain:
-            for a in step.arcs[: step.series].tolist():
-                flags[a] = True
-        elif joins[step][0] is Series:
-            flags[joins[step][1]] = flags[joins[step][3]] = True
+    m, forms = len(weights), takes_r.tolist()
     val = np.zeros((m + len(joins), *weights.shape[1:]))
     val[:m] = weights
-    r = np.flatnonzero(flags[:m])
+    r = np.flatnonzero(takes_r[:m])
     val[r] = leaf_resistances(weights[r])
-    factors = {}
+    factors, held = {}, {}  # held: arc -> its value before the inverse its parent needs
     for step in plan:
         if type(step) is Chain:
             top = step.top
+            if not held.keys().isdisjoint(step.arcs.tolist()):
+                _invert(val, held)
             v, factors[top] = _chain_resistance(step, val)
         else:
             top, (_, a, _, b, _) = step, joins[step]
+            if a in held or b in held:
+                _invert(val, held)
             v = val[a] + val[b]
-        val[m + top] = v if (joins[top][0] is Series) == flags[m + top] else matlin.symmetrize(np.linalg.inv(v))
-    return val, np.array(flags), factors
+        (val if (joins[top][0] is Series) == forms[m + top] else held)[m + top] = v
+    if held:
+        _invert(val, held)
+    return val, factors
+
+
+def _invert(val, held):
+    """Write every held arc into ``val`` inverted, with one LAPACK call (one (k, k) matrix if it is alone); empty it."""
+    x, v = held.popitem() if len(held) == 1 else (list(held), np.array(list(held.values())))
+    val[x] = matlin.symmetrize(np.linalg.inv(v))
+    held.clear()
 
 
 def current_sweep(joins, plan, val, takes_r, factors, handed):
@@ -170,10 +177,10 @@ def skeleton_solve(program, weights):
     """The shared up sweep from the edges' W, then one solve of the terminal
     skeleton's grounded Laplacian (sink dropped), assembled from the live
     arcs' G, for all S unit injections, a Kron reduction: (every arc's value,
-    ``takes_r``, each chain's factors, Y), Y (skeleton nodes, S, k, k); source
+    each chain's factors, Y), Y (skeleton nodes, S, k, k); source
     c's root R is Y[c, c]."""
     n_src = len(program.sources)
-    val, takes_r, factors = resistance_sweep(program.joins, weights, program.plan)
+    val, factors = resistance_sweep(program.joins, weights, program.plan, program.takes_r)
     k, (tails, heads) = val.shape[-1], program.ends.T
     n = len(program.nodes) - 1  # the sink, the last skeleton node
     nodes = np.arange(n + 1)
@@ -182,7 +189,7 @@ def skeleton_solve(program, weights):
     lap[nodes, :, nodes] = -lap.sum(axis=2)
     y = np.zeros((n + 1, k, n_src, k))  # source c is node c, so its unit injection is column block c of I
     y[:n] = np.linalg.solve(lap[:n, :, :n].reshape(n * k, n * k), np.eye(n * k, n_src * k)).reshape(n, k, n_src, k)
-    return val, takes_r, factors, y.swapaxes(1, 2)
+    return val, factors, y.swapaxes(1, 2)
 
 
 def solve_sources(program, weights):
@@ -191,14 +198,14 @@ def solve_sources(program, weights):
     Y_tail - Y_head and the shared joins pass it down in one sweep; a leaf
     that holds R makes its drop as R I."""
     m, n_src = len(program.edges), len(program.sources)
-    val, takes_r, factors, y = skeleton_solve(program, weights)
+    val, factors, y = skeleton_solve(program, weights)
     handed = np.zeros((len(val), n_src, *val.shape[1:]))
     handed[program.live] = y[program.ends[:, 0]] - y[program.ends[:, 1]]
-    current_sweep(program.joins, program.plan, val, takes_r, factors, handed)
+    current_sweep(program.joins, program.plan, val, program.takes_r, factors, handed)
     vol = handed[:m].copy()
-    r = np.flatnonzero(takes_r[:m])
+    r = np.flatnonzero(program.takes_r[:m])
     vol[r] = val[r, None] @ handed[r]
-    return SourceSweeps(y[range(n_src), range(n_src)], val, takes_r, handed, vol)
+    return SourceSweeps(y[range(n_src), range(n_src)], val, program.takes_r, handed, vol)
 
 
 def solve_tree(t):
@@ -208,9 +215,10 @@ def solve_tree(t):
     holds G gets R = G^-1, a series join R1 + R2 instead."""
     program, order = flatten(t)
     sweeps = solve_sources(program, [lf.weight for lf in program.edges])
-    val, r_form, handed = sweeps.value, sweeps.takes_r[:, None, None], sweeps.handed[:, 0]
+    val, r_form, handed = sweeps.value, program.takes_r[:, None, None], sweeps.handed[:, 0]
     other = val @ handed  # V of an arc that holds R, I of one that holds G
-    res = np.where(r_form, val, matlin.symmetrize(np.linalg.inv(val)))
+    res, g = val.copy(), np.flatnonzero(~program.takes_r)
+    res[g] = matlin.symmetrize(np.linalg.inv(val[g]))
     for j, (kind, a, _, b, _) in enumerate(program.joins, len(program.edges)):
         if kind is Series:
             res[j] = val[a] + val[b]

@@ -9,7 +9,7 @@ was decomposed.
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -74,8 +74,7 @@ def flatten(t):
     order = leaves + [i for i in range(len(entries) - 1, -1, -1) if entries[i][1] >= 0]
     arc = dict(zip(order, range(len(order))))
     joins = [(type(entries[i][0]), arc[entries[i][1]], False, arc[entries[i][2]], False) for i in order[len(leaves) :]]
-    edges, root = tuple(entries[i][0] for i in leaves), len(order) - 1
-    plan = tuple(range(len(joins)))
+    edges, root, plan = tuple(entries[i][0] for i in leaves), len(order) - 1, tuple(range(len(joins)))
     return ArcProgram(edges, joins, (None,), np.array([root]), np.array([[0, 1]]), (None, None), plan), order
 
 
@@ -95,6 +94,8 @@ def _check_leaves(leaves):
 
 
 def leaf(edge_id, weight, tail=None, head=None):
+    if np.ndim(weight) != 2:  # a stack would pass ``as_symmetric`` and give ``has_cholesky`` one bool per matrix
+        raise ValueError(f"leaf weight for edge {edge_id!r}: expected a square matrix, got shape {np.shape(weight)}")
     weight = matlin.as_symmetric(weight, describe=lambda _: f"leaf weight for edge {edge_id!r}")
     if not matlin.has_cholesky(weight):
         raise ValueError(f"leaf weight for edge {edge_id!r} is not strictly SPD")
@@ -189,6 +190,17 @@ class ArcProgram:
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
     nodes: tuple  # name of each skeleton node, by number
     plan: tuple  # sweep steps: join indices, bottom-up, and ``Chain``s in their tops' places
+    takes_r: np.ndarray = field(init=False)  # (arcs,) R under a series join or as a chain's series arc, else G
+
+    def __post_init__(self):  # each arc's form, read off the plan once
+        joins, forms = self.joins, [False] * (len(self.edges) + len(self.joins))
+        for step in self.plan:
+            if type(step) is Chain:
+                for a in step.arcs[: step.series].tolist():
+                    forms[a] = True
+            elif joins[step][0] is Series:
+                forms[joins[step][1]] = forms[joins[step][3]] = True
+        object.__setattr__(self, "takes_r", np.array(forms))
 
     def fold(self, values, series, parallel):
         """The root value of a flattened tree from ``values`` of its leaves:

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from spnet import electrical, matlin
 from spnet.electrical import solve_tree
 from spnet.graph import make_graph
 from spnet.h2 import dense_h2
-from spnet.sptree import Leaf, Parallel, Series, index_tree, leaf, parallel, realize, series
+from spnet.sptree import Chain, Leaf, Parallel, Series, index_tree, leaf, parallel, realize, series
 
 
 def random_spd(rng, k, lo=0.5, hi=2.0):
@@ -34,6 +35,43 @@ def root_resistance(t):
 def arc_currents(sweeps):
     """Every arc's current in a ``SourceSweeps``: what it was handed where it holds R, G V where it holds G."""
     return np.where(sweeps.takes_r[:, None, None, None], sweeps.handed, sweeps.value[:, None] @ sweeps.handed)
+
+
+def plan_forms(joins, plan, m):
+    """Each arc's form, R (True) or G, read off a plan: a series join's
+    children and a chain's series light children hold R."""
+    flags = [False] * (m + len(joins))
+    for step in plan:
+        if type(step) is Chain:
+            for a in step.arcs[: step.series].tolist():
+                flags[a] = True
+        elif joins[step][0] is Series:
+            flags[joins[step][1]] = flags[joins[step][3]] = True
+    return np.array(flags)
+
+
+def per_join_resistance_sweep(joins, weights, plan, takes_r):
+    """Reference for ``electrical.resistance_sweep``, with its signature and
+    results: the forms read off the plan (``plan_forms``, not ``takes_r``),
+    and every arc whose parent takes the other form inverted at its own join,
+    one k x k inverse each."""
+    weights = np.asarray(weights, dtype=float)
+    m = len(weights)
+    flags = plan_forms(joins, plan, m)
+    val = np.zeros((m + len(joins), *weights.shape[1:]))
+    val[:m] = weights
+    r = np.flatnonzero(flags[:m])
+    val[r] = electrical.leaf_resistances(weights[r])
+    factors = {}
+    for step in plan:
+        if type(step) is Chain:
+            top = step.top
+            v, factors[top] = electrical._chain_resistance(step, val)
+        else:
+            top, (_, a, _, b, _) = step, joins[step]
+            v = val[a] + val[b]
+        val[m + top] = v if (joins[top][0] is Series) == flags[m + top] else matlin.symmetrize(np.linalg.inv(v))
+    return val, factors
 
 
 def tree_h2(t):

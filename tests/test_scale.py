@@ -35,41 +35,26 @@ def sp_tree(rng, k, n_leaves):
     return make_graph(k, list(sub.nodes) + ["L0", "L1"], edges, leaders=["L0", "L1"])
 
 
-@pytest.mark.parametrize(
-    "build, edges, chained",
-    [
-        (lambda rng: path(rng, 1, 1000), 1000, True),
-        (lambda rng: path(rng, 2, 500), 500, True),
-        (lambda rng: path(rng, 4, 300), 300, True),
-        (lambda rng: path(rng, 8, 150), 150, True),
-        (lambda rng: path(rng, 16, 100), 100, False),
-        (lambda rng: ladder(rng, 1, 334), 1002, True),
-        (lambda rng: ladder(rng, 2, 15), 45, False),
-        (lambda rng: ladder(rng, 2, 334), 1002, True),
-        (lambda rng: ladder(rng, 4, 100), 300, True),
-        (lambda rng: ladder(rng, 8, 15), 45, False),
-        (lambda rng: ladder(rng, 8, 60), 180, True),
-        (lambda rng: ladder(rng, 16, 40), 120, False),
-        (lambda rng: sp_tree(rng, 1, 1000), 1002, False),
-        (lambda rng: sp_tree(rng, 4, 300), 302, False),
-    ],
-    ids=[
-        "path-k1",
-        "path-k2",
-        "path-k4",
-        "path-k8",
-        "path-k16",
-        "ladder-k1",
-        "short-ladder-k2",
-        "ladder-k2",
-        "ladder-k4",
-        "short-ladder-k8",
-        "ladder-k8",
-        "ladder-k16",
-        "sp-tree-k1",
-        "sp-tree-k4",
-    ],
-)
+# id: (build, edges, whether a chain takes the long heavy path)
+FAMILY = {
+    "path-k1": (lambda rng: path(rng, 1, 1000), 1000, True),
+    "path-k2": (lambda rng: path(rng, 2, 500), 500, True),
+    "path-k4": (lambda rng: path(rng, 4, 300), 300, True),
+    "path-k8": (lambda rng: path(rng, 8, 150), 150, True),
+    "path-k16": (lambda rng: path(rng, 16, 100), 100, False),
+    "ladder-k1": (lambda rng: ladder(rng, 1, 334), 1002, True),
+    "short-ladder-k2": (lambda rng: ladder(rng, 2, 15), 45, False),
+    "ladder-k2": (lambda rng: ladder(rng, 2, 334), 1002, True),
+    "ladder-k4": (lambda rng: ladder(rng, 4, 100), 300, True),
+    "short-ladder-k8": (lambda rng: ladder(rng, 8, 15), 45, False),
+    "ladder-k8": (lambda rng: ladder(rng, 8, 60), 180, True),
+    "ladder-k16": (lambda rng: ladder(rng, 16, 40), 120, False),
+    "sp-tree-k1": (lambda rng: sp_tree(rng, 1, 1000), 1002, False),
+    "sp-tree-k4": (lambda rng: sp_tree(rng, 4, 300), 302, False),
+}
+
+
+@pytest.mark.parametrize("build, edges, chained", FAMILY.values(), ids=list(FAMILY))
 def test_provider_matches_dense(rng, build, edges, chained):
     g = build(rng)
     assert len(g.edges) == edges

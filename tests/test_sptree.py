@@ -63,6 +63,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             leaf("a", np.array([[0.0]]))
 
+    @pytest.mark.parametrize("weight", [np.stack([np.eye(2), np.eye(2)]), np.ones(3), 1.0, [[[1.0]]]])
+    def test_leaf_weight_is_one_matrix(self, weight):
+        shape = re.escape(str(np.shape(weight)))
+        with pytest.raises(ValueError, match=f"^leaf weight for edge 'a': expected a square matrix, got shape {shape}$"):
+            leaf("a", weight)
+
 
 class TestStats:
     @pytest.mark.parametrize(
