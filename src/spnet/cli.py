@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: decompose | h2 | resistance | optimize | check. Exit codes:
-0 on success, 1 on validation failure or when a descent step's box projection
-does not converge, 2 when ``decompose`` meets a graph that is not
-series-parallel (``check``, ``optimize`` and every ``h2`` method solve any).
+Subcommands: decompose | h2 | resistance | optimize | check. Exit codes: 0 on success,
+1 on a usage error, a ``check --tol`` that is not a non-negative number, validation failure
+or when a descent step's box projection does not converge, 2 when ``decompose`` meets a
+graph that is not series-parallel (``check``, ``optimize`` and every ``h2`` method solve any).
 """
 
 import argparse
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import electrical
-from .errors import GraphValidationError, NotSeriesParallelError, ProjectionError
+from .errors import NotSeriesParallelError, ProjectionError
 from .fileio import load_config, load_graph, load_tree, weights_to_dict, write_trajectory_csv
 from .graph import validate_consensus
 from .h2 import CompositionalProvider, compositional_h2, dense_h2, dense_provider
@@ -104,6 +104,8 @@ def _energies(g, q):
 
 def _cmd_check(args):
     """Judge the compositional (h2, q) by the graph's laws and the dense provider's."""
+    if not args.tol >= 0:  # NaN too
+        raise ValueError(f"--tol must be a non-negative number, not {args.tol}")
     g = load_graph(args.graph)
     validate_consensus(g)
     comp_h2, comp_q = CompositionalProvider(g)(g)
@@ -123,8 +125,13 @@ def _cmd_check(args):
     return 0 if result["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: ``run`` prints it as one error line and exits 1
+        raise ValueError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spnet",
         description="Compositional H2 analysis and adaptive re-weighting of "
         "matrix-weighted series-parallel consensus networks.",
@@ -166,14 +173,13 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotSeriesParallelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphValidationError, ProjectionError, ValueError) as exc:
+    except (ProjectionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ MAX_DIM = 16
 SYM_RTOL = 1e-12
 BOX_TOL = 1e-12  # a box [L, U] is non-empty iff U - L + BOX_TOL I is positive definite (box_nonempty)
 STOP_TOL = 1e-10  # project_box's stop rules: its KKT residual, its Frobenius step and Y - L's floor
+MAX_PASSES = 500  # project_box's pass budget per row
 ANDERSON_DEPTH = 5  # differences of dual iterates Q (Dykstra-map outputs) project_box keeps per row
 ANDERSON_RIDGE = 1e-12  # Tikhonov term of its least-squares problem, relative to the Gram trace
 
@@ -129,7 +130,7 @@ def psd_part(m):
     return symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
-def project_box(x, lower, upper, max_iter=500):
+def project_box(x, lower, upper):
     """Project a symmetric matrix onto the Loewner box {Y : L <= Y <= U}.
 
     Runs Dykstra's alternating projections between the half-cones
@@ -158,9 +159,9 @@ def project_box(x, lower, upper, max_iter=500):
     does not certify but that stops within two passes returns plain
     Dykstra's Y up to rounding.
 
-    An (n, k, k) stack is projected row by row in one batched loop; each row
-    stops at the pass its one-matrix call would. Returns ``(Y, converged)``:
-    ``converged`` is one bool, false if any row missed both stop rules (that
+    An (n, k, k) stack is projected row by row in one batched loop of at least one and at most
+    ``MAX_PASSES`` passes; each row stops at the pass its one-matrix call would. Returns
+    ``(Y, converged)``: ``converged`` is one bool, false if any row missed both stop rules (that
     row's last iterate is kept). X, L and U are checked for symmetry in one
     pass over the three. A box the first pass does not certify that fails
     ``box_nonempty`` raises ``InfeasibleBoundsError`` before anything is returned.
@@ -172,15 +173,13 @@ def project_box(x, lower, upper, max_iter=500):
         raise ValueError(f"expected a square matrix or a stack of them, got shape {shape}")
     x, lo, up = as_symmetric(np.stack((x, lower, upper)).reshape(-1, *shape[-2:])).reshape(3, -1, *shape[-2:])
 
-    if max_iter < 1:
-        _require_nonempty(lo, up)
-        return x.reshape(shape), False
     z = lo + psd_part(x - lo)  # the first pass, from Q = 0
     y_out = up - psd_part(up - z)
     gap = y_out - lo
     low = np.linalg.eigvalsh(gap).min(axis=-1)
     certified = (low >= -BOX_TOL) & (np.linalg.norm((x - z) @ gap, axis=(-2, -1)) <= STOP_TOL)
-    _require_nonempty(lo[~certified], up[~certified])
+    if not certified.all() and not box_nonempty(lo[~certified], up[~certified]).all():
+        raise InfeasibleBoundsError("empty Loewner box: L is not below U")
     live = ~certified & ~((np.linalg.norm(y_out - x, axis=(-2, -1)) < STOP_TOL) & (low >= -STOP_TOL))
     if not live.any():
         return y_out.reshape(shape), True
@@ -188,7 +187,7 @@ def project_box(x, lower, upper, max_iter=500):
     lo, up, q = lo[live], up[live], (z - y_out)[live]
     x_lo = x[rows] - lo
     history = None  # made once some row outlives its second pass
-    for _ in range(1, max_iter):
+    for _ in range(1, MAX_PASSES):
         z = lo + psd_part(x_lo - q)
         y = up - psd_part(up - (z + q))
         t = z + q - y
@@ -206,12 +205,6 @@ def project_box(x, lower, upper, max_iter=500):
             history = _Anderson(q)
         q = history.extrapolate(t, t - q)
     return y_out.reshape(shape), False
-
-
-def _require_nonempty(lo, up):
-    """Raise ``InfeasibleBoundsError`` if any box [L, U] of the stacks is empty (``box_nonempty``)."""
-    if len(lo) and not box_nonempty(lo, up).all():
-        raise InfeasibleBoundsError("empty Loewner box: L is not below U")
 
 
 class _Anderson:

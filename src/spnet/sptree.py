@@ -93,13 +93,13 @@ def _check_leaves(leaves):
         raise ValueError(f"duplicate leaf edge ids {sorted(e for e, n in ids.items() if n > 1)}")
 
 
-def leaf(edge_id, weight, tail=None, head=None):
+def leaf(edge_id, weight):
     if np.ndim(weight) != 2:  # a stack would pass ``as_symmetric`` and give ``has_cholesky`` one bool per matrix
         raise ValueError(f"leaf weight for edge {edge_id!r}: expected a square matrix, got shape {np.shape(weight)}")
     weight = matlin.as_symmetric(weight, describe=lambda _: f"leaf weight for edge {edge_id!r}")
     if not matlin.has_cholesky(weight):
         raise ValueError(f"leaf weight for edge {edge_id!r} is not strictly SPD")
-    return Leaf(str(edge_id), weight, tail, head)
+    return Leaf(str(edge_id), weight)
 
 
 @dataclass(frozen=True)

@@ -458,6 +458,33 @@ class TestFileErrors:
         assert "2x2" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, msg",
+        [
+            (["h2"], "the following arguments are required: --graph"),
+            (["h2", "--graph", DEMO, "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+            (["check", "--graph", DEMO, "--tol", "nan"], "--tol must be a non-negative number, not nan"),
+            (["check", "--graph", DEMO, "--tol", "-1"], "--tol must be a non-negative number, not -1.0"),
+        ],
+    )
+    def test_is_one_error_line(self, capsys, argv, msg):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {msg}") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["h2", "--help"])
+        assert info.value.code == 0
+        assert "usage: spnet h2" in capsys.readouterr().out
+
+    def test_infinite_tolerance_passes(self, capsys):
+        code, data = run_json(capsys, ["check", "--graph", DEMO, "--tol", "inf"])
+        assert code == 0 and data["ok"]
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         g = load_graph(DEMO)

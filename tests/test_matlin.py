@@ -163,6 +163,13 @@ class TestProjectBox:
             assert dist <= np.linalg.norm(z - x, "fro") + 1e-9
 
 
+def project_within(passes, *args):
+    """``project_box(*args)`` with ``matlin.MAX_PASSES`` patched to ``passes``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matlin, "MAX_PASSES", passes)
+        return matlin.project_box(*args)
+
+
 def box_stack(rng, n, k):
     """(X, L, U) stacks mixing tight boxes, with X far outside, and wide ones
     holding X inside, so rows need different numbers of Dykstra iterations."""
@@ -210,14 +217,14 @@ class TestProjectBoxStack:
 
     def test_converged_is_one_bool_over_rows(self, rng):
         x, lo, up = box_stack(rng, 6, 4)
-        for max_iter in (1, 2, 3, 500):
-            flags = [matlin.project_box(*args, max_iter=max_iter)[1] for args in zip(x, lo, up)]
-            y, ok = matlin.project_box(x, lo, up, max_iter=max_iter)
+        for passes in (1, 2, 3, 500):
+            flags = [project_within(passes, *args)[1] for args in zip(x, lo, up)]
+            y, ok = project_within(passes, x, lo, up)
             assert type(ok) is bool
             assert ok == all(flags)
             for row, args in zip(y, zip(x, lo, up)):
-                np.testing.assert_allclose(row, matlin.project_box(*args, max_iter=max_iter)[0], rtol=1e-13, atol=0)
-        assert not matlin.project_box(x, lo, up, max_iter=1)[1]
+                np.testing.assert_allclose(row, project_within(passes, *args)[0], rtol=1e-13, atol=0)
+        assert not project_within(1, x, lo, up)[1]
 
     def test_one_empty_box_raises(self, rng):
         x, lo, up = box_stack(rng, 5, 3)
@@ -247,7 +254,7 @@ class TestProjectBoxStack:
         x[1:] += np.array([random_spd(rng, k, 0.1, 0.2), -random_spd(rng, k, 0.1, 0.2)])
         for args in zip(x, lo, up):
             assert self.iterations(monkeypatch, *args) == 1
-            assert matlin.project_box(*args, max_iter=1)[1] is True
+            assert project_within(1, *args)[1] is True
         assert self.iterations(monkeypatch, x, lo, up) == 1
         y, ok = matlin.project_box(x, lo, up)
         assert ok is True
@@ -391,7 +398,7 @@ def test_rows_stopped_by_the_first_pass_are_projections(seed, k, rows, emptiness
     rng = np.random.default_rng(seed)
     x, lo, up = first_pass_rows(rng, k, rows)
     y, _ = matlin.project_box(x, lo, up)
-    one_pass = np.array([matlin.project_box(*args, max_iter=1)[1] for args in zip(x, lo, up)])
+    one_pass = np.array([project_within(1, *args)[1] for args in zip(x, lo, up)])
     if one_pass.any():
         want, _ = plain_dykstra(x[one_pass], lo[one_pass], up[one_pass], tol=0.0, max_iter=5000)
         for row, ref, a, b in zip(y[one_pass], want, lo[one_pass], up[one_pass]):
@@ -399,14 +406,14 @@ def test_rows_stopped_by_the_first_pass_are_projections(seed, k, rows, emptiness
             assert np.linalg.eigvalsh(row - a).min() >= -1e-9
             assert np.linalg.eigvalsh(b - row).min() >= -1e-9
 
-    # One empty box beside rows the first pass stops still raises, with or
-    # without a pass: X = U makes that pass look as good as it can.
+    # One empty box beside rows the first pass stops still raises, with the
+    # full budget or one pass: X = U makes that pass look as good as it can.
     bad = random_spd(rng, k)
     bad_up = bad - emptiness * np.eye(k)
     x, lo, up = (np.concatenate([m[one_pass], [extra]]) for m, extra in ((x, bad_up), (lo, bad), (up, bad_up)))
-    for max_iter in (500, 0):
+    for passes in (500, 1):
         with pytest.raises(InfeasibleBoundsError):
-            matlin.project_box(x, lo, up, max_iter=max_iter)
+            project_within(passes, x, lo, up)
 
 
 NON_FINITE = [
@@ -513,6 +520,6 @@ class TestBoxRule:
         # A NaN pivot need not fail the factorization, so the box rule tests finiteness on its own.
         bad = np.array(bad)
         for lo, up in ((np.eye(2), bad), (bad, 2 * np.eye(2))):
-            for max_iter in (500, 0):
+            for passes in (500, 1):
                 with pytest.raises(InfeasibleBoundsError):
-                    matlin.project_box(np.eye(2), lo, up, max_iter=max_iter)
+                    project_within(passes, np.eye(2), lo, up)
