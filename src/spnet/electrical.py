@@ -10,8 +10,8 @@ carried in the form its parent takes (``ArcProgram.takes_r``): R under a series
 join, G under a parallel join, in a chain's shunts and on the skeleton.
 
 - up: series R = R1 + R2, parallel G = G1 + G2, held where the join's parent
-  takes the other form, then inverted with its wave, one stacked inverse; the
-  leaves a series join takes are one batched inverse;
+  takes the other form, then inverted with its wave (``ArcProgram.schedule``),
+  one stacked inverse; the leaves a series join takes are one batched inverse;
 - down: a series join hands its current I to both children, a parallel join
   its voltage V, one array for both (negated for a flipped child); an arc
   makes what it was not handed from its own form, V = R I or I = G V.
@@ -37,42 +37,29 @@ def leaf_resistances(weights):
     return matlin.symmetrize(np.linalg.inv(np.asarray(weights, dtype=float)))
 
 
-def resistance_sweep(joins, weights, plan, takes_r):
+def resistance_sweep(joins, weights, plan, schedule):
     """Bottom-up from the edges' W (an (m, k, k) stack): (every arc's value,
-    an (arcs, k, k) stack, R where ``takes_r`` and G elsewhere; each
+    an (arcs, k, k) stack, R where ``schedule.takes_r`` and G elsewhere; each
     ``Chain``'s factors by its top's join index), the joins (``joins[i]`` is
     arc m + i) in ``plan`` order. An arc whose parent takes the other form is
-    held, then inverted with its wave: every held arc in one call, once a step
-    reads one, and at the end. A chain's joins but its top get no value (zero)."""
+    inverted with its wave (``ArcProgram.schedule``): every held arc in one
+    call, once a step reads one, and at the end. A chain's joins but its top
+    get no value (zero)."""
     weights = np.asarray(weights, dtype=float)
-    m, forms = len(weights), takes_r.tolist()
+    m, r = len(weights), schedule.r_leaves
     val = np.zeros((m + len(joins), *weights.shape[1:]))
     val[:m] = weights
-    r = np.flatnonzero(takes_r[:m])
     val[r] = leaf_resistances(weights[r])
-    factors, held = {}, {}  # held: arc -> its value before the inverse its parent needs
-    for step in plan:
+    factors = {}
+    for step, wave in zip((*plan, None), schedule.waves):  # a last wave may follow the last step
+        if wave is not None:
+            val[wave] = matlin.symmetrize(np.linalg.inv(val[wave]))  # one (k, k) matrix if it is alone
         if type(step) is Chain:
-            top = step.top
-            if not held.keys().isdisjoint(step.arcs.tolist()):
-                _invert(val, held)
-            v, factors[top] = _chain_resistance(step, val)
-        else:
-            top, (_, a, _, b, _) = step, joins[step]
-            if a in held or b in held:
-                _invert(val, held)
-            v = val[a] + val[b]
-        (val if (joins[top][0] is Series) == forms[m + top] else held)[m + top] = v
-    if held:
-        _invert(val, held)
+            val[m + step.top], factors[step.top] = _chain_resistance(step, val)
+        elif step is not None:
+            _, a, _, b, _ = joins[step]
+            np.add(val[a], val[b], out=val[m + step])
     return val, factors
-
-
-def _invert(val, held):
-    """Write every held arc into ``val`` inverted, with one LAPACK call (one (k, k) matrix if it is alone); empty it."""
-    x, v = held.popitem() if len(held) == 1 else (list(held), np.array(list(held.values())))
-    val[x] = matlin.symmetrize(np.linalg.inv(v))
-    held.clear()
 
 
 def current_sweep(joins, plan, val, takes_r, factors, handed):
@@ -180,7 +167,7 @@ def skeleton_solve(program, weights):
     each chain's factors, Y), Y (skeleton nodes, S, k, k); source
     c's root R is Y[c, c]."""
     n_src = len(program.sources)
-    val, factors = resistance_sweep(program.joins, weights, program.plan, program.takes_r)
+    val, factors = resistance_sweep(program.joins, weights, program.plan, program.schedule)
     k, (tails, heads) = val.shape[-1], program.ends.T
     n = len(program.nodes) - 1  # the sink, the last skeleton node
     nodes = np.arange(n + 1)
@@ -202,10 +189,10 @@ def solve_sources(program, weights):
     handed = np.zeros((len(val), n_src, *val.shape[1:]))
     handed[program.live] = y[program.ends[:, 0]] - y[program.ends[:, 1]]
     current_sweep(program.joins, program.plan, val, program.takes_r, factors, handed)
-    vol = handed[:m].copy()
-    r = np.flatnonzero(program.takes_r[:m])
+    vol, r = handed[:m].copy(), program.schedule.r_leaves
     vol[r] = val[r, None] @ handed[r]
-    return SourceSweeps(y[range(n_src), range(n_src)], val, program.takes_r, handed, vol)
+    c = np.arange(n_src)
+    return SourceSweeps(y[c, c], val, program.takes_r, handed, vol)
 
 
 def solve_tree(t):

@@ -110,7 +110,8 @@ def compositional_h2(g, method="exact"):
     if method == "bound":
         weights = 1.0 / np.trace(electrical.leaf_resistances(weights), axis1=1, axis2=2)[:, None, None]
     *_, y = electrical.skeleton_solve(program, weights)
-    per_source = {s: 0.5 * float(np.trace(y[c, c])) for c, s in enumerate(program.sources)}
+    c = np.arange(len(program.sources))
+    per_source = dict(zip(program.sources, (0.5 * np.trace(y[c, c], axis1=1, axis2=2)).tolist()))
     name = "exact-compositional" if method == "exact" else "scalar-bound"
     return H2Report(per_source=per_source, total=sum(per_source.values()), method=name)
 
@@ -161,7 +162,7 @@ class CompositionalProvider:
         if g.edges != self.program.edges:
             raise ValueError("graph edges differ from the ones the reduction was made for")
         sweeps = electrical.solve_sources(self.program, g.weights)
-        h2 = {s: 0.5 * float(np.trace(r)) for s, r in zip(self.program.sources, sweeps.roots)}
+        h2 = dict(zip(self.program.sources, (0.5 * np.trace(sweeps.roots, axis1=1, axis2=2)).tolist()))
         return h2, sweeps.voltage.swapaxes(0, 1)
 
 

@@ -6,7 +6,8 @@ That and the box rule ``box_nonempty`` are one Cholesky factorization per
 stack; the rest is direct eigendecomposition on k x k arrays with k <= 16.
 All but ``pinv`` and ``parallel_add`` also take (n, k, k) stacks. All
 returned matrices are explicitly symmetrized so that roundoff asymmetry
-cannot accumulate in callers.
+cannot accumulate in callers; such an exactly symmetric stack passes
+``is_symmetric`` with one comparison, and ``psd_part`` takes it as it is.
 
 ``project_box`` iterates Dykstra's pass on its dual iterate Q alone, one
 k x k matrix per row. It stops a row after its first pass when that pass
@@ -39,8 +40,12 @@ def is_symmetric(m):
     magnitude: the one symmetry rule. One bool per matrix of an (n, k, k) stack.
     A matrix with a non-finite entry passes iff each entry equals its mirror,
     NaN counting as NaN's, so ``symmetrize`` never adds inf to -inf;
-    ``has_cholesky`` refuses it."""
+    ``has_cholesky`` refuses it. A stack equal to its transpose entry for entry
+    passes by that one comparison, which a NaN never passes."""
     m = np.asarray(m, dtype=float)
+    exact = (m == m.swapaxes(-1, -2)).all(axis=(-2, -1))
+    if exact.all():
+        return exact
     finite = np.isfinite(m).all(axis=(-2, -1))
     z = np.where(finite[..., None, None], m, 0.0)
     ok = ~(np.abs(z - z.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * np.abs(z).max(axis=(-2, -1)))
@@ -125,8 +130,8 @@ def loewner_leq(a, b, tol=BOX_TOL):
 
 
 def psd_part(m):
-    """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues."""
-    w, v = np.linalg.eigh(symmetrize(m))
+    """Nearest PSD matrix in Frobenius norm to a symmetric M, or to each of a stack: clip negative eigenvalues."""
+    w, v = np.linalg.eigh(m)
     return symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ v.swapaxes(-1, -2))
 
 
@@ -183,22 +188,22 @@ def project_box(x, lower, upper):
     live = ~certified & ~((np.linalg.norm(y_out - x, axis=(-2, -1)) < STOP_TOL) & (low >= -STOP_TOL))
     if not live.any():
         return y_out.reshape(shape), True
-    rows = np.flatnonzero(live)  # the rows still iterating
-    lo, up, q = lo[live], up[live], (z - y_out)[live]
+    rows = np.flatnonzero(live)  # the rows still iterating, with their last Y
+    lo, up, q, y = lo[live], up[live], (z - y_out)[live], y_out[live]
     x_lo = x[rows] - lo
     history = None  # made once some row outlives its second pass
     for _ in range(1, MAX_PASSES):
-        z = lo + psd_part(x_lo - q)
-        y = up - psd_part(up - (z + q))
-        t = z + q - y
-        done = np.linalg.norm(y - y_out[rows], axis=(-2, -1)) < STOP_TOL
+        zq = lo + psd_part(x_lo - q) + q  # Z + Q
+        y_prev, y = y, up - psd_part(up - zq)
+        t = zq - y
+        done = np.linalg.norm(y - y_prev, axis=(-2, -1)) < STOP_TOL
         y_out[rows] = y
         if done.any():
             done[done] = np.linalg.eigvalsh(y[done] - lo[done]).min(axis=-1) >= -STOP_TOL
             if done.all():
                 return y_out.reshape(shape), True
             live = ~done
-            rows, lo, up, x_lo, q, t = rows[live], lo[live], up[live], x_lo[live], q[live], t[live]
+            rows, lo, up, x_lo, q, t, y = rows[live], lo[live], up[live], x_lo[live], q[live], t[live], y[live]
             if history is not None:
                 history.keep(live)
         if history is None:

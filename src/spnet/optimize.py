@@ -164,7 +164,9 @@ def optimize_weights(g, cfg):
     boxes = [cfg.bounds.get(eid) for eid in free]
     if None in boxes:
         raise ValueError(f"no bounds configured for edges {[eid for eid, b in zip(free, boxes) if b is None]}")
-    lower, upper = (np.array([box[j] for box in boxes], dtype=float).reshape(-1, g.k, g.k) for j in (0, 1))
+    lower, upper = (np.array([box[j] for box in boxes] or np.empty((0, g.k, g.k)), dtype=float) for j in (0, 1))
+    if lower.shape[1:] != (g.k, g.k):  # OptConfig gives every box one shape, so the first free edge's is not k x k
+        raise ValueError(f"bounds for edge {free[0]!r} are {lower.shape[1:]}, not {(g.k, g.k)}")
     w = g.weights[rows]
 
     provider = _provider(g, cfg.voltage_mode)

@@ -8,9 +8,9 @@ was decomposed.
 """
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from functools import partial
+from collections import Counter, deque, namedtuple
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -180,7 +180,8 @@ class ArcProgram:
 
     ``plan`` is the order the electrical sweeps take the joins in, each long
     heavy path of them one ``Chain`` (``chain_plan``); a flattened tree's
-    sweeps every join in turn.
+    sweeps every join in turn. The sweeps replay its ``schedule``, read off on
+    first use: a program that is only folded or walked never pays for it.
     """
 
     edges: tuple
@@ -190,17 +191,35 @@ class ArcProgram:
     ends: np.ndarray  # (live, 2) skeleton tail and head node of each live arc
     nodes: tuple  # name of each skeleton node, by number
     plan: tuple  # sweep steps: join indices, bottom-up, and ``Chain``s in their tops' places
-    takes_r: np.ndarray = field(init=False)  # (arcs,) R under a series join or as a chain's series arc, else G
 
-    def __post_init__(self):  # each arc's form, read off the plan once
-        joins, forms = self.joins, [False] * (len(self.edges) + len(self.joins))
+    @cached_property
+    def schedule(self):
+        """What the electrical sweeps read off the plan: each arc's form (``takes_r``, R where true), the edges
+        that hold R (``r_leaves``) and the up sweep's ``waves``, per step and once after the last, None or the
+        held arcs inverted there (an int if lone). An arc whose parent takes the other form is held, and every
+        arc held is inverted in one wave just before a step reads one."""
+        m, joins = len(self.edges), self.joins
+        forms = [False] * (m + len(joins))
         for step in self.plan:
             if type(step) is Chain:
                 for a in step.arcs[: step.series].tolist():
                     forms[a] = True
             elif joins[step][0] is Series:
                 forms[joins[step][1]] = forms[joins[step][3]] = True
-        object.__setattr__(self, "takes_r", np.array(forms))
+        held, waves = {}, []  # held: the arcs held since the last wave, as an ordered set
+        for step in self.plan:
+            if type(step) is Chain:
+                top, wave = step.top, bool(held) and not held.keys().isdisjoint(step.arcs.tolist())
+            else:
+                top, (_, a, _, b, _) = step, joins[step]
+                wave = a in held or b in held
+            waves.append(_wave(held) if wave else None)
+            if (joins[top][0] is Series) != forms[m + top]:
+                held[m + top] = None
+        takes_r = np.array(forms, dtype=bool)
+        return Schedule(takes_r, takes_r[:m].nonzero()[0], (*waves, _wave(held) if held else None))
+
+    takes_r = property(lambda self: self.schedule.takes_r)  # (arcs,) R under a series join or as a chain's series arc
 
     def fold(self, values, series, parallel):
         """The root value of a flattened tree from ``values`` of its leaves:
@@ -222,6 +241,16 @@ class ArcProgram:
             ends = f"{self.nodes[u]!r}-{self.nodes[v]!r}"
             raise NotSeriesParallelError(f"reduction ended on edge {ends}, not on the terminal pair")
         return _build(self.edges, weights, self.joins, int(self.live[0]), u != 0)
+
+
+Schedule = namedtuple("Schedule", ["takes_r", "r_leaves", "waves"])  # see ``ArcProgram.schedule``
+
+
+def _wave(held):
+    """The arcs of ``held`` as one index, a lone one as an int; empty ``held``."""
+    wave = next(iter(held)) if len(held) == 1 else np.array(list(held))
+    held.clear()
+    return wave
 
 
 def reduce_sources(g, sources, ground):

@@ -50,9 +50,9 @@ def plan_forms(joins, plan, m):
     return np.array(flags)
 
 
-def per_join_resistance_sweep(joins, weights, plan, takes_r):
+def per_join_resistance_sweep(joins, weights, plan, schedule):
     """Reference for ``electrical.resistance_sweep``, with its signature and
-    results: the forms read off the plan (``plan_forms``, not ``takes_r``),
+    results: the forms read off the plan (``plan_forms``, not ``schedule``),
     and every arc whose parent takes the other form inverted at its own join,
     one k x k inverse each."""
     weights = np.asarray(weights, dtype=float)

@@ -469,6 +469,61 @@ class TestSymmetricStack:
             matlin.as_symmetric(np.zeros(shape))
 
 
+def tolerance_rule(m):
+    """The symmetry rule for one matrix, written out: a finite M passes when max |M - M^T| <= SYM_RTOL max |M|,
+    any other M when each entry equals its mirror, a NaN matching a NaN."""
+    m = np.asarray(m, dtype=float)
+    if np.isfinite(m).all():
+        return bool(np.abs(m - m.T).max() <= matlin.SYM_RTOL * np.abs(m).max())
+    return all(a == b or (np.isnan(a) and np.isnan(b)) for a, b in zip(m.flat, m.T.flat))
+
+
+def moved(m, step):
+    """``m`` with its entry (0, 1) moved by ``step``, a float or "ulp"; (1, 0) keeps its value."""
+    m = np.array(m, dtype=float)
+    m[0, 1] = np.nextafter(m[0, 1], np.inf) if step == "ulp" else m[0, 1] + step
+    return m
+
+
+def with_pair(m, value):
+    """``m`` with its entries (0, 1) and (1, 0) both set to ``value``."""
+    m = np.array(m, dtype=float)
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
+SYM = matlin.symmetrize(np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.0]]))
+SHORT_CUT_CASES = {  # name -> (stack, whether the one exact comparison decides it)
+    "exactly symmetric": (np.array([SYM, 2.0 * SYM, np.eye(3)]), True),
+    "all zero": (np.zeros((3, 3, 3)), True),
+    "mirrored infinities": (np.array([SYM, with_pair(SYM, np.inf), np.diag([1.0, -np.inf, np.inf])]), True),
+    "mirrored NaN pair": (np.array([SYM, with_pair(SYM, np.nan)]), False),
+    "one ulp off": (np.array([SYM, moved(SYM, "ulp")]), False),
+    "1e-3 off": (np.array([SYM, SYM, moved(SYM, 1e-3)]), False),
+}
+
+
+class TestExactSymmetryShortCut:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(SHORT_CUT_CASES))
+    def test_short_cut_returns_the_tolerance_rule(self, monkeypatch, name):
+        stack, exact = SHORT_CUT_CASES[name]
+        want = [tolerance_rule(a) for a in stack]
+        ruled, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda m: ruled.append(1) or isfinite(m))
+        got = matlin.is_symmetric(stack)
+        assert (type(got), got.dtype, got.tolist()) == (np.ndarray, np.bool_, want)
+        assert not ruled if exact else ruled  # an exactly symmetric stack takes one comparison, no rule
+        for a, ok in zip(stack, want):
+            one = matlin.is_symmetric(a)
+            assert type(one) is np.bool_ and one == ok
+
+    def test_one_ulp_passes_and_1e_3_is_named(self):
+        assert matlin.as_symmetric(SHORT_CUT_CASES["one ulp off"][0]).shape == (2, 3, 3)
+        with pytest.raises(ValueError, match="^matrix 2 is not symmetric within tolerance$"):
+            matlin.as_symmetric(SHORT_CUT_CASES["1e-3 off"][0], describe=lambda i: f"matrix {i}")
+
+
 EPS = np.finfo(float).eps
 
 

@@ -1,14 +1,16 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spnet
 from helpers import fd_gradient_direction, random_aittsp, random_spd, random_symmetric, reweighted
 from spnet import electrical, h2, matlin, optimize
 from spnet.errors import GraphValidationError, InfeasibleBoundsError
-from spnet.fileio import config_from_dict, load_config
+from spnet.fileio import config_from_dict, load_config, load_graph
 from spnet.graph import attachment_edge_ids, make_graph
 from spnet.h2 import dense_provider
 from spnet.optimize import (
@@ -291,6 +293,33 @@ class TestOptimizeWeights:
         comp = optimize_weights(g, OptConfig(voltage_mode="compositional", **base))
         dense = optimize_weights(g, OptConfig(voltage_mode="dense", **base))
         assert_same_trajectory(comp, dense, 1e-8)
+
+
+class TestBoxShape:
+    """An API-built config whose boxes are not k x k is refused before the first provider call."""
+
+    DEMO = Path(spnet.__file__).parent / "data" / "demo_graph.json"
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_boxes_of_another_size_name_the_first_free_edge(self, monkeypatch, n):
+        g = load_graph(self.DEMO)
+        assert g.k == 2
+        free = [e.id for e in g.edges if e.id not in attachment_edge_ids(g)]
+        cfg = OptConfig(penalty_h=0.1, bounds={e.id: (0.5 * np.eye(n), 2.0 * np.eye(n)) for e in g.edges})
+        calls = []
+        monkeypatch.setattr(optimize, "_provider", lambda *args: calls.append(args))
+        for mode in ("compositional", "dense"):
+            cfg.voltage_mode = mode
+            with pytest.raises(ValueError, match=rf"^bounds for edge '{free[0]}' are \({n}, {n}\), not \(2, 2\)$"):
+                optimize_weights(g, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["compositional", "dense"])
+    def test_a_run_with_no_free_edges(self, mode):
+        edges = [("a1", "r1", "s", np.eye(2)), ("a2", "s", "r2", 2 * np.eye(2))]
+        g = make_graph(2, ["r1", "r2", "s"], edges, leaders=["r1", "r2"])
+        traj = optimize_weights(g, OptConfig(penalty_h=0.1, bounds={}, max_iters=2, grad_tol=-1.0, voltage_mode=mode))
+        assert [r.weights for r in traj.records] == [{}, {}, {}]
 
 
 def assert_same_trajectory(a, b, tol):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import spnet
-from helpers import per_join_resistance_sweep, plan_forms, random_aittsp
-from spnet import electrical
+from helpers import per_join_resistance_sweep, plan_forms, random_aittsp, random_sptree
+from spnet import electrical, sptree
+from spnet.electrical import solve_tree
 from spnet.fileio import load_graph
-from spnet.h2 import CompositionalProvider, compositional_h2
+from spnet.h2 import CompositionalProvider, compositional_h2, h2_scalar_bound
 from spnet.sptree import Series
-from test_chains import sp_ladder
+from test_chains import per_join, sp_ladder
 from test_recognize import ladder, scrambled
 from test_scale import FAMILY, sp_tree
 
@@ -57,7 +58,7 @@ def test_waves_match_the_per_join_sweep(monkeypatch, name):
     runs = []
     for sweep in (electrical.resistance_sweep, per_join_resistance_sweep):
         monkeypatch.setattr(electrical, "resistance_sweep", sweep)
-        val, _ = electrical.resistance_sweep(program.joins, g.weights, program.plan, program.takes_r)
+        val, _ = electrical.resistance_sweep(program.joins, g.weights, program.plan, program.schedule)
         s = electrical.solve_sources(program, g.weights)
         h2 = [compositional_h2(g, method).per_source for method in ("exact", "bound")]
         runs.append((bits(val, s.roots, s.value, s.handed, s.voltage), [(list(d), bits(list(d.values()))) for d in h2]))
@@ -68,7 +69,7 @@ def inverses(monkeypatch, g):
     """The shapes ``np.linalg.inv`` is called with in one up sweep of ``g``'s shared program, and the program."""
     program, calls, inv = CompositionalProvider(g).program, [], np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or inv(a))
-    electrical.resistance_sweep(program.joins, g.weights, program.plan, program.takes_r)
+    electrical.resistance_sweep(program.joins, g.weights, program.plan, program.schedule)
     return calls, program
 
 
@@ -85,3 +86,48 @@ def test_a_lone_held_arc_is_one_matrix(monkeypatch):
     g = ladder(np.random.default_rng(3), 16, 40)
     calls, program = inverses(monkeypatch, g)
     assert calls[1:] == [(16, 16)] * switches(program)
+
+
+def count_schedules(monkeypatch):
+    """The list that gets one entry per ``Schedule`` built from now on."""
+    built, make = [], sptree.Schedule
+    monkeypatch.setattr(sptree, "Schedule", lambda *args: built.append(1) or make(*args))
+    return built
+
+
+def test_a_provider_builds_its_schedule_once(monkeypatch):
+    g = GRAPHS["chained-sp-ladder-k2"]()
+    built = count_schedules(monkeypatch)
+    provider = CompositionalProvider(g)
+    runs = [provider(g) for _ in range(3)]
+    assert len(built) == 1
+    assert all(bits(*h2.values(), q) == bits(*runs[0][0].values(), runs[0][1]) for h2, q in runs)
+
+
+def test_a_replaced_program_reads_its_own_plan(monkeypatch):
+    # The chained program's schedule is built first; the per-join program made from it by ``replace``
+    # reads forms and waves off its own plan, and sweeps as the reference does, bit for bit.
+    g = GRAPHS["chained-sp-ladder-k2"]()
+    chained = CompositionalProvider(g).program
+    first = chained.schedule
+    assert any(type(step) is not int for step in chained.plan)
+    program = per_join(chained)
+    assert program.schedule is not first
+    assert program.takes_r.tolist() == plan_forms(program.joins, program.plan, len(program.edges)).tolist()
+    assert len(program.schedule.waves) == len(program.joins) + 1
+    runs = []
+    for sweep in (electrical.resistance_sweep, per_join_resistance_sweep):
+        monkeypatch.setattr(electrical, "resistance_sweep", sweep)
+        val, _ = electrical.resistance_sweep(program.joins, g.weights, program.plan, program.schedule)
+        s = electrical.solve_sources(program, g.weights)
+        runs.append(bits(val, s.roots, s.value, s.handed, s.voltage))
+    assert runs[0] == runs[1]
+
+
+def test_folding_a_flattened_tree_builds_no_schedule(monkeypatch):
+    t = random_sptree(np.random.default_rng(5), 2, 40)
+    built = count_schedules(monkeypatch)
+    sptree.stats(t), h2_scalar_bound(t), sptree.realize(t)
+    assert built == []
+    solve_tree(t)
+    assert len(built) == 1
